@@ -20,6 +20,7 @@ from .model import (
     ContactEntry,
     EntryStatus,
     InformPayload,
+    InvariantError,
     Message,
     Money,
     Performative,
@@ -350,7 +351,10 @@ def _advance(
         )
         if result.decision is None or result.decision.failed:
             _record_failure_feedback(state, conv)
-        assert result.workload_delta == -1
+        if result.workload_delta != -1:
+            raise InvariantError(
+                f"self-organization moved {state.id}'s workload by {result.workload_delta}, not -1"
+            )
         _close(state, conversation)  # applies the -1 workload delta
         return list(result.messages)
 
@@ -389,8 +393,9 @@ def broker_step(
     """Apply one message per the broker protocol, including the migration hook.
 
     `registry_view` is this broker's visibility-filtered snapshot of the
-    provider registry (consulted on CFP receipt); `neighbor_info` carries
-    fresh neighbor snapshots in case self-organization is needed.
+    provider registry, read only on CFP receipt; `neighbor_info` is an
+    iterable of fresh neighbor snapshots, iterated once and only when
+    self-organization is needed, so it may compute them lazily.
     """
     if msg.receiver != state.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {state.id}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -29,15 +28,15 @@ from .agents import (
     finish_lease,
     provider_step,
     release_hold,
-    update_contact_list,
 )
-from .migration import NeighborInfo, verify_constraints
+from .migration import NeighborInfo
 from .model import (
     AgentId,
     AgentKind,
     CallPayload,
     ContactEntry,
     EntryStatus,
+    InvariantError,
     Message,
     Money,
     Performative,
@@ -197,9 +196,8 @@ class RunResult:
 
 
 class _World:
-    def __init__(self, scenario: Scenario, seed: int):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.rng = random.Random(seed)  # sole randomness source; protocol logic is deterministic
         self.params = scenario.pricing
         self.max_migrations = scenario.effective_max_migrations()
         self.hold_timeout = scenario.hold_timeout
@@ -213,6 +211,9 @@ class _World:
         self.registry: set[AgentId] = set()
         self.providers: dict[AgentId, ProviderState] = {}
         self.visibility: dict[AgentId, set[AgentId]] = {}
+        # per broker: sorted ids of its visible live providers, and the
+        # resource types they price; cleared on every join and leave
+        self._views: dict[AgentId, tuple[tuple[AgentId, ...], frozenset[str]]] = {}
         self.durations: dict[str, int] = {}
 
         self.brokers: dict[AgentId, BrokerState] = {}
@@ -249,12 +250,15 @@ class _World:
         self.queue: list[tuple[int, int, Event]] = []
         self.seq = 0
         self.now = 0
+        self.events = 0  # events processed; each is one workload sample
         self.trace: list[EventRecord] = []
         self.meta: dict[str, ConversationMeta] = {}
         self.diagnostics = Diagnostics()
         self.workloads: dict[AgentId, WorkloadStat] = {
             bid: WorkloadStat() for bid in self.brokers
         }
+        # per broker: in-flight level, and the samples taken before it was reached
+        self._levels: dict[AgentId, tuple[int, int]] = {bid: (0, 0) for bid in self.brokers}
         self.pending_migrations: dict[str, MigrationProbe] = {}
 
     # -- infrastructure -----------------------------------------------------
@@ -270,12 +274,14 @@ class _World:
         self.registry.add(pid)
         for bid in spec.visible_to:
             self.visibility[AgentId(AgentKind.BROKER, bid)].add(pid)
+        self._views.clear()
 
     def delay(self, a: AgentId, b: AgentId) -> int:
         return self.delays.get((a, b), self.default_delay)
 
     def schedule(self, time: int, **kwargs) -> Event:
-        assert time >= self.now, f"event scheduled in the past: {time} < {self.now}"
+        if time < self.now:
+            raise InvariantError(f"event scheduled in the past: {time} < {self.now}")
         self.seq += 1
         event = Event(time=time, seq=self.seq, **kwargs)
         heapq.heappush(self.queue, (event.time, event.seq, event))
@@ -286,40 +292,44 @@ class _World:
             now + self.delay(msg.sender, msg.receiver), kind=EventKind.DELIVER, message=msg
         )
 
-    def registry_view(self, bid: AgentId) -> list[ContactEntry]:
-        view = []
-        for pid in sorted(self.visibility[bid]):
-            if pid not in self.registry:
-                continue
-            provider = self.providers[pid]
-            view.append(
-                ContactEntry(
-                    provider=pid,
-                    prices=dict(provider.base_prices),
-                    grade=0.5,
-                    status=EntryStatus.LIVE,
-                    delay=self.delay(bid, pid),
-                )
-            )
+    def _visible_live(self, bid: AgentId) -> tuple[tuple[AgentId, ...], frozenset[str]]:
+        """Sorted ids of the live providers `bid` sees, and the types they price."""
+        view = self._views.get(bid)
+        if view is None:
+            ids = tuple(sorted(self.visibility[bid] & self.registry))
+            types = frozenset().union(*(self.providers[pid].base_prices for pid in ids))
+            view = self._views[bid] = (ids, types)
         return view
 
+    def registry_view(self, bid: AgentId) -> list[ContactEntry]:
+        return [
+            ContactEntry(
+                provider=pid,
+                prices=dict(self.providers[pid].base_prices),
+                grade=0.5,
+                status=EntryStatus.LIVE,
+                delay=self.delay(bid, pid),
+            )
+            for pid in self._visible_live(bid)[0]
+        ]
+
     def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
-        """Fresh per-call info for each neighbor, as its next refresh would see it."""
+        """Fresh per-call info for each neighbor, as its next refresh would see it.
+
+        A refresh leaves a contact list holding exactly the visible live
+        providers, and learning never adds or drops a price key, so the
+        cached view is what the refresh would give.
+        """
         out = []
         for nid in self.brokers[of].neighbors:
-            neighbor = self.brokers[nid]
-            projected = update_contact_list(neighbor.contact_list, self.registry_view(nid))
-            live = [e for e in projected if e.status is EntryStatus.LIVE and e.provider in self.registry]
-            types: set[str] = set()
-            for entry in live:
-                types.update(entry.prices)
+            ids, types = self._visible_live(nid)
             out.append(
                 NeighborInfo(
                     broker=nid,
-                    workload=neighbor.in_flight,
+                    workload=self.brokers[nid].in_flight,
                     delay=self.delay(of, nid),
-                    provider_types=frozenset(types),
-                    provider_count=len(live),
+                    provider_types=types,
+                    provider_count=len(ids),
                 )
             )
         return out
@@ -365,12 +375,33 @@ class _World:
             )
         )
 
-    def sample_workloads(self) -> None:
-        for bid, state in self.brokers.items():
+    def sample_workloads(self, bid: AgentId) -> None:
+        """Account for `bid`'s in-flight count after the current event.
+
+        Only the broker that handles an event changes its count, so the
+        other brokers' samples of this event repeat their last level and are
+        added up by `settle_workloads` when the run ends.
+        """
+        level, before = self._levels[bid]
+        current = self.brokers[bid].in_flight
+        if current != level:
+            earlier = self.events - 1
             stat = self.workloads[bid]
-            stat.peak = max(stat.peak, state.in_flight)
-            stat.total += state.in_flight
-            stat.samples += 1
+            stat.total += level * (earlier - before)
+            stat.peak = max(stat.peak, current)
+            self._levels[bid] = (current, earlier)
+
+    def settle_workloads(self) -> None:
+        for bid, (level, before) in self._levels.items():
+            stat = self.workloads[bid]
+            stat.total += level * (self.events - before)
+            stat.samples = self.events
+
+
+def _snapshot_when_read(world: _World, of: AgentId):
+    # a generator runs nothing until iterated: the snapshot is taken only if
+    # the broker falls back to self-organization
+    yield from world.neighbor_snapshot(of)
 
 
 def apply_churn(world: _World, event: ChurnEvent) -> None:
@@ -380,6 +411,7 @@ def apply_churn(world: _World, event: ChurnEvent) -> None:
         if pid not in world.registry:
             raise ScenarioError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
+        world._views.clear()
         provider = world.providers[pid]
         for conversation in sorted(provider.ledger):
             release_hold(provider, conversation)  # held reservations die with the membership
@@ -409,13 +441,12 @@ def _probe_migration(world: _World, msg: Message, source: BrokerState) -> Migrat
     )
 
 
-def _run_once(world: _World, event_budget: int) -> tuple[bool, int]:
-    processed = 0
+def _run_once(world: _World, event_budget: int) -> bool:
     while world.queue:
-        if processed >= event_budget:
-            return False, processed
+        if world.events >= event_budget:
+            return False
         _, _, event = heapq.heappop(world.queue)
-        processed += 1
+        world.events += 1
         now = world.now = event.time
 
         if event.kind is EventKind.CONSUMER_START:
@@ -474,7 +505,6 @@ def _run_once(world: _World, event_budget: int) -> tuple[bool, int]:
                         payload=RefusePayload(reason=RefuseReason.DEPARTED),
                     )
                     world.schedule(now, kind=EventKind.DELIVER, message=bounce)
-                world.sample_workloads()
                 continue
 
             world.record(event)
@@ -525,9 +555,12 @@ def _run_once(world: _World, event_budget: int) -> tuple[bool, int]:
                     broker,
                     msg,
                     now,
-                    registry_view=world.registry_view(target),
-                    neighbor_info=world.neighbor_snapshot(target),
+                    registry_view=(
+                        world.registry_view(target) if msg.performative is Performative.CFP else None
+                    ),
+                    neighbor_info=_snapshot_when_read(world, target),
                 )
+                world.sample_workloads(target)
                 if migrated_in:
                     probe = world.pending_migrations.pop(msg.conversation, None)
                     if probe is not None:
@@ -564,14 +597,12 @@ def _run_once(world: _World, event_budget: int) -> tuple[bool, int]:
 
             for m in out:
                 world.send(m, now)
-
-        world.sample_workloads()
-    return True, processed
+    return True
 
 
 def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> RunResult:
     """Simulate one scenario to quiescence (or the event budget) and trace it."""
-    world = _World(scenario, seed)
+    world = _World(scenario)
     budget = event_budget if event_budget is not None else scenario.event_budget
 
     for spec in scenario.consumers:
@@ -597,7 +628,8 @@ def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> R
             ),
         )
 
-    quiescent, processed = _run_once(world, budget)
+    quiescent = _run_once(world, budget)
+    world.settle_workloads()
     open_conversations = sorted(
         conv for conv, meta in world.meta.items() if meta.status == "open"
     )
@@ -605,17 +637,18 @@ def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> R
         # queue drained: every started conversation must be terminal, every
         # broker idle, and no reservation may still be held
         for conv in open_conversations:
-            raise AssertionError(f"quiescent run left conversation {conv} open")
+            raise InvariantError(f"quiescent run left conversation {conv} open")
         for broker in world.brokers.values():
-            assert not broker.conversations, (
-                f"quiescent run left {broker.id} with open conversations"
-            )
-            assert broker.in_flight == 0, f"{broker.id} in-flight count desynced"
+            if broker.conversations:
+                raise InvariantError(f"quiescent run left {broker.id} with open conversations")
+            if broker.in_flight != 0:
+                raise InvariantError(f"{broker.id} in-flight count desynced")
         for provider in world.providers.values():
             for res in provider.ledger.values():
-                assert res.status is not ReservationStatus.HELD, (
-                    f"quiescent run left a held reservation for {res.conversation}"
-                )
+                if res.status is ReservationStatus.HELD:
+                    raise InvariantError(
+                        f"quiescent run left a held reservation for {res.conversation}"
+                    )
 
     return RunResult(
         seed=seed,
@@ -629,5 +662,5 @@ def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> R
         workloads=world.workloads,
         quiescent=quiescent,
         open_conversations=open_conversations,
-        events_processed=processed,
+        events_processed=world.events,
     )

@@ -46,6 +46,10 @@ class ProtocolError(SimulatorError):
     """A message arrived that the receiving agent's phase cannot accept."""
 
 
+class InvariantError(SimulatorError):
+    """A runtime invariant of the kernel or an agent broke: a simulator bug."""
+
+
 class CoherenceError(SimulatorError):
     """A workload transfer would drive an in-flight counter negative."""
 

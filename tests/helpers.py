@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from decimal import Decimal
 
-from fedsim.agents import ReservationStatus
+from fedsim.agents import ReservationStatus, update_contact_list
 from fedsim.migration import NeighborInfo
 from fedsim.model import (
     AgentId,
@@ -126,6 +126,43 @@ def oracle_select(vectors: dict, admissible: dict):
     return None, rounds
 
 
+def oracle_registry_view(world, bid) -> list[ContactEntry]:
+    """A broker's registry view from scratch: its visible providers still registered, by id."""
+    return [
+        ContactEntry(
+            provider=pid,
+            prices=dict(world.providers[pid].base_prices),
+            grade=0.5,
+            status=EntryStatus.LIVE,
+            delay=world.delay(bid, pid),
+        )
+        for pid in sorted(world.visibility[bid])
+        if pid in world.registry
+    ]
+
+
+def oracle_neighbor_snapshot(world, of) -> list[NeighborInfo]:
+    """Each neighbor's contact list refreshed against its registry view, live entries kept."""
+    out = []
+    for nid in world.brokers[of].neighbors:
+        neighbor_state = world.brokers[nid]
+        projected = update_contact_list(neighbor_state.contact_list, oracle_registry_view(world, nid))
+        live = [e for e in projected if e.status is EntryStatus.LIVE and e.provider in world.registry]
+        types: set[str] = set()
+        for e in live:
+            types.update(e.prices)
+        out.append(
+            NeighborInfo(
+                broker=nid,
+                workload=neighbor_state.in_flight,
+                delay=world.delay(of, nid),
+                provider_types=frozenset(types),
+                provider_count=len(live),
+            )
+        )
+    return out
+
+
 def tick_scan_feasible(reservations, new_bundle, start, end, capacity) -> bool:
     """Per-tick brute force: can the bundle fit [start, end) beside the ledger?"""
     active = [r for r in reservations if r.status in (ReservationStatus.HELD, ReservationStatus.CONFIRMED)]
@@ -164,6 +201,9 @@ def tick_scan_overcapacity(provider_state) -> list:
 
 
 # --- scenario generators ------------------------------------------------------
+
+FUZZ_RUNS = 100
+FUZZ_SHAPE = dict(n_brokers=5, n_providers=15, n_requests=30, max_churn=5)
 
 
 def _connected_edges(rng: random.Random, n: int) -> set[tuple[int, int]]:
@@ -276,6 +316,11 @@ def fuzz_scenario(
         "delays": delays,
         "default_delay": 1,
     }
+
+
+def fuzz_batch_scenarios() -> list[dict]:
+    """The shared fuzz batch: scenario i is drawn from Random(91_000 + i)."""
+    return [fuzz_scenario(random.Random(91_000 + i), **FUZZ_SHAPE) for i in range(FUZZ_RUNS)]
 
 
 def recovery_scenario(rng: random.Random) -> dict:

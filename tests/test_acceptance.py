@@ -18,8 +18,9 @@ from fedsim.pricing import expected_unit_price, update_grade
 from fedsim.scenario import load_scenario, parse_scenario, scenario_to_dict
 
 from helpers import (
+    FUZZ_RUNS,
     churn_liveness_scenario,
-    fuzz_scenario,
+    fuzz_batch_scenarios,
     oracle_nondominated,
     oracle_select,
     recovery_scenario,
@@ -29,18 +30,13 @@ from test_migration import _random_instance
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-FUZZ_RUNS = 100
-FUZZ_SHAPE = dict(n_brokers=5, n_providers=15, n_requests=30, max_churn=5)
-
 
 @pytest.fixture(scope="module")
 def fuzz_batch():
     started = time.monotonic()
     batch = []
-    for i in range(FUZZ_RUNS):
-        rng = random.Random(91_000 + i)
-        scenario = parse_scenario(fuzz_scenario(rng, **FUZZ_SHAPE))
-        batch.append(run(scenario, seed=i))
+    for i, data in enumerate(fuzz_batch_scenarios()):
+        batch.append(run(parse_scenario(data), seed=i))
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"fuzz batch took {elapsed:.1f}s, budget is 30s"
     return batch

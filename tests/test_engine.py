@@ -5,6 +5,7 @@ import pytest
 from fedsim.agents import ConsumerPhase, ReservationStatus
 from fedsim.engine import (
     EventKind,
+    _World,
     deliver,
     format_trace,
     run,
@@ -12,6 +13,7 @@ from fedsim.engine import (
 )
 from fedsim.model import (
     CallPayload,
+    InvariantError,
     Message,
     Performative,
     broker,
@@ -205,3 +207,10 @@ def test_write_trace_round_trips_bytes(tmp_path):
     out = tmp_path / "trace.log"
     write_trace(result.trace, out)
     assert out.read_bytes() == format_trace(result.trace).encode("ascii")
+
+
+def test_scheduling_in_the_past_raises_even_without_asserts():
+    world = _World(minimal())
+    world.now = 5
+    with pytest.raises(InvariantError, match="in the past"):
+        world.schedule(4, kind=EventKind.CONSUMER_START)

@@ -1,0 +1,75 @@
+"""Golden hashes: the trace and the structured report of fixed scenarios.
+
+The kernel's contract is the byte-identical trace, so any refactor or speed-up
+must leave these sha256 values unchanged. A change that alters behaviour on
+purpose updates them and says so. Tiers S and M are the ROADMAP's generated
+tiers, `fuzz_scenario(random.Random(7), brokers, providers, requests, 5)`.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from fedsim.engine import format_trace, run
+from fedsim.metrics import compute_metrics, emit_report
+from fedsim.scenario import load_scenario, parse_scenario
+
+from helpers import fuzz_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# name -> (events, trace sha256, structured report sha256)
+GOLDEN = {
+    "churn.json": (
+        21,
+        "a1e6f2c5aef9afdf9521e93dfb8b277982d0062cc069c619ffc31e38919ff439",
+        "4087b51f5f0bba6f9b1e9293792f6b5d777748529688220c105bfc1a50435686",
+    ),
+    "migration.json": (
+        29,
+        "d86bb5458b65b0f9ffc043dc10b73fc3df73377c085e3e39a32b5c25592e8f02",
+        "99d458bd90acca085f55bb954d51796441610d5e65345ae443c2523ca6b1ff5a",
+    ),
+    "minimal.json": (
+        14,
+        "2eed9b83e86441814cb1042f2a5cbcd5eb494db5c93b311ecd501d5a5507ec8e",
+        "13df9808b8e100a8009e90cd53033832e69dc6cb129083a15cd57190615769d6",
+    ),
+    "tier-S": (
+        716,
+        "beada627e02f541af70bff6f216b8c66044e3993b295e84235a36df0ca0cebbf",
+        "55b37916da161f7a1bf643dceb6fa7467fc128fffc0f0c0bac94907ec7a91d04",
+    ),
+    "tier-M": (
+        14875,
+        "347b8309aecbf5249964e9c71d7b19230d385a3e1c1b4341eff7e32e57b7f44f",
+        "225169c7db617f6e1091240b44a1a247a2d40943f33a2d3b453575c5c2a33eac",
+    ),
+}
+
+TIERS = {"tier-S": (5, 15, 30, 5), "tier-M": (10, 60, 300, 5)}
+
+
+def _scenario(name):
+    if name in TIERS:
+        return parse_scenario(fuzz_scenario(random.Random(7), *TIERS[name]))
+    return load_scenario(SCENARIOS / name)
+
+
+def test_every_example_scenario_is_pinned():
+    assert {p.name for p in SCENARIOS.glob("*.json")} == set(GOLDEN) - set(TIERS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_and_report_match_golden_hashes(name):
+    result = run(_scenario(name))
+    trace = format_trace(result.trace).encode("ascii")
+    report = emit_report(compute_metrics(result), "structured").encode("ascii")
+    assert result.quiescent
+    assert (
+        result.events_processed,
+        hashlib.sha256(trace).hexdigest(),
+        hashlib.sha256(report).hexdigest(),
+    ) == GOLDEN[name]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from typing import Iterable, Mapping
 
 from .migration import DEFAULT_CRITERIA, NeighborInfo, SelfOrganizeResult, self_organize
 from .model import (
@@ -203,94 +204,120 @@ class BrokerPhase(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SelectionSnapshot:
-    """Contact list as priced at one selection, kept for post-hoc cost audits."""
+    """Contact list as priced at one selection, kept for post-hoc cost audits.
 
-    entries: tuple[ContactEntry, ...]
+    Contact lists are replaced, never edited, so the one current at the
+    selection is held as it stood and `entries` is read from it on demand.
+    """
+
+    contact_list: Mapping[AgentId, ContactEntry]
+    universe: frozenset[AgentId]
     excluded: frozenset[AgentId]  # removed for cause: capacity, unavailable, departed
     bundle: ResourceBundle
     factor: Decimal
     cost: Money
+
+    @property
+    def entries(self) -> tuple[ContactEntry, ...]:
+        return tuple(e for pid, e in self.contact_list.items() if pid in self.universe)
 
 
 @dataclass
 class BrokerConversation:
     request: Request
     phase: BrokerPhase
-    temporary: list[ContactEntry]
-    # candidate universe: providers copied into the temporary list at open;
-    # providers joining the federation later are not candidates here
-    universe: frozenset[AgentId] = frozenset()
+    # ids of the providers still in the running: the contact list at open,
+    # less those removed since; providers joining the federation later are
+    # not candidates here
+    temporary: set[AgentId]
+    factor: Decimal  # the request's lease factor, fixed for the conversation
+    universe: frozenset[AgentId] = frozenset()  # the contact list's ids at open
     best: AgentId | None = None
     proposed_cost: Money | None = None
     held: AgentId | None = None   # provider currently holding a reservation
     attempted: set[AgentId] = field(default_factory=set)
     excluded: set[AgentId] = field(default_factory=set)
     snapshot: SelectionSnapshot | None = None
+    # per candidate: the prices mapping last priced, and its cost for this
+    # request (None when those prices miss a bundle type)
+    quotes: dict[AgentId, tuple[Mapping[ResourceType, Money], Money | None]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
 class BrokerState:
     id: AgentId
-    contact_list: list[ContactEntry]
+    # provider id -> entry, in the order the providers became known; every
+    # change installs a new dict, so selection snapshots can share it
+    contact_list: dict[AgentId, ContactEntry]
     neighbors: tuple[AgentId, ...]
     params: PricingParams
     max_migrations: int
     criteria: tuple[str, ...] = DEFAULT_CRITERIA
     conversations: dict[str, BrokerConversation] = field(default_factory=dict)
     in_flight: int = 0
+    # last entries of providers a refresh dropped: conversations opened
+    # before the refresh keep pricing them until they are removed or purged
+    dropped: dict[AgentId, ContactEntry] = field(default_factory=dict)
 
     def entry_for(self, pid: AgentId) -> ContactEntry | None:
-        for entry in self.contact_list:
-            if entry.provider == pid:
-                return entry
-        return None
+        return self.contact_list.get(pid)
 
 
 def update_contact_list(
-    current: list[ContactEntry], registry_view: list[ContactEntry]
-) -> list[ContactEntry]:
+    current: dict[AgentId, ContactEntry], registry_view: list[ContactEntry]
+) -> dict[AgentId, ContactEntry]:
     """Sync with the registry: drop departed providers, append newly visible ones.
 
     Surviving entries keep their learned prices and grades; new entries come
     in as the registry advertises them (default grade). Order is preserved.
+    `current` is never edited; it is returned as is when nothing changed.
     """
     visible = {entry.provider for entry in registry_view}
-    known = {entry.provider for entry in current}
-    kept = [entry for entry in current if entry.provider in visible]
-    kept.extend(entry for entry in registry_view if entry.provider not in known)
+    if current.keys() == visible:
+        return current
+    kept = {pid: entry for pid, entry in current.items() if pid in visible}
+    for entry in registry_view:
+        kept.setdefault(entry.provider, entry)
     return kept
 
 
 def select_best_provider(
-    entries: list[ContactEntry], bundle: ResourceBundle, factor
+    entries: Iterable[ContactEntry],
+    bundle: ResourceBundle,
+    factor,
+    quotes: dict[AgentId, tuple[Mapping[ResourceType, Money], Money | None]],
 ) -> AgentId | None:
-    """Cheapest live full-coverage provider; grade then id break ties."""
-    candidates = [
-        (total_cost(bundle, e.prices, factor), -e.grade, e.provider)
-        for e in entries
-        if e.status is EntryStatus.LIVE and e.covers(bundle)
-    ]
-    if not candidates:
-        return None
-    return min(candidates)[2]
+    """Cheapest live full-coverage provider; grade then id break ties.
+
+    `quotes` holds each provider's cost for this bundle and factor, with the
+    prices mapping it was computed from. Entries are replaced, never edited,
+    so an entry is priced again only when it carries a new prices mapping.
+    """
+    best = None
+    for e in entries:
+        if e.status is not EntryStatus.LIVE:
+            continue
+        quote = quotes.get(e.provider)
+        if quote is None or quote[0] is not e.prices:
+            cost = total_cost(bundle, e.prices, factor) if e.covers(bundle) else None
+            quote = quotes[e.provider] = (e.prices, cost)
+        if quote[1] is not None:
+            rank = (quote[1], -e.grade, e.provider)
+            if best is None or rank < best:
+                best = rank
+    return None if best is None else best[2]
 
 
-def _replace_everywhere(state: BrokerState, old: ContactEntry, new: ContactEntry) -> None:
-    # keep every open conversation's temporary list consistent with the
-    # contact list so later selections always price against fresh knowledge
-    for i, entry in enumerate(state.contact_list):
-        if entry is old:
-            state.contact_list[i] = new
-    for conv in state.conversations.values():
-        for i, entry in enumerate(conv.temporary):
-            if entry is old:
-                conv.temporary[i] = new
+def _replace_entry(state: BrokerState, new: ContactEntry) -> None:
+    state.contact_list = {**state.contact_list, new.provider: new}
 
 
-def _purge_everywhere(state: BrokerState, pid: AgentId) -> None:
-    state.contact_list = [e for e in state.contact_list if e.provider != pid]
-    for conv in state.conversations.values():
-        conv.temporary = [e for e in conv.temporary if e.provider != pid]
+def _purge(state: BrokerState, pid: AgentId) -> None:
+    # a departed provider: no open conversation can price it from here on
+    state.contact_list = {p: e for p, e in state.contact_list.items() if p != pid}
+    state.dropped.pop(pid, None)
 
 
 def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
@@ -303,11 +330,11 @@ def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
             prices[rtype] = expected_unit_price(
                 prices[rtype], ratio, 1.0, state.params.demand_sensitivity
             )
-    _replace_everywhere(state, entry, replace(entry, prices=prices))
+    _replace_entry(state, replace(entry, prices=prices))
 
 
 def _remove_from_temporary(conv: BrokerConversation, pid: AgentId, for_cause: bool) -> None:
-    conv.temporary = [e for e in conv.temporary if e.provider != pid]
+    conv.temporary.discard(pid)
     if for_cause:
         conv.excluded.add(pid)
     conv.best = None
@@ -324,10 +351,10 @@ def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> No
     for pid in sorted(conv.attempted):
         entry = state.entry_for(pid)
         if entry is not None:
-            graded = replace(
-                entry, grade=update_grade(entry.grade, 0.0, state.params.grade_smoothing)
+            _replace_entry(
+                state,
+                replace(entry, grade=update_grade(entry.grade, 0.0, state.params.grade_smoothing)),
             )
-            _replace_everywhere(state, entry, graded)
 
 
 def _advance(
@@ -337,8 +364,13 @@ def _advance(
     neighbor_info,
 ) -> list[Message]:
     """Quote the next best provider, or fall back to self-organization."""
-    factor = lease_factor(conv.request, state.params)
-    best = select_best_provider(conv.temporary, conv.request.bundle, factor)
+    # a candidate a refresh dropped from the contact list is priced from its
+    # last entry; a purged one has no entry left and drops out here
+    known, dropped = state.contact_list, state.dropped
+    candidates = (
+        entry for pid in conv.temporary if (entry := known.get(pid) or dropped.get(pid))
+    )
+    best = select_best_provider(candidates, conv.request.bundle, conv.factor, conv.quotes)
     if best is None:
         neighbors = list(neighbor_info) if neighbor_info is not None else []
         result: SelfOrganizeResult = self_organize(
@@ -358,17 +390,15 @@ def _advance(
         _close(state, conversation)  # applies the -1 workload delta
         return list(result.messages)
 
-    # price from the temporary list: it is what selection ranked, and it can
-    # hold a provider a later refresh already dropped from the contact list
-    entry = next(e for e in conv.temporary if e.provider == best)
     conv.best = best
     conv.attempted.add(best)
-    conv.proposed_cost = total_cost(conv.request.bundle, entry.prices, factor)
+    conv.proposed_cost = conv.quotes[best][1]
     conv.snapshot = SelectionSnapshot(
-        entries=tuple(e for e in state.contact_list if e.provider in conv.universe),
+        contact_list=known,
+        universe=conv.universe,
         excluded=frozenset(conv.excluded),
         bundle=conv.request.bundle,
-        factor=factor,
+        factor=conv.factor,
         cost=conv.proposed_cost,
     )
     conv.phase = BrokerPhase.QUOTING
@@ -407,12 +437,17 @@ def broker_step(
             raise ProtocolError(f"{state.id} got a second CFP for {msg.conversation}")
         payload: CallPayload = msg.payload
         req = replace(payload.request, visited=payload.request.visited | {state.id})
-        state.contact_list = update_contact_list(state.contact_list, registry_view or [])
+        refreshed = update_contact_list(state.contact_list, registry_view or [])
+        for pid, entry in state.contact_list.items():
+            if pid not in refreshed:
+                state.dropped[pid] = entry
+        state.contact_list = refreshed
         conv = BrokerConversation(
             request=req,
             phase=BrokerPhase.QUOTING,
-            temporary=list(state.contact_list),
-            universe=frozenset(e.provider for e in state.contact_list),
+            temporary=set(refreshed),
+            factor=lease_factor(req, state.params),
+            universe=frozenset(refreshed),
         )
         state.conversations[msg.conversation] = conv
         state.in_flight += 1
@@ -464,7 +499,7 @@ def broker_step(
                     entry,
                     grade=update_grade(entry.grade, feedback.feedback, state.params.grade_smoothing),
                 )
-                _replace_everywhere(state, entry, graded)
+                _replace_entry(state, graded)
             _close(state, msg.conversation)
             return state, []
         raise _violation(state.id, conv.phase, msg)
@@ -495,7 +530,7 @@ def broker_step(
         ):
             payload: RefusePayload = msg.payload
             if payload.reason is RefuseReason.DEPARTED:
-                _purge_everywhere(state, msg.sender)
+                _purge(state, msg.sender)
                 _remove_from_temporary(conv, msg.sender, for_cause=True)
             else:
                 _apply_price_update(state, msg.sender, payload.ratios)

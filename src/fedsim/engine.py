@@ -110,14 +110,6 @@ def write_trace(records: list[EventRecord], path) -> None:
     Path(path).write_bytes(format_trace(records).encode("ascii"))
 
 
-def deliver(msg: Message, delay_matrix, now: int, default_delay: int = 1, seq: int = 0) -> Event:
-    """Build the delivery event for a message sent at `now`."""
-    delay = delay_matrix.get((msg.sender, msg.receiver), default_delay)
-    if delay < 0:
-        raise ScenarioError(f"negative delay for {msg.sender} -> {msg.receiver}")
-    return Event(time=now + delay, seq=seq, kind=EventKind.DELIVER, message=msg)
-
-
 @dataclass
 class ConversationMeta:
     """Per-request bookkeeping the metrics layer consumes."""
@@ -220,7 +212,7 @@ class _World:
         for spec in scenario.brokers:
             state = BrokerState(
                 id=spec.agent,
-                contact_list=[],
+                contact_list={},
                 neighbors=tuple(sorted(AgentId(AgentKind.BROKER, n) for n in spec.neighbors)),
                 params=self.params,
                 max_migrations=self.max_migrations,
@@ -308,31 +300,29 @@ class _World:
                 prices=dict(self.providers[pid].base_prices),
                 grade=0.5,
                 status=EntryStatus.LIVE,
-                delay=self.delay(bid, pid),
             )
             for pid in self._visible_live(bid)[0]
         ]
 
-    def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
-        """Fresh per-call info for each neighbor, as its next refresh would see it.
+    def neighbor_info(self, of: AgentId, nid: AgentId) -> NeighborInfo:
+        """Fresh info on broker `nid`, as its next refresh would see it, from `of`.
 
         A refresh leaves a contact list holding exactly the visible live
         providers, and learning never adds or drops a price key, so the
         cached view is what the refresh would give.
         """
-        out = []
-        for nid in self.brokers[of].neighbors:
-            ids, types = self._visible_live(nid)
-            out.append(
-                NeighborInfo(
-                    broker=nid,
-                    workload=self.brokers[nid].in_flight,
-                    delay=self.delay(of, nid),
-                    provider_types=types,
-                    provider_count=len(ids),
-                )
-            )
-        return out
+        ids, types = self._visible_live(nid)
+        return NeighborInfo(
+            broker=nid,
+            workload=self.brokers[nid].in_flight,
+            delay=self.delay(of, nid),
+            provider_types=types,
+            provider_count=len(ids),
+        )
+
+    def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
+        """Fresh per-call info for each neighbor of `of`."""
+        return [self.neighbor_info(of, nid) for nid in self.brokers[of].neighbors]
 
     # -- trace --------------------------------------------------------------
 
@@ -426,10 +416,9 @@ def _probe_migration(world: _World, msg: Message, source: BrokerState) -> Migrat
     """Recheck the preventive constraints from world state, not trusting the selector."""
     req: Request = msg.payload.request
     target = msg.receiver
-    infos = {info.broker: info for info in world.neighbor_snapshot(source.id)}
-    info = infos.get(target)
-    if info is None:  # not a declared neighbor: fully inadmissible
+    if target not in source.neighbors:  # not a declared neighbor: fully inadmissible
         return MigrationProbe(msg.conversation, source.id, target, False, False, False)
+    info = world.neighbor_info(source.id, target)
     return MigrationProbe(
         conversation=msg.conversation,
         source=source.id,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
+from operator import itemgetter
 from typing import Mapping
 
 CENT = Decimal("0.01")
@@ -64,19 +65,30 @@ class AgentKind(enum.IntEnum):
     PROVIDER = 2
 
 
-@dataclass(frozen=True, order=True)
-class AgentId:
-    """Identity of one agent; totally ordered by (kind, index)."""
+class AgentId(tuple):
+    """Identity of one agent; totally ordered by (kind, index).
 
-    kind: AgentKind
-    index: int
+    A `(kind, index)` tuple, so hashing, equality and ordering run in C.
+    """
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValidationError("negative-index", f"agent index must be >= 0, got {self.index}")
+    __slots__ = ()
+
+    def __new__(cls, kind: AgentKind, index: int):
+        if index < 0:
+            raise ValidationError("negative-index", f"agent index must be >= 0, got {index}")
+        return tuple.__new__(cls, (kind, index))
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return tuple(self)
+
+    kind = property(itemgetter(0), doc="The AgentKind.")
+    index = property(itemgetter(1), doc="The index within the kind, >= 0.")
+
+    def __repr__(self) -> str:
+        return f"AgentId(kind={self[0]!r}, index={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.kind.name.lower()}:{self.index}"
+        return f"{_KIND_NAMES[self[0]]}:{self[1]}"
 
     @classmethod
     def parse(cls, text: str) -> "AgentId":
@@ -88,6 +100,9 @@ class AgentId:
         except KeyError:
             raise ValidationError("bad-agent-id", f"unknown agent kind in {text!r}") from None
         return cls(kind, int(index))
+
+
+_KIND_NAMES = {kind: kind.name.lower() for kind in AgentKind}
 
 
 def consumer(index: int) -> AgentId:
@@ -186,7 +201,6 @@ class ContactEntry:
     prices: Mapping[ResourceType, Money]
     grade: float = 0.5
     status: EntryStatus = EntryStatus.LIVE
-    delay: int = 0
 
     def covers(self, bundle: ResourceBundle) -> bool:
         return bundle.types() <= frozenset(self.prices)

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping
 
-from .model import DomainError, Money, Request, ResourceBundle, ResourceType, money
+from .model import (
+    DomainError,
+    InvariantError,
+    Money,
+    Request,
+    ResourceBundle,
+    ResourceType,
+    money,
+)
 
 PriceTable = Mapping[ResourceType, Money]
 
@@ -40,6 +49,9 @@ class PricingParams:
     def __post_init__(self):
         if not isinstance(self.lease_mode, LeaseMode):
             object.__setattr__(self, "lease_mode", LeaseMode(self.lease_mode))
+        for name in ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.demand_sensitivity < 0:
             raise DomainError(f"demand_sensitivity must be >= 0, got {self.demand_sensitivity}")
         if not 0 < self.grade_smoothing <= 1:
@@ -104,5 +116,6 @@ def update_grade(old: float, feedback: float, smoothing: float) -> float:
     if not 0 < smoothing <= 1:
         raise DomainError(f"smoothing must be in (0, 1], got {smoothing}")
     new = (1.0 - smoothing) * old + smoothing * feedback
-    assert 0.0 <= new <= 1.0  # convex combination, clamping never needed
+    if not 0.0 <= new <= 1.0:  # a convex combination: clamping is never needed
+        raise InvariantError(f"grade update left [0, 1]: {new}")
     return new

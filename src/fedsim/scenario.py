@@ -148,6 +148,14 @@ def _int_field(data: dict, key: str, where: str, minimum: int | None = None) -> 
     return value
 
 
+def _float_field(data: dict, key: str, where: str, default: float) -> float:
+    value = data.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}") from None
+
+
 def _money_field(data: dict, key: str, where: str) -> Money:
     value = _require(data, key, where)
     try:
@@ -225,11 +233,12 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError(f"{where}.pricing: expected an object")
         try:
+            loc = f"{where}.pricing"
             pricing = PricingParams(
-                demand_sensitivity=float(raw.get("demand_sensitivity", 1.0)),
-                grade_smoothing=float(raw.get("grade_smoothing", 0.3)),
-                cost_weight=float(raw.get("cost_weight", 0.5)),
-                time_weight=float(raw.get("time_weight", 0.5)),
+                demand_sensitivity=_float_field(raw, "demand_sensitivity", loc, 1.0),
+                grade_smoothing=_float_field(raw, "grade_smoothing", loc, 0.3),
+                cost_weight=_float_field(raw, "cost_weight", loc, 0.5),
+                time_weight=_float_field(raw, "time_weight", loc, 0.5),
                 lease_mode=LeaseMode(raw.get("lease_mode", "lease-duration")),
             )
         except (DomainError, ValueError) as exc:

@@ -54,13 +54,12 @@ def request(
     )
 
 
-def entry(pid: int, grade: float = 0.5, delay: int = 1, **prices) -> ContactEntry:
+def entry(pid: int, grade: float = 0.5, **prices) -> ContactEntry:
     return ContactEntry(
         provider=provider(pid),
         prices={r: money(p) for r, p in prices.items()},
         grade=grade,
         status=EntryStatus.LIVE,
-        delay=delay,
     )
 
 
@@ -134,7 +133,6 @@ def oracle_registry_view(world, bid) -> list[ContactEntry]:
             prices=dict(world.providers[pid].base_prices),
             grade=0.5,
             status=EntryStatus.LIVE,
-            delay=world.delay(bid, pid),
         )
         for pid in sorted(world.visibility[bid])
         if pid in world.registry
@@ -147,7 +145,11 @@ def oracle_neighbor_snapshot(world, of) -> list[NeighborInfo]:
     for nid in world.brokers[of].neighbors:
         neighbor_state = world.brokers[nid]
         projected = update_contact_list(neighbor_state.contact_list, oracle_registry_view(world, nid))
-        live = [e for e in projected if e.status is EntryStatus.LIVE and e.provider in world.registry]
+        live = [
+            e
+            for e in projected.values()
+            if e.status is EntryStatus.LIVE and e.provider in world.registry
+        ]
         types: set[str] = set()
         for e in live:
             types.update(e.prices)

@@ -61,7 +61,7 @@ def make_consumer(cid=0, budget="10.00", max_rejects=3, **quantities):
 def make_broker(bid=0, entries=(), neighbors=(), max_migrations=2):
     return BrokerState(
         id=broker(bid),
-        contact_list=list(entries),
+        contact_list={e.provider: e for e in entries},
         neighbors=tuple(broker(n) for n in neighbors),
         params=PARAMS,
         max_migrations=max_migrations,
@@ -203,36 +203,40 @@ def test_consumer_out_of_phase_message_raises():
 # --- contact list and provider selection -------------------------------------
 
 
+def contacts(*entries):
+    return {e.provider: e for e in entries}
+
+
 def test_departed_provider_dropped_from_contacts():
-    current = [entry(0, cpu="2.00"), entry(1, cpu="3.00")]
+    current = contacts(entry(0, cpu="2.00"), entry(1, cpu="3.00"))
     view = [entry(1, cpu="3.00")]
-    assert [e.provider for e in update_contact_list(current, view)] == [provider(1)]
+    assert list(update_contact_list(current, view)) == [provider(1)]
 
 
 def test_new_provider_joins_with_default_grade():
-    current = [entry(0, cpu="2.00")]
+    current = contacts(entry(0, cpu="2.00"))
     view = [entry(0, cpu="2.00"), entry(9, cpu="1.00")]
     got = update_contact_list(current, view)
-    assert [e.provider for e in got] == [provider(0), provider(9)]
-    assert got[1].grade == 0.5
+    assert list(got) == [provider(0), provider(9)]
+    assert got[provider(9)].grade == 0.5
 
 
 def test_unchanged_registry_keeps_list_identical():
     learned = entry(0, grade=0.9, cpu="9.99")
-    current = [learned, entry(1, cpu="3.00")]
+    current = contacts(learned, entry(1, cpu="3.00"))
     view = [entry(0, cpu="2.00"), entry(1, cpu="3.00")]
     got = update_contact_list(current, view)
     assert got == current
-    assert got[0] is learned  # learned prices and grade survive refresh
+    assert got[provider(0)] is learned  # learned prices and grade survive refresh
 
 
 def test_single_qualifying_provider_selected():
-    assert select_best_provider([entry(4, cpu="5.00")], bundle(cpu=1), 1) == provider(4)
+    assert select_best_provider([entry(4, cpu="5.00")], bundle(cpu=1), 1, {}) == provider(4)
 
 
 def test_cheaper_provider_wins_on_equal_grades():
     entries = [entry(1, cpu="7.00"), entry(2, cpu="5.00")]
-    assert select_best_provider(entries, bundle(cpu=1), 1) == provider(2)
+    assert select_best_provider(entries, bundle(cpu=1), 1, {}) == provider(2)
 
 
 def test_selection_matches_exhaustive_ranking_oracle():
@@ -257,7 +261,7 @@ def test_selection_matches_exhaustive_ranking_oracle():
 
         qualifying = [e for e in entries if e.covers(b)]
         expected = min(qualifying, key=rank).provider if qualifying else None
-        assert select_best_provider(entries, b, factor) == expected
+        assert select_best_provider(entries, b, factor, {}) == expected
 
 
 # --- provider ---------------------------------------------------------------
@@ -468,7 +472,7 @@ def test_broker_capacity_refusal_drops_provider_from_temporary():
     )
     _, out = broker_step(state, refuse, now=2)
     conv = state.conversations["consumer:0#0"]
-    assert provider(0) not in {e.provider for e in conv.temporary}
+    assert provider(0) not in conv.temporary
     assert provider(0) in conv.excluded
     assert out[0].payload.cost == money("5.00")  # requoted from the survivor
 

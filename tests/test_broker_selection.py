@@ -1,0 +1,103 @@
+"""Broker provider selection against a from-scratch ranking, over the fuzz batch.
+
+At every `_advance` the broker's choice and quoted cost must equal the
+minimum of (cost, -grade, id) over the conversation's candidates, each
+priced by the straight-loop oracle from its current entry. A provider that
+a refresh dropped from the contact list keeps the last entry the broker
+held for it until it is purged as departed. Every selection snapshot must
+read back the contact list as it stood at that selection, whatever the
+broker learned afterwards.
+"""
+
+import fedsim.agents as agents
+import fedsim.engine as engine
+from fedsim.engine import run
+from fedsim.model import EntryStatus, Performative, RefuseReason
+from fedsim.pricing import lease_factor
+from fedsim.scenario import parse_scenario
+
+from helpers import fuzz_batch_scenarios, straight_loop_cost
+
+
+class SelectionOracle:
+    def __init__(self):
+        self.last_seen = {}  # broker -> provider -> last entry in its contact list
+        self.purged = {}     # broker -> providers it learned had departed
+        self.universes = {}  # (broker, conversation) -> contact list ids at open
+        self.snapshots = []  # (snapshot, contact list entries of its universe at selection)
+        self.selections = self.failures = self.stale = 0
+
+    def remember(self, state):
+        self.last_seen.setdefault(state.id, {}).update(state.contact_list)
+
+    def broker_step(self, original):
+        def step(state, msg, *args, **kwargs):
+            self.remember(state)
+            reason = getattr(msg.payload, "reason", None)
+            if msg.performative is Performative.REFUSE and reason is RefuseReason.DEPARTED:
+                self.purged.setdefault(state.id, set()).add(msg.sender)
+            return original(state, msg, *args, **kwargs)
+
+        return step
+
+    def advance(self, original):
+        def advance(state, conversation, conv, neighbor_info):
+            self.remember(state)
+            # the first _advance of a conversation runs right after it opens
+            universe = self.universes.setdefault(
+                (state.id, conversation), frozenset(state.contact_list)
+            )
+            seen = self.last_seen[state.id]
+            purged = self.purged.get(state.id, set())
+            bundle = conv.request.bundle
+            factor = lease_factor(conv.request, state.params)
+            ranked = []
+            for pid in conv.temporary:
+                if pid in purged:
+                    continue
+                entry = seen[pid]
+                self.stale += pid not in state.contact_list
+                if entry.status is EntryStatus.LIVE and entry.covers(bundle):
+                    cost = straight_loop_cost(bundle, entry.prices, factor)
+                    ranked.append((cost, -entry.grade, pid))
+            expected = min(ranked, default=None)
+
+            out = original(state, conversation, conv, neighbor_info)
+
+            if expected is None:
+                assert conversation not in state.conversations  # self-organized
+                self.failures += 1
+            else:
+                assert (conv.best, conv.proposed_cost) == (expected[2], expected[0])
+                at_selection = tuple(e for pid, e in state.contact_list.items() if pid in universe)
+                self.snapshots.append((conv.snapshot, at_selection))
+                self.selections += 1
+            return out
+
+        return advance
+
+
+def test_selection_matches_a_from_scratch_ranking(monkeypatch):
+    totals = SelectionOracle()
+    final_snapshots = 0
+    for data in fuzz_batch_scenarios():
+        oracle = SelectionOracle()
+        with monkeypatch.context() as patch:
+            patch.setattr(agents, "_advance", oracle.advance(agents._advance))
+            patch.setattr(engine, "broker_step", oracle.broker_step(agents.broker_step))
+            result = run(parse_scenario(data))
+        assert result.quiescent
+        for snapshot, at_selection in oracle.snapshots:
+            got = snapshot.entries
+            assert got == at_selection
+            assert all(a is b for a, b in zip(got, at_selection))
+        taken = {id(snapshot) for snapshot, _ in oracle.snapshots}
+        for meta in result.conversations.values():
+            if meta.snapshot is not None:
+                assert id(meta.snapshot) in taken
+                final_snapshots += 1
+        totals.selections += oracle.selections
+        totals.failures += oracle.failures
+        totals.stale += oracle.stale
+    assert totals.selections > 10_000 and totals.failures > 2_000 and final_snapshots > 1_000
+    assert totals.stale > 100  # dropped providers were still priced from their last entry

@@ -77,3 +77,14 @@ def test_sweep_checks_determinism_across_seeds():
     assert result.exit_code == 0, result.output
     assert result.output.count("deterministic yes") == 3
     assert "mean satisfaction over 3 seeds" in result.output
+
+
+def test_run_rejects_nan_pricing_with_exit_code_2(tmp_path):
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    data["pricing"]["demand_sensitivity"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))  # written as the bare JSON literal NaN
+    assert "NaN" in bad.read_text()
+    result = CliRunner().invoke(main, ["run", "--scenario", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "demand_sensitivity" in result.output

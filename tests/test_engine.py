@@ -6,24 +6,12 @@ from fedsim.agents import ConsumerPhase, ReservationStatus
 from fedsim.engine import (
     EventKind,
     _World,
-    deliver,
     format_trace,
     run,
     write_trace,
 )
-from fedsim.model import (
-    CallPayload,
-    InvariantError,
-    Message,
-    Performative,
-    broker,
-    consumer,
-    money,
-    provider,
-)
+from fedsim.model import InvariantError, broker, money, provider
 from fedsim.scenario import load_scenario, parse_scenario
-
-from helpers import request
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -89,30 +77,6 @@ def test_trace_times_and_seqs_strictly_increase():
     keys = [(r.time, r.seq) for r in result.trace]
     assert keys == sorted(keys)
     assert len(set(r.seq for r in result.trace)) == len(result.trace)
-
-
-def test_deliver_applies_matrix_delay():
-    msg = Message(
-        Performative.CFP,
-        "consumer:0#0",
-        consumer(0),
-        broker(0),
-        CallPayload(request=request()),
-    )
-    ev = deliver(msg, {(consumer(0), broker(0)): 5}, now=10, seq=1)
-    assert ev.time == 15 and ev.kind is EventKind.DELIVER
-
-
-def test_deliver_zero_delay_and_default():
-    msg = Message(
-        Performative.CFP,
-        "consumer:0#0",
-        consumer(0),
-        broker(0),
-        CallPayload(request=request()),
-    )
-    assert deliver(msg, {(consumer(0), broker(0)): 0}, now=7, seq=2).time == 7
-    assert deliver(msg, {}, now=7, default_delay=1, seq=3).time == 8
 
 
 def test_migration_scenario_recovers_through_neighbor():

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,6 +108,44 @@ def test_agent_id_parse_rejects_junk():
         AgentId.parse("nonsense")
     with pytest.raises(ValidationError):
         AgentId.parse("wizard:3")
+
+
+@dataclass(frozen=True, order=True)
+class RecordId:
+    """Reference: an agent id as a plain (kind, index) record."""
+
+    kind: AgentKind
+    index: int
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(list(AgentKind)), st.integers(min_value=0, max_value=20)),
+        min_size=1,
+        max_size=25,
+    ),
+    negative=st.integers(max_value=-1),
+)
+def test_agent_id_behaves_like_a_kind_index_record(pairs, negative):
+    ids = [AgentId(kind, index) for kind, index in pairs]
+    records = [RecordId(kind, index) for kind, index in pairs]
+    assert [RecordId(a.kind, a.index) for a in sorted(ids)] == sorted(records)
+    assert len(set(ids)) == len(set(records))
+    for a, ra in zip(ids, records):
+        assert a.kind is ra.kind and a.index == ra.index
+        assert AgentId.parse(str(a)) == a
+        assert str(a) == f"{ra.kind.name.lower()}:{ra.index}"
+        for b, rb in zip(ids, records):
+            assert (a == b) == (ra == rb)
+            assert (a < b) == (ra < rb) and (a <= b) == (ra <= rb)
+            if a == b:
+                assert hash(a) == hash(b)
+        for attr, value in (("kind", AgentKind.BROKER), ("index", 7), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, value)
+        with pytest.raises(ValidationError) as err:
+            AgentId(ra.kind, negative)
+        assert err.value.code == "negative-index"
 
 
 def test_bundle_is_canonical_regardless_of_insertion_order():

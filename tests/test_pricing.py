@@ -174,3 +174,10 @@ def test_params_validation():
         PricingParams(grade_smoothing=0.0)
     with pytest.raises(DomainError):
         PricingParams(cost_weight=0.7, time_weight=0.5)
+
+
+@pytest.mark.parametrize("field", ["demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        PricingParams(**{field: value})

@@ -150,3 +150,17 @@ def test_echo_dict_is_json_stable():
     first = json.dumps(scenario_to_dict(scn), sort_keys=True)
     second = json.dumps(scenario_to_dict(parse_scenario(minimal_dict())), sort_keys=True)
     assert first == second
+
+
+PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight")
+
+
+@pytest.mark.parametrize("field", PRICING_FLOATS)
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), "NaN", "Infinity", [1], {"x": 1}], ids=repr
+)
+def test_non_finite_or_non_numeric_pricing_rejected(field, value):
+    data = minimal_dict()
+    data["pricing"] = {field: value}
+    with pytest.raises(ScenarioError, match=f"pricing.*{field}"):
+        parse_scenario(data)

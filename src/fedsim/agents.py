@@ -9,6 +9,7 @@ accept raises ProtocolError.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Iterable, Mapping
@@ -19,7 +20,6 @@ from .model import (
     AgentKind,
     CallPayload,
     ContactEntry,
-    EntryStatus,
     InformPayload,
     InvariantError,
     Message,
@@ -289,7 +289,7 @@ def select_best_provider(
     factor,
     quotes: dict[AgentId, tuple[Mapping[ResourceType, Money], Money | None]],
 ) -> AgentId | None:
-    """Cheapest live full-coverage provider; grade then id break ties.
+    """Cheapest full-coverage provider; grade then id break ties.
 
     `quotes` holds each provider's cost for this bundle and factor, with the
     prices mapping it was computed from. Entries are replaced, never edited,
@@ -297,8 +297,6 @@ def select_best_provider(
     """
     best = None
     for e in entries:
-        if e.status is not EntryStatus.LIVE:
-            continue
         quote = quotes.get(e.provider)
         if quote is None or quote[0] is not e.prices:
             cost = total_cost(bundle, e.prices, factor) if e.covers(bundle) else None
@@ -573,6 +571,9 @@ class ProviderState:
     base_prices: dict[ResourceType, Money]
     params: PricingParams
     ledger: dict[str, Reservation] = field(default_factory=dict)
+    # per resource type, one (end, start, qty, conversation) leg for each
+    # held or confirmed reservation in the ledger, sorted
+    commitments: dict[ResourceType, list[tuple[int, int, int, str]]] = field(default_factory=dict)
     demand: dict[ResourceType, float] = field(default_factory=dict)
 
     def expected_price(self, rtype: ResourceType) -> Money:
@@ -591,23 +592,17 @@ class ProviderState:
         return tuple(out)
 
 
-def _active(state: ProviderState):
-    return (
-        res
-        for res in state.ledger.values()
-        if res.status in (ReservationStatus.HELD, ReservationStatus.CONFIRMED)
-    )
-
-
 def _peak_committed(state: ProviderState, rtype: ResourceType, start: int, end: int) -> int:
-    """Max committed quantity of one type anywhere in [start, end), by sweep."""
+    """Max committed quantity of one type anywhere in [start, end), by sweep.
+
+    Legs are sorted by end, so those that end at or before `start` are
+    skipped by bisection and only the ones still open at `start` are read.
+    """
+    legs = state.commitments.get(rtype, ())
     deltas: list[tuple[int, int]] = []
-    for res in _active(state):
-        qty = res.bundle.quantity(rtype)
-        if qty <= 0:
-            continue
-        lo = max(res.start, start)
-        hi = min(res.end, end)
+    for leg_end, leg_start, qty, _ in legs[bisect_left(legs, (start + 1,)) :]:
+        lo = max(leg_start, start)
+        hi = min(leg_end, end)
         if lo < hi:
             deltas.append((lo, qty))
             deltas.append((hi, -qty))
@@ -616,6 +611,22 @@ def _peak_committed(state: ProviderState, rtype: ResourceType, start: int, end: 
         level += delta
         peak = max(peak, level)
     return peak
+
+
+def _legs(res: Reservation):
+    """The reservation's index legs: one per type it holds a positive quantity of."""
+    for rtype, qty in res.bundle.as_dict().items():
+        if qty > 0:
+            yield rtype, (res.end, res.start, qty, res.conversation)
+
+
+def _uncommit(state: ProviderState, res: Reservation) -> None:
+    for rtype, leg in _legs(res):
+        legs = state.commitments.get(rtype, [])
+        i = bisect_left(legs, leg)
+        if i == len(legs) or legs[i] != leg:
+            raise InvariantError(f"{state.id} has no commitment for {res.conversation} to drop")
+        del legs[i]
 
 
 def allocate(
@@ -638,8 +649,15 @@ def allocate(
             return None
         if _peak_committed(state, rtype, start, end) + qty > state.capacity[rtype]:
             return None
+    # the entry a repeated CFP replaces was counted in the fit check above,
+    # but stops counting once it leaves the ledger
+    replaced = state.ledger.get(conversation)
+    if replaced is not None and replaced.status is not ReservationStatus.RELEASED:
+        _uncommit(state, replaced)
     res = Reservation(conversation, bundle, start, end, consumer, ReservationStatus.HELD, cost)
     state.ledger[conversation] = res
+    for rtype, leg in _legs(res):
+        insort(state.commitments.setdefault(rtype, []), leg)
     for rtype, qty in bundle.items:
         state.demand[rtype] = state.demand.get(rtype, 0.0) + qty
     return res
@@ -656,6 +674,7 @@ def release_hold(state: ProviderState, conversation: str) -> bool:
     if res is None or res.status is not ReservationStatus.HELD:
         return False
     res.status = ReservationStatus.RELEASED
+    _uncommit(state, res)
     _release_demand(state, res.bundle)
     return True
 

@@ -35,7 +35,6 @@ from .model import (
     AgentKind,
     CallPayload,
     ContactEntry,
-    EntryStatus,
     InvariantError,
     Message,
     Money,
@@ -299,7 +298,6 @@ class _World:
                 provider=pid,
                 prices=dict(self.providers[pid].base_prices),
                 grade=0.5,
-                status=EntryStatus.LIVE,
             )
             for pid in self._visible_live(bid)[0]
         ]

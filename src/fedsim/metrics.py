@@ -13,7 +13,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .engine import RunResult
-from .model import EntryStatus, Money, ScenarioError, format_money, money
+from .model import Money, ScenarioError, format_money, money
 from .pricing import total_cost
 
 
@@ -37,13 +37,12 @@ class MetricsReport:
 
 
 def oracle_min_cost(snapshot) -> Money | None:
-    """Cheapest admissible entry in a selection snapshot (live, covering, not
-    removed for cause). This is the reference the paid cost must match."""
+    """Cheapest admissible entry in a selection snapshot (covering, not removed
+    for cause). This is the reference the paid cost must match."""
     costs = [
         total_cost(snapshot.bundle, entry.prices, snapshot.factor)
         for entry in snapshot.entries
-        if entry.status is EntryStatus.LIVE
-        and entry.provider not in snapshot.excluded
+        if entry.provider not in snapshot.excluded
         and entry.covers(snapshot.bundle)
     ]
     return min(costs) if costs else None

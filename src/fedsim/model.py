@@ -93,7 +93,7 @@ class AgentId(tuple):
     @classmethod
     def parse(cls, text: str) -> "AgentId":
         kind_name, sep, index = text.partition(":")
-        if not sep or not index.lstrip("-").isdigit():
+        if not sep or not index.removeprefix("-").isdecimal():
             raise ValidationError("bad-agent-id", f"cannot parse agent id {text!r}")
         try:
             kind = AgentKind[kind_name.upper()]
@@ -188,11 +188,6 @@ def validate_request(req: Request, max_migrations: int | None = None) -> None:
         )
 
 
-class EntryStatus(str, enum.Enum):
-    LIVE = "live"
-    DEPARTED = "departed"
-
-
 @dataclass(frozen=True)
 class ContactEntry:
     """One broker's knowledge of one provider. Updated by replacement only."""
@@ -200,7 +195,6 @@ class ContactEntry:
     provider: AgentId
     prices: Mapping[ResourceType, Money]
     grade: float = 0.5
-    status: EntryStatus = EntryStatus.LIVE
 
     def covers(self, bundle: ResourceBundle) -> bool:
         return bundle.types() <= frozenset(self.prices)

@@ -134,6 +134,8 @@ class Scenario:
 
 
 def _require(data: dict, key: str, where: str):
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{where}: expected an object, got {data!r}")
     if key not in data:
         raise ScenarioError(f"{where}: missing required field {key!r}")
     return data[key]
@@ -152,16 +154,28 @@ def _float_field(data: dict, key: str, where: str, default: float) -> float:
     value = data.get(key, default)
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}") from None
 
 
-def _money_field(data: dict, key: str, where: str) -> Money:
-    value = _require(data, key, where)
+def _money(value, where: str) -> Money:
     try:
-        return money(value)
-    except Exception:
-        raise ScenarioError(f"{where}.{key}: cannot read {value!r} as money") from None
+        amount = money(value)
+    except ArithmeticError:  # decimal.InvalidOperation
+        amount = None
+    if amount is None or not amount.is_finite():
+        raise ScenarioError(f"{where}: cannot read {value!r} as money")
+    return amount
+
+
+def _id_list(data: dict, key: str, where: str, known: set[int], what: str) -> tuple[int, ...]:
+    ids = data.get(key, [])
+    if not isinstance(ids, list):
+        raise ScenarioError(f"{where}.{key}: expected a list of {what} ids")
+    for value in ids:
+        if not isinstance(value, int) or isinstance(value, bool) or value not in known:
+            raise ScenarioError(f"{where}.{key}: {what} {value!r} is not declared")
+    return tuple(sorted(set(ids)))
 
 
 def _quantity_map(data, where: str, types: set[str]) -> tuple[tuple[str, int], ...]:
@@ -184,10 +198,7 @@ def _price_map(data, where: str, types: set[str]) -> tuple[tuple[str, Money], ..
     for rtype, price in data.items():
         if rtype not in types:
             raise ScenarioError(f"{where}: resource type {rtype!r} is not declared")
-        try:
-            value = money(price)
-        except Exception:
-            raise ScenarioError(f"{where}.{rtype}: cannot read {price!r} as money") from None
+        value = _money(price, f"{where}.{rtype}")
         if value < 0:
             raise ScenarioError(f"{where}.{rtype}: unit price must be >= 0, got {price!r}")
         out.append((rtype, value))
@@ -198,15 +209,7 @@ def _provider_spec(raw: dict, where: str, types: set[str], broker_ids: set[int])
     pid = _int_field(raw, "id", where, minimum=0)
     cap = _quantity_map(_require(raw, "capacity", where), f"{where}.capacity", types)
     prices = _price_map(_require(raw, "base_prices", where), f"{where}.base_prices", types)
-    visible_to: tuple[int, ...] = ()
-    if "visible_to" in raw:
-        seen = raw["visible_to"]
-        if not isinstance(seen, list):
-            raise ScenarioError(f"{where}.visible_to: expected a list of broker ids")
-        for bid in seen:
-            if bid not in broker_ids:
-                raise ScenarioError(f"{where}.visible_to: broker {bid!r} is not declared")
-        visible_to = tuple(sorted(set(seen)))
+    visible_to = _id_list(raw, "visible_to", where, broker_ids, "broker")
     return ProviderSpec(id=pid, capacity=cap, base_prices=prices, visible_to=visible_to)
 
 
@@ -273,28 +276,12 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     for i, raw in enumerate(raw_brokers):
         loc = f"{where}.brokers[{i}]"
         bid = raw["id"]
-        raw_neighbors = raw.get("neighbors", [])
-        if not isinstance(raw_neighbors, list):
-            raise ScenarioError(f"{loc}.neighbors: expected a list of broker ids")
-        for nid in raw_neighbors:
-            if nid not in broker_ids:
-                raise ScenarioError(f"{loc}.neighbors: broker {nid!r} is not declared")
-            if nid == bid:
-                raise ScenarioError(f"{loc}.neighbors: broker {bid} cannot neighbor itself")
-        raw_visible = raw.get("visible_providers", [])
-        if not isinstance(raw_visible, list):
-            raise ScenarioError(f"{loc}.visible_providers: expected a list of provider ids")
-        for pid in raw_visible:
-            if pid not in provider_ids:
-                raise ScenarioError(f"{loc}.visible_providers: provider {pid!r} is not declared")
-        neighbor_sets[bid] = set(raw_neighbors)
-        brokers.append(
-            BrokerSpec(
-                id=bid,
-                neighbors=tuple(sorted(set(raw_neighbors))),
-                visible_providers=tuple(sorted(set(raw_visible))),
-            )
-        )
+        neighbors = _id_list(raw, "neighbors", loc, broker_ids, "broker")
+        if bid in neighbors:
+            raise ScenarioError(f"{loc}.neighbors: broker {bid} cannot neighbor itself")
+        visible = _id_list(raw, "visible_providers", loc, provider_ids, "provider")
+        neighbor_sets[bid] = set(neighbors)
+        brokers.append(BrokerSpec(id=bid, neighbors=neighbors, visible_providers=visible))
     for spec in brokers:
         for nid in spec.neighbors:
             if spec.id not in neighbor_sets[nid]:
@@ -323,7 +310,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             issue_time=_int_field(raw, "issue_time", loc, minimum=0),
             earliest_start=_int_field(raw, "earliest_start", loc, minimum=0),
             deadline=_int_field(raw, "deadline", loc, minimum=0),
-            budget=_money_field(raw, "budget", loc),
+            budget=_money(_require(raw, "budget", loc), f"{loc}.budget"),
             bundle=_quantity_map(_require(raw, "bundle", loc), f"{loc}.bundle", type_set),
             task_duration=_int_field(raw, "task_duration", loc, minimum=1),
         )
@@ -340,9 +327,11 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     churn: list[ChurnSpec] = []
     live_after: set[int] = set(provider_ids)
     all_provider_ids = set(provider_ids)
-    for i, raw in enumerate(sorted(raw_churn, key=lambda c: c.get("time", 0))):
+    for i, raw in enumerate(raw_churn):
+        _int_field(raw, "time", f"{where}.churn[{i}]", minimum=0)
+    for i, raw in sorted(enumerate(raw_churn), key=lambda item: item[1]["time"]):
         loc = f"{where}.churn[{i}]"
-        when = _int_field(raw, "time", loc, minimum=0)
+        when = raw["time"]
         action = _require(raw, "action", loc)
         if action == ChurnAction.LEAVE.value:
             target = _int_field(raw, "provider", loc, minimum=0)
@@ -385,14 +374,17 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             raise ScenarioError(f"{loc}: agent {missing} is not declared")
         delays.append(DelaySpec(a=a, b=b, delay=_int_field(raw, "delay", loc, minimum=0)))
 
-    criteria = tuple(data.get("criteria", ["workload", "delay"]))
+    raw_criteria = data.get("criteria", ["workload", "delay"])
+    if not isinstance(raw_criteria, list):
+        raise ScenarioError(f"{where}.criteria: expected a list of criterion names")
     from .migration import CRITERIA
 
-    for name in criteria:
-        if name not in CRITERIA:
+    for name in raw_criteria:
+        if not isinstance(name, str) or name not in CRITERIA:
             raise ScenarioError(f"{where}.criteria: unknown criterion {name!r}")
-    if not criteria:
+    if not raw_criteria:
         raise ScenarioError(f"{where}.criteria: at least one criterion is required")
+    criteria = tuple(raw_criteria)
 
     max_migrations = None
     if "max_migrations" in data:

@@ -15,7 +15,6 @@ from fedsim.migration import NeighborInfo
 from fedsim.model import (
     AgentId,
     ContactEntry,
-    EntryStatus,
     Request,
     ResourceBundle,
     broker,
@@ -59,7 +58,6 @@ def entry(pid: int, grade: float = 0.5, **prices) -> ContactEntry:
         provider=provider(pid),
         prices={r: money(p) for r, p in prices.items()},
         grade=grade,
-        status=EntryStatus.LIVE,
     )
 
 
@@ -132,7 +130,6 @@ def oracle_registry_view(world, bid) -> list[ContactEntry]:
             provider=pid,
             prices=dict(world.providers[pid].base_prices),
             grade=0.5,
-            status=EntryStatus.LIVE,
         )
         for pid in sorted(world.visibility[bid])
         if pid in world.registry
@@ -145,11 +142,7 @@ def oracle_neighbor_snapshot(world, of) -> list[NeighborInfo]:
     for nid in world.brokers[of].neighbors:
         neighbor_state = world.brokers[nid]
         projected = update_contact_list(neighbor_state.contact_list, oracle_registry_view(world, nid))
-        live = [
-            e
-            for e in projected.values()
-            if e.status is EntryStatus.LIVE and e.provider in world.registry
-        ]
+        live = [e for e in projected.values() if e.provider in world.registry]
         types: set[str] = set()
         for e in live:
             types.update(e.prices)
@@ -323,6 +316,48 @@ def fuzz_scenario(
 def fuzz_batch_scenarios() -> list[dict]:
     """The shared fuzz batch: scenario i is drawn from Random(91_000 + i)."""
     return [fuzz_scenario(random.Random(91_000 + i), **FUZZ_SHAPE) for i in range(FUZZ_RUNS)]
+
+
+def long_lease_scenario(rng: random.Random, n_requests: int = 400) -> dict:
+    """One broker, four providers and long, heavily overlapping leases.
+
+    The broker sees every provider, so each provider's ledger grows to about
+    a hundred reservations over the run; one provider leaves halfway through.
+    """
+    types = ["cpu", "storage"]
+    providers = [
+        {
+            "id": pid,
+            "capacity": {r: rng.randint(20, 40) for r in types},
+            "base_prices": {r: f"{rng.randint(50, 500) / 100:.2f}" for r in types},
+        }
+        for pid in range(4)
+    ]
+    consumers = []
+    for cid in range(n_requests):
+        issue = rng.randint(0, 1000)
+        start = issue + rng.randint(0, 5)
+        consumers.append(
+            {
+                "id": cid,
+                "broker": 0,
+                "issue_time": issue,
+                "earliest_start": start,
+                "deadline": start + rng.randint(40, 200),
+                "budget": f"{rng.randint(6000, 20000)}.00",
+                "bundle": {r: rng.randint(1, 4) for r in rng.sample(types, rng.randint(1, 2))},
+                "task_duration": rng.randint(20, 150),
+            }
+        )
+    return {
+        "resource_types": types,
+        "pricing": {"demand_sensitivity": 0.05},
+        "brokers": [{"id": 0, "neighbors": [], "visible_providers": list(range(4))}],
+        "providers": providers,
+        "consumers": consumers,
+        "churn": [{"time": 500, "action": "leave", "provider": rng.randrange(4)}],
+        "delays": [],
+    }
 
 
 def recovery_scenario(rng: random.Random) -> dict:

@@ -356,26 +356,54 @@ def test_allocate_simple_fit_and_overflow():
 
 
 def test_allocate_matches_tick_scan_oracle():
+    # every allocation, not just a final probe, is checked against the
+    # per-tick scan of the ledger as it stood before the call, so capacity
+    # that a release or a replacement should have freed shows up as a refusal
     rng = random.Random(99)
+    replaced = {"active": 0, "released": 0}
     for _ in range(150):
         state = make_provider(capacity={"cpu": rng.randint(2, 6), "storage": rng.randint(2, 6)})
         state.base_prices["storage"] = money("1.00")
-        for i in range(rng.randint(0, 8)):
-            start = rng.randint(0, 20)
-            end = start + rng.randint(1, 10)
+        for i in range(rng.randint(0, 40)):
+            # windows from the ledger's own edges start or end exactly where
+            # existing reservations do; the rest fall before, inside or after
+            edges = sorted({t for r in state.ledger.values() for t in (r.start, r.end)})
+            start = rng.choice(edges) if edges and rng.random() < 0.5 else rng.randint(0, 40)
+            later = [t for t in edges if t > start]
+            end = rng.choice(later) if later and rng.random() < 0.5 else start + rng.randint(1, 12)
             b = ResourceBundle.of(
                 {r: rng.randint(1, 3) for r in rng.sample(("cpu", "storage"), rng.randint(1, 2))}
             )
-            res = allocate(state, b, start, end, f"c:{i}", consumer(i), money("1.00"))
-            if res is not None and rng.random() < 0.3:
-                release_hold(state, f"c:{i}")
-        start = rng.randint(0, 20)
-        end = start + rng.randint(1, 10)
-        b = ResourceBundle.of({"cpu": rng.randint(1, 4)})
-        ledger_before = [r for r in state.ledger.values()]
-        expected = tick_scan_feasible(ledger_before, b, start, end, state.capacity)
-        got = allocate(state, b, start, end, "c:probe", consumer(99), money("1.00"))
-        assert (got is not None) == expected
+            conv = f"c:{rng.randrange(i)}" if i and rng.random() < 0.3 else f"c:{i}"
+            before = state.ledger.get(conv)
+            ledger = list(state.ledger.values())
+            expected = tick_scan_feasible(ledger, b, start, end, state.capacity)
+            res = allocate(state, b, start, end, conv, consumer(i), money("1.00"))
+            assert (res is not None) == expected
+            if res is None:
+                assert state.ledger.get(conv) is before
+                continue
+            if before is not None:
+                released = before.status is ReservationStatus.RELEASED
+                replaced["released" if released else "active"] += 1
+            roll = rng.random()
+            if roll < 0.3:
+                release_hold(state, conv)
+            elif roll < 0.6:
+                res.status = ReservationStatus.CONFIRMED
+    assert replaced["active"] > 50 and replaced["released"] > 20
+
+
+def test_allocate_replacing_an_active_entry_frees_its_window():
+    state = make_provider(capacity={"cpu": 4})
+    first = allocate(state, bundle(cpu=4), 0, 10, "c:a", consumer(0), money("1.00"))
+    # the entry being replaced still counts while the new window is checked
+    assert allocate(state, bundle(cpu=1), 5, 15, "c:a", consumer(0), money("1.00")) is None
+    assert state.ledger["c:a"] is first
+    assert allocate(state, bundle(cpu=4), 10, 20, "c:a", consumer(0), money("1.00")) is not None
+    # once replaced it no longer holds [0, 10)
+    assert allocate(state, bundle(cpu=4), 0, 10, "c:b", consumer(1), money("1.00")) is not None
+    assert allocate(state, bundle(cpu=1), 9, 11, "c:c", consumer(2), money("1.00")) is None
 
 
 def test_finish_lease_releases_demand_but_keeps_ledger():

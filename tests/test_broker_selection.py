@@ -12,7 +12,7 @@ broker learned afterwards.
 import fedsim.agents as agents
 import fedsim.engine as engine
 from fedsim.engine import run
-from fedsim.model import EntryStatus, Performative, RefuseReason
+from fedsim.model import Performative, RefuseReason
 from fedsim.pricing import lease_factor
 from fedsim.scenario import parse_scenario
 
@@ -57,7 +57,7 @@ class SelectionOracle:
                     continue
                 entry = seen[pid]
                 self.stale += pid not in state.contact_list
-                if entry.status is EntryStatus.LIVE and entry.covers(bundle):
+                if entry.covers(bundle):
                     cost = straight_loop_cost(bundle, entry.prices, factor)
                     ranked.append((cost, -entry.grade, pid))
             expected = min(ranked, default=None)

@@ -88,3 +88,13 @@ def test_run_rejects_nan_pricing_with_exit_code_2(tmp_path):
     result = CliRunner().invoke(main, ["run", "--scenario", str(bad)])
     assert result.exit_code == 2, result.output
     assert "demand_sensitivity" in result.output
+
+
+def test_run_rejects_a_non_object_broker_with_exit_code_2(tmp_path):
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    data["brokers"].append(7)
+    bad = tmp_path / "hostile.json"
+    bad.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "brokers[1]" in result.output

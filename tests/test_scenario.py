@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim.model import ScenarioError
 from fedsim.scenario import (
+    Scenario,
     load_scenario,
     parse_scenario,
     save_scenario,
@@ -164,3 +166,156 @@ def test_non_finite_or_non_numeric_pricing_rejected(field, value):
     data["pricing"] = {field: value}
     with pytest.raises(ScenarioError, match=f"pricing.*{field}"):
         parse_scenario(data)
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+# (path into minimal_dict(), value put there, pattern the error must match)
+HOSTILE = [
+    pytest.param(("brokers",), [5], r"brokers\[0\]: expected an object", id="broker-not-object"),
+    pytest.param(
+        ("providers",), ["p"],
+        r"providers\[0\]: expected an object",
+        id="provider-not-object",
+    ),
+    pytest.param(
+        ("consumers",), [[0]],
+        r"consumers\[0\]: expected an object",
+        id="consumer-not-object",
+    ),
+    pytest.param(("churn",), ["leave"], r"churn\[0\]: expected an object", id="churn-not-object"),
+    pytest.param(
+        ("churn",), [{"time": 1, "action": "leave", "provider": 0}, {"time": "2"}],
+        r"churn\[1\]\.time",
+        id="churn-time-string",
+    ),
+    pytest.param(("delays",), [3], r"delays\[0\]: expected an object", id="delay-not-object"),
+    pytest.param(
+        ("delays",), [{"a": "broker:\u00b2", "b": "broker:0", "delay": 1}],
+        r"delays\[0\]",
+        id="delay-superscript-id",
+    ),
+    pytest.param(("criteria",), 5, r"criteria: expected a list", id="criteria-int"),
+    pytest.param(("criteria",), "workload", r"criteria: expected a list", id="criteria-string"),
+    pytest.param(
+        ("criteria",), [["workload"]],
+        r"criteria: unknown criterion",
+        id="criteria-unhashable",
+    ),
+    pytest.param(
+        ("brokers", 0, "neighbors"), [[1]],
+        r"brokers\[0\]\.neighbors",
+        id="neighbor-unhashable",
+    ),
+    pytest.param(
+        ("brokers", 0, "neighbors"), [True],
+        r"brokers\[0\]\.neighbors",
+        id="neighbor-bool",
+    ),
+    pytest.param(
+        ("brokers", 0, "visible_providers"), [{"id": 0}],
+        r"brokers\[0\]\.visible_providers",
+        id="visible-provider-object",
+    ),
+    pytest.param(("consumers", 0, "budget"), "NaN", r"consumers\[0\]\.budget", id="budget-nan"),
+    pytest.param(
+        ("consumers", 0, "budget"), "Infinity",
+        r"consumers\[0\]\.budget",
+        id="budget-infinity",
+    ),
+    pytest.param(
+        ("providers", 0, "base_prices", "cpu"), "NaN",
+        r"providers\[0\]\.base_prices\.cpu",
+        id="price-nan",
+    ),
+    pytest.param(
+        ("pricing",), {"cost_weight": 10**400},
+        r"pricing\.cost_weight",
+        id="pricing-float-overflow",
+    ),
+]
+
+
+@pytest.mark.parametrize("path, value, match", HOSTILE)
+def test_hostile_input_is_a_scenario_error_naming_the_field(path, value, match):
+    data = minimal_dict()
+    _set(data, path, value)
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(data)
+
+
+def test_churn_error_names_the_entry_as_written():
+    data = minimal_dict()
+    data["churn"] = [
+        {"time": 5, "action": "leave", "provider": 0},
+        {"time": 1, "action": "stay"},
+    ]
+    with pytest.raises(ScenarioError, match=r"churn\[1\]\.action"):
+        parse_scenario(data)
+
+
+# Values a careless or hostile file might put anywhere, beside arbitrary JSON.
+TRICKY = st.sampled_from(
+    [0, 1, -1, True, None, "", "NaN", "Infinity", "-0", "1e999", "broker:0", "provider:0",
+     "broker:\u00b2", "workload", 10**400, float("nan"), float("inf"), [[1]], {"id": 0}]
+)
+JSON = st.recursive(
+    TRICKY | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+SCENARIO_KEYS = tuple(minimal_dict()) + ("pricing", "churn", "delays", "criteria", "max_migrations")
+
+
+def _parses_or_refuses(data) -> None:
+    try:
+        result = parse_scenario(data)
+    except ScenarioError:
+        return
+    assert isinstance(result, Scenario)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON | st.dictionaries(st.sampled_from(SCENARIO_KEYS), JSON, max_size=6))
+def test_any_json_value_parses_or_is_a_scenario_error(data):
+    _parses_or_refuses(data)
+
+
+def _slots(node, out):
+    """Every (container, key) slot in a JSON tree."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        keys = ()
+    for key in keys:
+        out.append((node, key))
+        _slots(node[key], out)
+    return out
+
+
+@st.composite
+def mutated_minimal(draw):
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(data, [])
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON)
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_minimal())
+def test_mutated_minimal_scenario_parses_or_is_a_scenario_error(data):
+    _parses_or_refuses(data)

@@ -212,7 +212,7 @@ class SelectionSnapshot:
 
     contact_list: Mapping[AgentId, ContactEntry]
     universe: frozenset[AgentId]
-    excluded: frozenset[AgentId]  # removed for cause: capacity, unavailable, departed
+    excluded: frozenset[AgentId]  # removed for cause: capacity, unavailable, expired, departed
     bundle: ResourceBundle
     factor: Decimal
     cost: Money
@@ -381,11 +381,7 @@ def _advance(
         )
         if result.decision is None or result.decision.failed:
             _record_failure_feedback(state, conv)
-        if result.workload_delta != -1:
-            raise InvariantError(
-                f"self-organization moved {state.id}'s workload by {result.workload_delta}, not -1"
-            )
-        _close(state, conversation)  # applies the -1 workload delta
+        _close(state, conversation)  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
@@ -522,8 +518,9 @@ def broker_step(
             ]
         if perf is Performative.REFUSE and conv.phase in (
             BrokerPhase.AWAITING_PROVIDER,
-            # a CONFIRM sent to a provider that left bounces back here; the
-            # agreement collapsed, so fall back into the selection loop
+            # a CONFIRM sent to a provider that left bounces back here, and
+            # one that reached an expired hold is refused; the agreement
+            # collapsed, so fall back into the selection loop
             BrokerPhase.AWAITING_FEEDBACK,
         ):
             payload: RefusePayload = msg.payload
@@ -532,12 +529,12 @@ def broker_step(
                 _remove_from_temporary(conv, msg.sender, for_cause=True)
             else:
                 _apply_price_update(state, msg.sender, payload.ratios)
-                if payload.reason in (RefuseReason.CAPACITY, RefuseReason.UNAVAILABLE):
-                    _remove_from_temporary(conv, msg.sender, for_cause=True)
-                else:
-                    # expected-cost: prices are refreshed, the provider stays eligible
+                if payload.reason is RefuseReason.EXPECTED_COST:
+                    # prices are refreshed, the provider stays eligible
                     conv.best = None
                     conv.held = None
+                else:  # capacity, unavailable or an expired hold
+                    _remove_from_temporary(conv, msg.sender, for_cause=True)
             return state, _advance(state, msg.conversation, conv, neighbor_info)
         raise _violation(state.id, conv.phase, msg)
 
@@ -729,6 +726,12 @@ def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, li
 
     if perf is Performative.CONFIRM:
         res = state.ledger.get(msg.conversation)
+        if res is not None and res.status is ReservationStatus.RELEASED:
+            # the hold expired before the agreement came back
+            refuse = RefusePayload(
+                reason=RefuseReason.EXPIRED, ratios=state.demand_ratios(res.bundle)
+            )
+            return state, [Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, refuse)]
         if res is None or res.status is not ReservationStatus.HELD:
             raise ProtocolError(
                 f"{state.id} got CONFIRM for {msg.conversation} without a held reservation"

@@ -2,10 +2,17 @@
 
 A broker that has exhausted its own providers delegates the request to one
 neighbor broker. The choice minimizes a vector of criteria (workload, link
-delay, ...) under Pareto dominance: candidates are drawn best-first from the
-non-dominated set, each checked against preventive coherence constraints
-(non-empty provider list, resource coverage, not previously visited), and
-removed when they fail, until one passes or none remain.
+delay, ...) under Pareto dominance, subject to preventive coherence
+constraints (non-empty provider list, resource coverage, not previously
+visited). The target is the admissible neighbor with the smallest
+(criteria values, broker id), found in one pass.
+
+That is exactly the pick of drawing best-first from the non-dominated set and
+removing each candidate that fails the constraints. If b dominates a, b's
+values sort strictly before a's, so the (values, id) minimum of any set is
+never dominated within it: each round of the removal loop takes the minimum
+of what remains, and dropping the inadmissible picks in that order ends at
+the minimum over the admissible neighbors.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 from .model import (
     AgentId,
     CallPayload,
-    CoherenceError,
     DomainError,
     FailurePayload,
     Message,
@@ -72,24 +78,16 @@ CRITERIA: dict[str, CriterionFn] = {
 DEFAULT_CRITERIA: tuple[str, ...] = ("workload", "delay")
 
 
-def criteria_vector(info: NeighborInfo, criteria: Sequence[str] = DEFAULT_CRITERIA) -> CriteriaVector:
-    """Project a neighbor snapshot onto the configured criteria, in order."""
+def _criterion_fns(criteria: Sequence[str]) -> list[CriterionFn]:
     try:
-        fns = [CRITERIA[name] for name in criteria]
+        return [CRITERIA[name] for name in criteria]
     except KeyError as exc:
         raise DomainError(f"unknown criterion {exc.args[0]!r}") from None
-    return CriteriaVector(tuple(fn(info) for fn in fns))
 
 
-def dominates(a: CriteriaVector, b: CriteriaVector) -> bool:
-    """Minimization Pareto dominance: a <= b everywhere and a < b somewhere."""
-    if len(a.values) != len(b.values):
-        raise DomainError(
-            f"criteria length mismatch: {len(a.values)} vs {len(b.values)}"
-        )
-    return all(x <= y for x, y in zip(a.values, b.values)) and any(
-        x < y for x, y in zip(a.values, b.values)
-    )
+def criteria_vector(info: NeighborInfo, criteria: Sequence[str] = DEFAULT_CRITERIA) -> CriteriaVector:
+    """Project a neighbor snapshot onto the configured criteria, in order."""
+    return CriteriaVector(tuple(fn(info) for fn in _criterion_fns(criteria)))
 
 
 def verify_constraints(req: Request, info: NeighborInfo) -> bool:
@@ -103,11 +101,6 @@ def verify_constraints(req: Request, info: NeighborInfo) -> bool:
     return True
 
 
-def _sort_key(info: NeighborInfo, vec: CriteriaVector):
-    # lexicographic on criteria values, then lowest broker id
-    return (vec.values, info.broker)
-
-
 def select_direction(
     req: Request,
     neighbors: Iterable[NeighborInfo],
@@ -115,28 +108,26 @@ def select_direction(
 ) -> MigrationDecision:
     """Pick the migration target, or stay and fail.
 
-    Repeatedly takes the best non-dominated candidate (ties broken by
-    criteria values then broker id), accepts it if it passes the
-    constraints, otherwise removes it and retries. Deterministic.
+    The target is the neighbor that passes the constraints with the smallest
+    (criteria values, broker id); deterministic. This is the Pareto pick:
+    dominance implies a strictly smaller criteria tuple, so the minimum of
+    any set is non-dominated in it, and taking that minimum while dropping
+    inadmissible picks reaches the minimum over the admissible neighbors.
+    An unknown criterion raises `DomainError` even with no neighbors.
     """
-    remaining = [(info, criteria_vector(info, criteria)) for info in neighbors]
-    while remaining:
-        nondominated = [
-            (info, vec)
-            for info, vec in remaining
-            if not any(dominates(other_vec, vec) for _, other_vec in remaining)
-        ]
-        pick, pick_vec = min(nondominated, key=lambda pair: _sort_key(*pair))
-        if verify_constraints(req, pick):
-            return MigrationDecision(target=pick.broker)
-        remaining = [(info, vec) for info, vec in remaining if info is not pick]
-    return MigrationDecision(target=None)
+    fns = _criterion_fns(criteria)
+    best = None
+    for info in neighbors:
+        if verify_constraints(req, info):
+            key = (CriteriaVector(tuple(fn(info) for fn in fns)).values, info.broker)
+            if best is None or key < best:
+                best = key
+    return MigrationDecision(target=None if best is None else best[1])
 
 
 @dataclass(frozen=True)
 class SelfOrganizeResult:
     messages: tuple[Message, ...]
-    workload_delta: int           # applied to the acting broker's in-flight count
     decision: MigrationDecision | None  # None when the hop limit blocked selection
 
 
@@ -152,8 +143,7 @@ def self_organize(
 
     Within the hop budget, delegates to the selected neighbor with the hop
     count bumped and this broker recorded as visited; otherwise reports
-    FAILURE to the consumer. Either way the conversation leaves this broker,
-    so the workload delta is always -1.
+    FAILURE to the consumer. Either way the conversation leaves this broker.
     """
     if req.migrations >= max_migrations:
         fail = Message(
@@ -163,7 +153,7 @@ def self_organize(
             receiver=req.consumer,
             payload=FailurePayload("migration-limit"),
         )
-        return SelfOrganizeResult((fail,), -1, decision=None)
+        return SelfOrganizeResult((fail,), decision=None)
 
     decision = select_direction(req, neighbors, criteria)
     if decision.failed:
@@ -174,7 +164,7 @@ def self_organize(
             receiver=req.consumer,
             payload=FailurePayload("no-admissible-broker"),
         )
-        return SelfOrganizeResult((fail,), -1, decision=decision)
+        return SelfOrganizeResult((fail,), decision=decision)
 
     hopped = replace(
         req,
@@ -188,13 +178,4 @@ def self_organize(
         receiver=decision.target,
         payload=CallPayload(request=hopped),
     )
-    return SelfOrganizeResult((cfp,), -1, decision=decision)
-
-
-def transfer_workload(source_workload: int, dest_workload: int) -> tuple[int, int]:
-    """Move one in-flight conversation between a broker pair; sum is preserved."""
-    if source_workload < 1:
-        raise CoherenceError(
-            f"cannot transfer from a broker with workload {source_workload}"
-        )
-    return source_workload - 1, dest_workload + 1
+    return SelfOrganizeResult((cfp,), decision=decision)

@@ -51,10 +51,6 @@ class InvariantError(SimulatorError):
     """A runtime invariant of the kernel or an agent broke: a simulator bug."""
 
 
-class CoherenceError(SimulatorError):
-    """A workload transfer would drive an in-flight counter negative."""
-
-
 class ScenarioError(SimulatorError):
     """A scenario file failed to parse or validate."""
 
@@ -224,6 +220,7 @@ class RefuseReason(str, enum.Enum):
     EXPECTED_COST = "expected-cost"  # provider: demand-adjusted cost above the CFP cost
     CAPACITY = "capacity"            # provider: bundle does not fit the window
     UNAVAILABLE = "unavailable"      # provider: unknown or unpriced resource type
+    EXPIRED = "expired"              # provider: the hold lapsed before the CONFIRM
     DEPARTED = "departed"            # synthesized: the provider left the federation
 
 

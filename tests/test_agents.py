@@ -324,6 +324,29 @@ def test_provider_confirm_without_hold_is_protocol_violation():
         provider_step(state, Message(Performative.CONFIRM, "consumer:0#0", broker(0), provider(0)))
 
 
+def test_provider_refuses_confirm_after_its_hold_expired():
+    state = make_provider()
+    provider_step(state, cfp_to_provider("4.00"))
+    release_hold(state, "consumer:0#0")  # the hold expiry
+    _, out = provider_step(
+        state, Message(Performative.CONFIRM, "consumer:0#0", broker(0), provider(0))
+    )
+    (msg,) = out
+    assert msg.performative is Performative.REFUSE
+    assert msg.receiver == broker(0)
+    assert msg.payload == RefusePayload(reason=RefuseReason.EXPIRED, ratios=(("cpu", 0.0),))
+    assert state.ledger["consumer:0#0"].status is ReservationStatus.RELEASED
+
+
+def test_provider_second_confirm_is_protocol_violation():
+    state = make_provider()
+    provider_step(state, cfp_to_provider("4.00"))
+    confirm = Message(Performative.CONFIRM, "consumer:0#0", broker(0), provider(0))
+    provider_step(state, confirm)
+    with pytest.raises(ProtocolError):
+        provider_step(state, confirm)
+
+
 def test_provider_releases_hold_on_broker_refusal():
     state = make_provider()
     provider_step(state, cfp_to_provider("4.00"))
@@ -571,6 +594,32 @@ def test_broker_departed_refusal_purges_provider_everywhere():
     _, out = broker_step(state, refuse, now=2)
     assert state.entry_for(provider(0)) is None
     assert out[0].payload.cost == money("9.00")
+
+
+def test_broker_expired_refusal_drops_provider_and_requotes():
+    state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
+    view = [entry(0, cpu="2.00"), entry(1, cpu="9.00")]
+    conv_id = "consumer:0#0"
+    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), now=1)
+    hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00"))
+    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold), now=2)
+    broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id), now=3)
+    assert state.conversations[conv_id].phase is BrokerPhase.AWAITING_FEEDBACK
+    refuse = Message(
+        Performative.REFUSE,
+        conv_id,
+        provider(0),
+        state.id,
+        RefusePayload(reason=RefuseReason.EXPIRED, ratios=(("cpu", 0.0),)),
+    )
+    _, out = broker_step(state, refuse, now=4)
+    conv = state.conversations[conv_id]
+    assert provider(0) not in conv.temporary
+    assert provider(0) in conv.excluded
+    (msg,) = out
+    assert msg.performative is Performative.PROPOSE
+    assert msg.payload.cost == money("9.00")  # requoted from the survivor
 
 
 def test_broker_out_of_phase_message_raises():

@@ -98,3 +98,22 @@ def test_run_rejects_a_non_object_broker_with_exit_code_2(tmp_path):
     result = CliRunner().invoke(main, ["run", "--scenario", str(bad)])
     assert result.exit_code == 2, result.output
     assert "brokers[1]" in result.output
+
+
+def test_run_survives_holds_that_expire_before_the_confirm(tmp_path):
+    # at delay 1, PROPOSE -> AGREEMENT -> AGREE -> CONFIRM takes four ticks
+    # after the hold, so each of these timeouts lapses before the CONFIRM
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    runner = CliRunner()
+    for timeout in (1, 2, 3, 4):
+        path = tmp_path / f"hold-{timeout}.json"
+        path.write_text(json.dumps({**data, "hold_timeout": timeout}))
+        trace_out = tmp_path / f"trace-{timeout}.log"
+        result = runner.invoke(
+            main, ["run", "--scenario", str(path), "--trace-out", str(trace_out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "liveness failure" not in result.output
+        lines = trace_out.read_text().splitlines()
+        assert any("perf=REFUSE" in line and "reason=expired" in line for line in lines)
+        assert "perf=FAILURE" in lines[-1]

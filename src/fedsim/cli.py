@@ -48,6 +48,14 @@ def validate(scenario_path):
         f"ok: {len(scn.brokers)} brokers, {len(scn.providers)} providers, "
         f"{len(scn.consumers)} consumers, {len(scn.churn)} churn events"
     )
+    # a hold must outlive PROPOSE -> AGREEMENT -> AGREE -> CONFIRM, four deliveries
+    if scn.hold_timeout <= 4 * scn.default_delay:
+        click.echo(
+            f"warning: hold_timeout {scn.hold_timeout} is not longer than the four deliveries "
+            f"from a hold to its CONFIRM at default_delay {scn.default_delay}; "
+            "holds lapse before agreements are confirmed",
+            err=True,
+        )
 
 
 @main.command(name="run")

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
 from .agents import (
     BrokerState,
-    ConsumerPhase,
     ConsumerState,
     ProviderState,
     ReservationStatus,
@@ -33,13 +32,11 @@ from .migration import NeighborInfo
 from .model import (
     AgentId,
     AgentKind,
-    CallPayload,
     ContactEntry,
     InvariantError,
     Message,
     Money,
     Performative,
-    ProposePayload,
     ProposeStage,
     RefusePayload,
     RefuseReason,
@@ -113,14 +110,10 @@ def write_trace(records: list[EventRecord], path) -> None:
 class ConversationMeta:
     """Per-request bookkeeping the metrics layer consumes."""
 
-    conversation: str
     consumer: AgentId
-    source: AgentId
-    issued_at: int
     bundle: ResourceBundle
     start: int
     end: int
-    budget: Money
     factor: Decimal
     live_at_issue: tuple[AgentId, ...]
     status: str = "open"  # open | done | failed
@@ -130,34 +123,6 @@ class ConversationMeta:
     serving_provider: AgentId | None = None
     snapshot: object = None  # SelectionSnapshot of the final selection
     on_time: bool | None = None
-    utility: float | None = None
-
-
-@dataclass
-class MigrationProbe:
-    """Independent recheck of one migration, taken from world state."""
-
-    conversation: str
-    source: AgentId
-    target: AgentId
-    nonempty: bool
-    covered: bool
-    unvisited: bool
-    source_delta: int | None = None  # in-flight change at the sender event
-    dest_delta: int | None = None    # in-flight change at the receipt event
-
-    def preventive_ok(self) -> bool:
-        return self.nonempty and self.covered and self.unvisited
-
-    def conserved(self) -> bool:
-        return self.source_delta == -1 and self.dest_delta == 1
-
-
-@dataclass
-class Diagnostics:
-    migrations: list[MigrationProbe] = field(default_factory=list)
-    hop_violations: list[str] = field(default_factory=list)
-    bounced: int = 0
 
 
 @dataclass
@@ -179,7 +144,6 @@ class RunResult:
     providers: dict[AgentId, ProviderState]
     registry: frozenset[AgentId]
     conversations: dict[str, ConversationMeta]
-    diagnostics: Diagnostics
     workloads: dict[AgentId, WorkloadStat]
     quiescent: bool
     open_conversations: list[str]
@@ -244,13 +208,11 @@ class _World:
         self.events = 0  # events processed; each is one workload sample
         self.trace: list[EventRecord] = []
         self.meta: dict[str, ConversationMeta] = {}
-        self.diagnostics = Diagnostics()
         self.workloads: dict[AgentId, WorkloadStat] = {
             bid: WorkloadStat() for bid in self.brokers
         }
         # per broker: in-flight level, and the samples taken before it was reached
         self._levels: dict[AgentId, tuple[int, int]] = {bid: (0, 0) for bid in self.brokers}
-        self.pending_migrations: dict[str, MigrationProbe] = {}
 
     # -- infrastructure -----------------------------------------------------
 
@@ -410,24 +372,6 @@ def apply_churn(world: _World, event: ChurnEvent) -> None:
         world._add_provider(spec)
 
 
-def _probe_migration(world: _World, msg: Message, source: BrokerState) -> MigrationProbe:
-    """Recheck the preventive constraints from world state, not trusting the selector."""
-    req: Request = msg.payload.request
-    target = msg.receiver
-    if target not in source.neighbors:  # not a declared neighbor: fully inadmissible
-        return MigrationProbe(msg.conversation, source.id, target, False, False, False)
-    info = world.neighbor_info(source.id, target)
-    return MigrationProbe(
-        conversation=msg.conversation,
-        source=source.id,
-        target=target,
-        nonempty=info.provider_count > 0,
-        covered=req.bundle.types() <= info.provider_types,
-        # the hopped request already carries the sender; the target must not
-        unvisited=target not in req.visited,
-    )
-
-
 def _run_once(world: _World, event_budget: int) -> bool:
     while world.queue:
         if world.events >= event_budget:
@@ -440,14 +384,10 @@ def _run_once(world: _World, event_budget: int) -> bool:
             world.record(event)
             consumer = world.consumers[event.request.consumer]
             world.meta[event.conversation] = ConversationMeta(
-                conversation=event.conversation,
                 consumer=consumer.id,
-                source=event.request.source,
-                issued_at=now,
                 bundle=event.request.bundle,
                 start=event.request.earliest_start,
                 end=event.request.deadline,
-                budget=event.request.budget,
                 factor=lease_factor(event.request, world.params),
                 live_at_issue=tuple(sorted(world.registry)),
             )
@@ -470,7 +410,6 @@ def _run_once(world: _World, event_budget: int) -> bool:
             for msg in consumer_complete(consumer, meta.on_time):
                 world.send(msg, now)
             meta.status = "done"
-            meta.utility = consumer.utility
             if meta.serving_provider is not None:
                 finish_lease(world.providers[meta.serving_provider], event.conversation)
 
@@ -482,7 +421,6 @@ def _run_once(world: _World, event_budget: int) -> bool:
                 # never hand a message to a departed provider; bounce so the
                 # sender re-enters its selection loop on its next event
                 world.record(event, payload_suffix=",bounced")
-                world.diagnostics.bounced += 1
                 if msg.performative in (Performative.CFP, Performative.CONFIRM):
                     bounce = Message(
                         Performative.REFUSE,
@@ -516,20 +454,6 @@ def _run_once(world: _World, event_budget: int) -> bool:
 
             elif target.kind is AgentKind.BROKER:
                 broker = world.brokers[target]
-                before = broker.in_flight
-                migrated_in = (
-                    msg.performative is Performative.CFP and msg.sender.kind is AgentKind.BROKER
-                )
-                if migrated_in:
-                    req = msg.payload.request
-                    if req.migrations > world.max_migrations:
-                        world.diagnostics.hop_violations.append(
-                            f"{msg.conversation}: arrived with {req.migrations} hops"
-                        )
-                    if target in req.visited:
-                        world.diagnostics.hop_violations.append(
-                            f"{msg.conversation}: revisited {target}"
-                        )
                 final_inform = (
                     msg.performative is Performative.INFORM
                     and msg.sender.kind is AgentKind.CONSUMER
@@ -548,21 +472,8 @@ def _run_once(world: _World, event_budget: int) -> bool:
                     neighbor_info=_snapshot_when_read(world, target),
                 )
                 world.sample_workloads(target)
-                if migrated_in:
-                    probe = world.pending_migrations.pop(msg.conversation, None)
-                    if probe is not None:
-                        # isolate the arrival's +1 from a same-event close
-                        # (the conversation may migrate onward immediately)
-                        closed = msg.conversation not in broker.conversations
-                        probe.dest_delta = broker.in_flight - before + (1 if closed else 0)
-                opened = 1 if msg.performative is Performative.CFP else 0
                 for m in out:
                     if m.performative is Performative.CFP and m.receiver.kind is AgentKind.BROKER:
-                        probe = _probe_migration(world, m, broker)
-                        # isolate the migration's own -1 from any open at this event
-                        probe.source_delta = broker.in_flight - before - opened
-                        world.diagnostics.migrations.append(probe)
-                        world.pending_migrations[m.conversation] = probe
                         world.meta[m.conversation].migrations = m.payload.request.migrations
                     if m.performative is Performative.PROPOSE and m.payload.stage is ProposeStage.AGREEMENT:
                         meta = world.meta[m.conversation]
@@ -645,7 +556,6 @@ def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> R
         providers=world.providers,
         registry=frozenset(world.registry),
         conversations=world.meta,
-        diagnostics=world.diagnostics,
         workloads=world.workloads,
         quiescent=quiescent,
         open_conversations=open_conversations,

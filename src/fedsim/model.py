@@ -129,9 +129,6 @@ class ResourceBundle:
     def types(self) -> frozenset[ResourceType]:
         return frozenset(r for r, _ in self.items)
 
-    def quantity(self, rtype: ResourceType) -> int:
-        return dict(self.items).get(rtype, 0)
-
     def __bool__(self) -> bool:
         return bool(self.items)
 

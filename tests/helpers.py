@@ -166,7 +166,7 @@ def tick_scan_feasible(reservations, new_bundle, start, end, capacity) -> bool:
             return False
         for tick in range(start, end):
             used = sum(
-                r.bundle.quantity(rtype)
+                r.bundle.as_dict().get(rtype, 0)
                 for r in active
                 if r.start <= tick < r.end
             )
@@ -189,7 +189,7 @@ def tick_scan_overcapacity(provider_state) -> list:
     bad = []
     for rtype, cap in provider_state.capacity.items():
         for tick in range(lo, hi):
-            used = sum(r.bundle.quantity(rtype) for r in active if r.start <= tick < r.end)
+            used = sum(r.bundle.as_dict().get(rtype, 0) for r in active if r.start <= tick < r.end)
             if used > cap:
                 bad.append((rtype, tick))
     return bad

@@ -1,4 +1,4 @@
-"""Broker provider selection against a from-scratch ranking, over the fuzz batch.
+"""Broker provider selection against a from-scratch ranking, over the shared fuzz batch.
 
 At every `_advance` the broker's choice and quoted cost must equal the
 minimum of (cost, -grade, id) over the conversation's candidates, each
@@ -9,14 +9,10 @@ read back the contact list as it stood at that selection, whatever the
 broker learned afterwards.
 """
 
-import fedsim.agents as agents
-import fedsim.engine as engine
-from fedsim.engine import run
 from fedsim.model import Performative, RefuseReason
 from fedsim.pricing import lease_factor
-from fedsim.scenario import parse_scenario
 
-from helpers import fuzz_batch_scenarios, straight_loop_cost
+from helpers import straight_loop_cost
 
 
 class SelectionOracle:
@@ -77,15 +73,10 @@ class SelectionOracle:
         return advance
 
 
-def test_selection_matches_a_from_scratch_ranking(monkeypatch):
+def test_selection_matches_a_from_scratch_ranking(fuzz_batch):
     totals = SelectionOracle()
     final_snapshots = 0
-    for data in fuzz_batch_scenarios():
-        oracle = SelectionOracle()
-        with monkeypatch.context() as patch:
-            patch.setattr(agents, "_advance", oracle.advance(agents._advance))
-            patch.setattr(engine, "broker_step", oracle.broker_step(agents.broker_step))
-            result = run(parse_scenario(data))
+    for result, _, oracle in fuzz_batch.runs:
         assert result.quiescent
         for snapshot, at_selection in oracle.snapshots:
             got = snapshot.entries

@@ -25,6 +25,17 @@ def test_validate_reports_error_and_exit_code(tmp_path):
     assert "invalid" in result.output
 
 
+def test_validate_warns_when_holds_lapse_before_the_confirm(tmp_path):
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    for timeout, warns in ((4, True), (5, False)):
+        path = tmp_path / f"hold-{timeout}.json"
+        path.write_text(json.dumps({**data, "hold_timeout": timeout}))
+        result = CliRunner().invoke(main, ["validate", "--scenario", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("ok:")
+        assert ("warning: hold_timeout" in result.stderr) is warns
+
+
 def test_run_writes_trace_and_report(tmp_path):
     trace_out = tmp_path / "trace.log"
     report_out = tmp_path / "report.json"

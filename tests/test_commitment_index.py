@@ -3,7 +3,7 @@
 The index must hold, per resource type and in sorted order, exactly one
 (end, start, qty, conversation) leg for every held or confirmed reservation
 in the ledger. It is checked after every provider delivery, hold expiry and
-churn event of the acceptance suite's fuzz batch and of a long-lease run.
+churn event of the session's shared fuzz batch and of a long-lease run.
 The kernel never sends a conversation's CFP to a provider that already has
 a ledger entry for it, so replacing an entry is driven directly through
 `provider_step` as well.
@@ -28,7 +28,7 @@ from fedsim.model import (
 from fedsim.pricing import PricingParams
 from fedsim.scenario import parse_scenario
 
-from helpers import fuzz_batch_scenarios, long_lease_scenario, request
+from helpers import long_lease_scenario, request
 
 ACTIVE = (ReservationStatus.HELD, ReservationStatus.CONFIRMED)
 
@@ -71,28 +71,24 @@ class IndexChecks:
             assert_index_matches(state)
         self.seen[event.action.value] += 1
 
-
-def checked_run(monkeypatch, data, checks: IndexChecks):
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "provider_step", checks.provider_step)
-        patch.setattr(engine, "release_hold", checks.release_hold)
-        patch.setattr(engine, "apply_churn", checks.apply_churn)
-        result = run(parse_scenario(data))
-    assert result.quiescent
-    return result
+    def attach(self, patch):
+        patch.setattr(engine, "provider_step", self.provider_step)
+        patch.setattr(engine, "release_hold", self.release_hold)
+        patch.setattr(engine, "apply_churn", self.apply_churn)
 
 
-def test_index_matches_the_ledger_over_the_fuzz_batch(monkeypatch):
-    checks = IndexChecks()
-    for data in fuzz_batch_scenarios():
-        checked_run(monkeypatch, data, checks)
+def test_index_matches_the_ledger_over_the_fuzz_batch(fuzz_batch):
+    assert all(result.quiescent for result, _, _ in fuzz_batch.runs)
+    checks = fuzz_batch.index
     assert checks.seen["delivery"] > 5_000 and checks.seen["release"] > 20
     assert checks.seen["leave"] > 10 and checks.seen["join"] > 10
 
 
 def test_index_matches_the_ledger_over_a_long_lease_run(monkeypatch):
     checks = IndexChecks()
-    result = checked_run(monkeypatch, long_lease_scenario(random.Random(3)), checks)
+    checks.attach(monkeypatch)
+    result = run(parse_scenario(long_lease_scenario(random.Random(3))))
+    assert result.quiescent
     assert checks.seen["delivery"] > 1_000 and checks.seen["leave"] == 1
     assert max(len(p.ledger) for p in result.providers.values()) > 80
 

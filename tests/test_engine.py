@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import fedsim.migration as migration
 from fedsim.agents import ConsumerPhase, ReservationStatus
 from fedsim.engine import (
     EventKind,
@@ -10,8 +11,11 @@ from fedsim.engine import (
     run,
     write_trace,
 )
+from fedsim.migration import MigrationDecision
 from fedsim.model import InvariantError, broker, money, provider
 from fedsim.scenario import load_scenario, parse_scenario
+
+from test_kernel_caches import checked_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,21 +83,35 @@ def test_trace_times_and_seqs_strictly_increase():
     assert len(set(r.seq for r in result.trace)) == len(result.trace)
 
 
-def test_migration_scenario_recovers_through_neighbor():
-    result = run(load_scenario(SCENARIOS / "migration.json"), seed=0)
+def test_migration_scenario_recovers_through_neighbor(monkeypatch):
+    result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"), seed=0)
     assert result.quiescent
     meta = result.conversations["consumer:0#0"]
     assert meta.status == "done"
     assert meta.migrations == 1
     assert meta.serving_broker == broker(1)
-    (probe,) = [p for p in result.diagnostics.migrations if p.conversation == "consumer:0#0"]
-    assert probe.preventive_ok() and probe.conserved()
+    assert world.migrations == world.arrivals == 1
+    assert world.incoherent == []
+
+
+@pytest.mark.parametrize(
+    "pick, reason", [(min, "unvisited"), (lambda visited: broker(2), "non-empty")], ids=["sender", "empty"]
+)
+def test_migration_checks_catch_a_planted_bad_target(monkeypatch, pick, reason):
+    # picked at broker 0, min(visited) is broker 0 itself: visited and not its own
+    # neighbor; broker 2 is a neighbor that sees no provider
+    monkeypatch.setattr(
+        migration, "select_direction", lambda req, infos, criteria: MigrationDecision(pick(req.visited))
+    )
+    result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"))
+    assert result.quiescent and world.migrations > 0
+    assert len(world.incoherent) >= world.migrations and reason in world.incoherent[0]
 
 
 def test_leave_during_negotiation_bounces_and_recovers():
     result = run(load_scenario(SCENARIOS / "churn.json"), seed=0)
     assert result.quiescent
-    assert result.diagnostics.bounced == 1
+    assert sum(r.payload.endswith(",bounced") for r in result.trace) == 1
     meta = result.conversations["consumer:0#0"]
     assert meta.status == "done"
     assert meta.serving_provider == provider(1)

@@ -1,28 +1,36 @@
-"""The kernel's cached world views and incremental workload sampling against oracles.
+"""The kernel's cached world views, incremental workload sampling and migrations against oracles.
 
 `CheckedWorld` stands in for the kernel's world during a run. At every
 broker delivery it compares the cached registry view and neighbor snapshot
 with from-scratch oracles, and at every event it samples every broker's
 in-flight count the naive way, for comparison with the incremental
-`WorkloadStat`s. The runs cover the acceptance suite's fuzz batch, whose
-churn joins and leaves invalidate the caches.
+`WorkloadStat`s. It rechecks every migration from world state, not trusting
+the selector: hop bound, preventive constraints, and -1/+1 in flight at the
+sender and the target. The full runs are the session's shared fuzz batch
+(`conftest.py`), whose churn joins and leaves invalidate the caches.
 """
 
 from collections import Counter
 
 import fedsim.engine as engine
 from fedsim.engine import WorkloadStat, run
-from fedsim.scenario import parse_scenario
+from fedsim.model import AgentKind, Performative
 
-from helpers import fuzz_batch_scenarios, oracle_neighbor_snapshot, oracle_registry_view
+from helpers import oracle_neighbor_snapshot, oracle_registry_view
+
+
+def is_migration(msg):
+    return msg.performative is Performative.CFP and msg.sender.kind is msg.receiver.kind is AgentKind.BROKER
 
 
 class CheckedWorld(engine._World):
     def __init__(self, scenario, check_views):
         super().__init__(scenario)
         self.check_views = check_views
-        self.views_checked = 0
+        self.views_checked = self.migrations = self.arrivals = 0
         self.naive = {bid: WorkloadStat() for bid in self.brokers}
+        self.incoherent = []  # one line per failed migration check
+        self.delivery = None  # (message, receiver's in-flight count) of the last broker delivery
 
     def sample_workloads(self, bid):
         # called once per broker delivery, after the broker's step
@@ -30,7 +38,34 @@ class CheckedWorld(engine._World):
             assert self.registry_view(bid) == oracle_registry_view(self, bid)
             assert self.neighbor_snapshot(bid) == oracle_neighbor_snapshot(self, bid)
             self.views_checked += 1
+        msg, before = self.delivery
+        if is_migration(msg):
+            self.arrivals += 1
+            # a conversation that migrates onward at once also closes here
+            closed = msg.conversation not in self.brokers[bid].conversations
+            if self.brokers[bid].in_flight - before + closed != 1:
+                self.incoherent.append(f"{msg.conversation}: no +1 on arrival at {bid}")
         super().sample_workloads(bid)
+
+    def send(self, msg, now):
+        # a broker's out-messages are sent right after its step
+        if is_migration(msg):
+            self.migrations += 1
+            source, target, req = self.brokers[msg.sender], msg.receiver, msg.payload.request
+            info = self.neighbor_info(source.id, target)
+            arrival, before = self.delivery
+            opened = arrival.performative is Performative.CFP  # a +1 at this same event
+            checks = {
+                "a neighbor": target in source.neighbors,
+                "non-empty": info.provider_count > 0,
+                "covering": req.bundle.types() <= info.provider_types,
+                "unvisited": target not in req.visited,
+                "-1 at the sender": source.in_flight - before - opened == -1,
+            }
+            failed = ", ".join(name for name, ok in checks.items() if not ok)
+            if failed:
+                self.incoherent.append(f"{msg.conversation}: {source.id} -> {target}: not {failed}")
+        super().send(msg, now)
 
     def record(self, event, payload_suffix=""):
         # in-flight counts change only inside an event's handling and an
@@ -38,6 +73,13 @@ class CheckedWorld(engine._World):
         # here are those after the previous event
         if self.events > 1:
             self.sample_naively()
+        msg = event.message
+        if msg is not None and msg.receiver.kind is AgentKind.BROKER:
+            self.delivery = (msg, self.brokers[msg.receiver].in_flight)
+            if is_migration(msg):
+                req = msg.payload.request
+                if req.migrations > self.max_migrations or msg.receiver in req.visited:
+                    self.incoherent.append(f"{msg.conversation}: hop {req.migrations} to {msg.receiver}")
         super().record(event, payload_suffix)
 
     def sample_naively(self):
@@ -65,20 +107,18 @@ def checked_run(monkeypatch, scenario, check_views=True, **kwargs):
     return run(scenario, **kwargs), worlds[0]
 
 
-def test_cached_views_and_workloads_match_the_oracles(monkeypatch):
+def test_cached_views_and_workloads_match_the_oracles(monkeypatch, fuzz_batch):
     checked = truncated = 0
     actions = Counter()
-    for data in fuzz_batch_scenarios():
-        scenario = parse_scenario(data)
-        actions.update(change.action.value for change in scenario.churn)
-        full, world = checked_run(monkeypatch, scenario)
+    for full, world, _ in fuzz_batch.runs:
+        actions.update(change.action.value for change in world.scenario.churn)
         assert full.quiescent
         assert full.workloads == world.naive
         checked += world.views_checked
 
-        # the views were checked above; this run checks only the settling
+        # the views were checked in the shared pass; this run checks only the settling
         cut, world = checked_run(
-            monkeypatch, scenario, check_views=False, event_budget=full.events_processed // 2
+            monkeypatch, world.scenario, check_views=False, event_budget=full.events_processed // 2
         )
         truncated += not cut.quiescent
         assert cut.workloads == world.naive

@@ -1,10 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import fedsim.migration as migration
-from fedsim.engine import run
 from fedsim.migration import (
     MigrationDecision,
     NeighborInfo,
@@ -19,10 +19,8 @@ from fedsim.model import (
     broker,
     consumer,
 )
-from fedsim.scenario import parse_scenario
 
 from helpers import (
-    fuzz_batch_scenarios,
     neighbor,
     oracle_dominates,
     oracle_nondominated,
@@ -213,23 +211,27 @@ def test_ties_and_duplicated_vectors_match_the_oracle(shapes, copies, criteria):
     assert select_direction(req, infos[::-1], tuple(criteria)).target == expected
 
 
-def test_every_selection_of_the_fuzz_batch_matches_the_oracle(monkeypatch):
-    seen = {"calls": 0, "failed": 0, "rounds_after_a_removal": 0}
-    original = migration.select_direction
+class DirectionOracle:
+    """Stands in for `migration.select_direction`, checking each call against the oracle."""
 
-    def checked(req, neighbors, criteria=migration.DEFAULT_CRITERIA):
+    def __init__(self, original):
+        self.original = original
+        self.seen = Counter()
+
+    def __call__(self, req, neighbors, criteria=migration.DEFAULT_CRITERIA):
         infos = list(neighbors)
-        decision = original(req, infos, criteria)
+        decision = self.original(req, infos, criteria)
         expected, rounds = _oracle_pick(req, infos, criteria)
         assert decision.target == expected
-        seen["calls"] += 1
-        seen["failed"] += decision.failed
-        seen["rounds_after_a_removal"] += len(rounds) > 1
+        self.seen["calls"] += 1
+        self.seen["failed"] += decision.failed
+        self.seen["rounds_after_a_removal"] += len(rounds) > 1
         return decision
 
-    monkeypatch.setattr(migration, "select_direction", checked)
-    for data in fuzz_batch_scenarios():
-        assert run(parse_scenario(data)).quiescent
+
+def test_every_selection_of_the_fuzz_batch_matches_the_oracle(fuzz_batch):
+    assert all(result.quiescent for result, _, _ in fuzz_batch.runs)
+    seen = fuzz_batch.directions.seen
     assert seen["calls"] > 3_000 and seen["failed"] > 500
     assert seen["rounds_after_a_removal"] > 1_000  # inadmissible picks were skipped
 

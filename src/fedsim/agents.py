@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Iterable, Mapping
 
-from .migration import DEFAULT_CRITERIA, NeighborInfo, SelfOrganizeResult, self_organize
+from .migration import DEFAULT_CRITERIA, SelfOrganizeResult, self_organize
 from .model import (
     AgentId,
     AgentKind,
@@ -232,9 +232,11 @@ class BrokerConversation:
     temporary: set[AgentId]
     factor: Decimal  # the request's lease factor, fixed for the conversation
     universe: frozenset[AgentId] = frozenset()  # the contact list's ids at open
+    # the provider last quoted; from AWAITING_AGREEMENT on, also the one
+    # holding the reservation: a conversation has at most one provider
+    # request outstanding, the CFP to `best`, so the hold is `best`'s
     best: AgentId | None = None
     proposed_cost: Money | None = None
-    held: AgentId | None = None   # provider currently holding a reservation
     attempted: set[AgentId] = field(default_factory=set)
     excluded: set[AgentId] = field(default_factory=set)
     snapshot: SelectionSnapshot | None = None
@@ -256,13 +258,14 @@ class BrokerState:
     max_migrations: int
     criteria: tuple[str, ...] = DEFAULT_CRITERIA
     conversations: dict[str, BrokerConversation] = field(default_factory=dict)
-    in_flight: int = 0
     # last entries of providers a refresh dropped: conversations opened
     # before the refresh keep pricing them until they are removed or purged
     dropped: dict[AgentId, ContactEntry] = field(default_factory=dict)
 
-    def entry_for(self, pid: AgentId) -> ContactEntry | None:
-        return self.contact_list.get(pid)
+    @property
+    def in_flight(self) -> int:
+        """The broker's workload: its open conversations."""
+        return len(self.conversations)
 
 
 def update_contact_list(
@@ -319,7 +322,7 @@ def _purge(state: BrokerState, pid: AgentId) -> None:
 
 
 def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
-    entry = state.entry_for(pid)
+    entry = state.contact_list.get(pid)
     if entry is None:
         return
     prices = dict(entry.prices)
@@ -336,18 +339,12 @@ def _remove_from_temporary(conv: BrokerConversation, pid: AgentId, for_cause: bo
     if for_cause:
         conv.excluded.add(pid)
     conv.best = None
-    conv.held = None
-
-
-def _close(state: BrokerState, conversation: str) -> None:
-    state.conversations.pop(conversation, None)
-    state.in_flight -= 1
 
 
 def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> None:
     # every provider attempted for this request is graded down once
     for pid in sorted(conv.attempted):
-        entry = state.entry_for(pid)
+        entry = state.contact_list.get(pid)
         if entry is not None:
             _replace_entry(
                 state,
@@ -381,7 +378,7 @@ def _advance(
         )
         if result.decision is None or result.decision.failed:
             _record_failure_feedback(state, conv)
-        _close(state, conversation)  # the request left this broker either way
+        del state.conversations[conversation]  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
@@ -444,7 +441,6 @@ def broker_step(
             universe=frozenset(refreshed),
         )
         state.conversations[msg.conversation] = conv
-        state.in_flight += 1
         return state, _advance(state, msg.conversation, conv, neighbor_info)
 
     if conv is None:
@@ -462,20 +458,18 @@ def broker_step(
                     payload=CallPayload(request=conv.request, cost=conv.proposed_cost),
                 )
             ]
-        if perf is Performative.REJECT_PROPOSAL and conv.phase is BrokerPhase.QUOTING:
-            _remove_from_temporary(conv, conv.best, for_cause=False)
-            return state, _advance(state, msg.conversation, conv, neighbor_info)
-        if perf is Performative.REFUSE and conv.phase is BrokerPhase.QUOTING:
-            # consumer spent its rejection budget and declines to continue here
+        if perf in (Performative.REJECT_PROPOSAL, Performative.REFUSE) and conv.phase is BrokerPhase.QUOTING:
+            # a rejected quote, or a consumer that spent its rejection budget
+            # and declines to continue here
             _remove_from_temporary(conv, conv.best, for_cause=False)
             return state, _advance(state, msg.conversation, conv, neighbor_info)
         if perf is Performative.AGREE and conv.phase is BrokerPhase.AWAITING_AGREEMENT:
             conv.phase = BrokerPhase.AWAITING_FEEDBACK
             return state, [
-                Message(Performative.CONFIRM, msg.conversation, state.id, conv.held)
+                Message(Performative.CONFIRM, msg.conversation, state.id, conv.best)
             ]
         if perf is Performative.REFUSE and conv.phase is BrokerPhase.AWAITING_AGREEMENT:
-            held = conv.held
+            held = conv.best
             _remove_from_temporary(conv, held, for_cause=True)
             release = Message(
                 Performative.REFUSE,
@@ -487,21 +481,20 @@ def broker_step(
             return state, [release] + _advance(state, msg.conversation, conv, neighbor_info)
         if perf is Performative.INFORM and conv.phase is BrokerPhase.AWAITING_FEEDBACK:
             feedback: InformPayload = msg.payload
-            entry = state.entry_for(conv.best)
+            entry = state.contact_list.get(conv.best)
             if entry is not None and feedback.feedback is not None:
                 graded = replace(
                     entry,
                     grade=update_grade(entry.grade, feedback.feedback, state.params.grade_smoothing),
                 )
                 _replace_entry(state, graded)
-            _close(state, msg.conversation)
+            del state.conversations[msg.conversation]
             return state, []
         raise _violation(state.id, conv.phase, msg)
 
     if msg.sender.kind is AgentKind.PROVIDER:
         if perf is Performative.PROPOSE and conv.phase is BrokerPhase.AWAITING_PROVIDER:
             payload: ProposePayload = msg.payload
-            conv.held = msg.sender
             conv.phase = BrokerPhase.AWAITING_AGREEMENT
             return state, [
                 Message(
@@ -532,7 +525,6 @@ def broker_step(
                 if payload.reason is RefuseReason.EXPECTED_COST:
                     # prices are refreshed, the provider stays eligible
                     conv.best = None
-                    conv.held = None
                 else:  # capacity, unavailable or an expired hold
                     _remove_from_temporary(conv, msg.sender, for_cause=True)
             return state, _advance(state, msg.conversation, conv, neighbor_info)

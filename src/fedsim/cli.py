@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -15,19 +14,6 @@ from .scenario import load_scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_LIVENESS = 3
-
-
-def _event_budget_override() -> int | None:
-    raw = os.environ.get("FEDSIM_EVENT_BUDGET")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ScenarioError(f"FEDSIM_EVENT_BUDGET must be a positive integer, got {raw!r}") from None
-    return value
 
 
 @click.group()
@@ -74,16 +60,14 @@ def run_cmd(scenario_path, seed, trace_out, report_out, fmt):
     """Run one scenario and report its metrics."""
     try:
         scn = load_scenario(scenario_path)
-        budget = _event_budget_override()
-        result = run_engine(scn, seed=seed, event_budget=budget)
-    except SimulatorError as exc:
+        result = run_engine(scn, seed=seed)
+        if trace_out:
+            write_trace(result.trace, trace_out)
+        text = emit_report(compute_metrics(result), fmt, destination=report_out)
+    except (SimulatorError, OSError) as exc:  # OSError: an output path cannot be written
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 
-    if trace_out:
-        write_trace(result.trace, trace_out)
-    report = compute_metrics(result)
-    text = emit_report(report, fmt, destination=report_out)
     if report_out is None:
         click.echo(text, nl=False)
 
@@ -110,7 +94,6 @@ def sweep(scenario_path, seeds, fmt):
     """Run a scenario across seeds, checking per-seed determinism."""
     try:
         scn = load_scenario(scenario_path)
-        budget = _event_budget_override()
     except ScenarioError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
@@ -119,8 +102,8 @@ def sweep(scenario_path, seeds, fmt):
     liveness_failures = 0
     rates = []
     for seed in range(seeds):
-        first = run_engine(scn, seed=seed, event_budget=budget)
-        second = run_engine(scn, seed=seed, event_budget=budget)
+        first = run_engine(scn, seed=seed)
+        second = run_engine(scn, seed=seed)
         same = format_trace(first.trace) == format_trace(second.trace)
         if not same:
             mismatches += 1

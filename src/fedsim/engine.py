@@ -12,11 +12,11 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 
 from .agents import (
     BrokerState,
+    ConsumerPhase,
     ConsumerState,
     ProviderState,
     ReservationStatus,
@@ -35,18 +35,15 @@ from .model import (
     ContactEntry,
     InvariantError,
     Message,
-    Money,
     Performative,
     ProposeStage,
     RefusePayload,
     RefuseReason,
     Request,
-    ResourceBundle,
     ScenarioError,
     conversation_id,
 )
-from .pricing import lease_factor
-from .scenario import ChurnAction, ProviderSpec, Scenario
+from .scenario import ChurnAction, ChurnSpec, ProviderSpec, Scenario
 
 
 class EventKind(str, enum.Enum):
@@ -58,20 +55,12 @@ class EventKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChurnEvent:
-    time: int
-    action: ChurnAction
-    provider: AgentId | None = None     # leave target
-    join: ProviderSpec | None = None    # join payload
-
-
-@dataclass(frozen=True)
 class Event:
     time: int
     seq: int
     kind: EventKind
     message: Message | None = None
-    churn: ChurnEvent | None = None
+    churn: ChurnSpec | None = None
     request: Request | None = None
     conversation: str | None = None
     provider: AgentId | None = None
@@ -108,18 +97,15 @@ def write_trace(records: list[EventRecord], path) -> None:
 
 @dataclass
 class ConversationMeta:
-    """Per-request bookkeeping the metrics layer consumes."""
+    """What only the kernel observes of one request.
 
-    consumer: AgentId
-    bundle: ResourceBundle
-    start: int
-    end: int
-    factor: Decimal
-    live_at_issue: tuple[AgentId, ...]
-    status: str = "open"  # open | done | failed
-    paid: Money | None = None
+    The request, its phase and what was paid are the consumer's own state;
+    this holds the rest, which no single agent sees.
+    """
+
+    consumer: ConsumerState
+    live_at_issue: tuple[AgentId, ...]  # the registry when the request was issued
     migrations: int = 0
-    serving_broker: AgentId | None = None
     serving_provider: AgentId | None = None
     snapshot: object = None  # SelectionSnapshot of the final selection
     on_time: bool | None = None
@@ -297,9 +283,8 @@ class _World:
             conversation = msg.conversation
             payload = msg.payload_digest()
         elif event.kind is EventKind.CHURN:
-            churn = event.churn
-            performative = f"provider-{churn.action.value}"
-            receiver = str(churn.provider if churn.provider is not None else churn.join.agent)
+            performative = f"provider-{event.churn.action.value}"
+            receiver = str(event.churn.agent)
         elif event.kind is EventKind.CONSUMER_START:
             receiver = str(event.request.consumer)
             conversation = event.conversation
@@ -308,7 +293,7 @@ class _World:
             receiver = str(event.provider)
             conversation = event.conversation
         elif event.kind is EventKind.TASK_COMPLETE:
-            receiver = str(self.meta[event.conversation].consumer)
+            receiver = str(self.meta[event.conversation].consumer.id)
             conversation = event.conversation
         if payload_suffix:
             payload = payload + payload_suffix if payload != "-" else payload_suffix.lstrip(",")
@@ -354,10 +339,10 @@ def _snapshot_when_read(world: _World, of: AgentId):
     yield from world.neighbor_snapshot(of)
 
 
-def apply_churn(world: _World, event: ChurnEvent) -> None:
+def apply_churn(world: _World, change: ChurnSpec) -> None:
     """Apply one membership change to the registry and affected reservations."""
-    if event.action is ChurnAction.LEAVE:
-        pid = event.provider
+    if change.action is ChurnAction.LEAVE:
+        pid = change.agent
         if pid not in world.registry:
             raise ScenarioError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
@@ -366,7 +351,7 @@ def apply_churn(world: _World, event: ChurnEvent) -> None:
         for conversation in sorted(provider.ledger):
             release_hold(provider, conversation)  # held reservations die with the membership
     else:
-        spec = event.join
+        spec = change.join
         if spec.agent in world.providers:
             raise ScenarioError(f"churn join reuses provider id {spec.agent}")
         world._add_provider(spec)
@@ -384,12 +369,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
             world.record(event)
             consumer = world.consumers[event.request.consumer]
             world.meta[event.conversation] = ConversationMeta(
-                consumer=consumer.id,
-                bundle=event.request.bundle,
-                start=event.request.earliest_start,
-                end=event.request.deadline,
-                factor=lease_factor(event.request, world.params),
-                live_at_issue=tuple(sorted(world.registry)),
+                consumer=consumer, live_at_issue=tuple(sorted(world.registry))
             )
             for msg in consumer_start(consumer):
                 world.send(msg, now)
@@ -406,10 +386,8 @@ def _run_once(world: _World, event_budget: int) -> bool:
         elif event.kind is EventKind.TASK_COMPLETE:
             meta = world.meta[event.conversation]
             world.record(event, payload_suffix=f"on_time={'yes' if meta.on_time else 'no'}")
-            consumer = world.consumers[meta.consumer]
-            for msg in consumer_complete(consumer, meta.on_time):
+            for msg in consumer_complete(meta.consumer, meta.on_time):
                 world.send(msg, now)
-            meta.status = "done"
             if meta.serving_provider is not None:
                 finish_lease(world.providers[meta.serving_provider], event.conversation)
 
@@ -436,18 +414,15 @@ def _run_once(world: _World, event_budget: int) -> bool:
             out: list[Message] = []
 
             if target.kind is AgentKind.CONSUMER:
-                consumer = world.consumers[target]
-                _, out = consumer_step(consumer, msg)
-                meta = world.meta[msg.conversation]
-                if msg.performative is Performative.FAILURE:
-                    meta.status = "failed"
-                elif msg.performative is Performative.CONFIRM:
-                    meta.paid = consumer.paid
-                    task_start = max(now, meta.start)
+                _, out = consumer_step(world.consumers[target], msg)
+                if msg.performative is Performative.CONFIRM:
+                    meta = world.meta[msg.conversation]
+                    request = meta.consumer.request
+                    task_start = max(now, request.earliest_start)
                     notional_end = task_start + world.durations[msg.conversation]
-                    meta.on_time = notional_end <= meta.end
+                    meta.on_time = notional_end <= request.deadline
                     world.schedule(
-                        max(now, min(meta.end, notional_end)),
+                        max(now, min(request.deadline, notional_end)),
                         kind=EventKind.TASK_COMPLETE,
                         conversation=msg.conversation,
                     )
@@ -476,16 +451,12 @@ def _run_once(world: _World, event_budget: int) -> bool:
                     if m.performative is Performative.CFP and m.receiver.kind is AgentKind.BROKER:
                         world.meta[m.conversation].migrations = m.payload.request.migrations
                     if m.performative is Performative.PROPOSE and m.payload.stage is ProposeStage.AGREEMENT:
-                        meta = world.meta[m.conversation]
-                        meta.serving_broker = target
-                        meta.serving_provider = m.payload.provider
+                        world.meta[m.conversation].serving_provider = m.payload.provider
 
             else:  # provider
-                provider = world.providers[target]
-                held_before = provider.ledger.get(msg.conversation)
-                _, out = provider_step(provider, msg)
-                held_after = provider.ledger.get(msg.conversation)
-                if held_after is not None and held_after is not held_before and held_after.status is ReservationStatus.HELD:
+                _, out = provider_step(world.providers[target], msg)
+                # a provider answers PROPOSE only to a CFP it has just held a reservation for
+                if any(m.performative is Performative.PROPOSE for m in out):
                     world.schedule(
                         now + world.hold_timeout,
                         kind=EventKind.HOLD_EXPIRY,
@@ -498,10 +469,9 @@ def _run_once(world: _World, event_budget: int) -> bool:
     return True
 
 
-def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> RunResult:
-    """Simulate one scenario to quiescence (or the event budget) and trace it."""
+def run(scenario: Scenario, seed: int = 0) -> RunResult:
+    """Simulate one scenario to quiescence (or its event budget) and trace it."""
     world = _World(scenario)
-    budget = event_budget if event_budget is not None else scenario.event_budget
 
     for spec in scenario.consumers:
         world.schedule(
@@ -510,26 +480,15 @@ def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> R
             request=spec.request(),
             conversation=conversation_id(spec.agent, 0),
         )
-    for churn_spec in scenario.churn:
-        world.schedule(
-            churn_spec.time,
-            kind=EventKind.CHURN,
-            churn=ChurnEvent(
-                time=churn_spec.time,
-                action=churn_spec.action,
-                provider=(
-                    AgentId(AgentKind.PROVIDER, churn_spec.provider)
-                    if churn_spec.provider is not None
-                    else None
-                ),
-                join=churn_spec.join,
-            ),
-        )
+    for change in scenario.churn:
+        world.schedule(change.time, kind=EventKind.CHURN, churn=change)
 
-    quiescent = _run_once(world, budget)
+    quiescent = _run_once(world, scenario.event_budget)
     world.settle_workloads()
     open_conversations = sorted(
-        conv for conv, meta in world.meta.items() if meta.status == "open"
+        conv
+        for conv, meta in world.meta.items()
+        if meta.consumer.phase not in (ConsumerPhase.DONE, ConsumerPhase.FAILED)
     )
     if quiescent:
         # queue drained: every started conversation must be terminal, every
@@ -539,8 +498,6 @@ def run(scenario: Scenario, seed: int = 0, event_budget: int | None = None) -> R
         for broker in world.brokers.values():
             if broker.conversations:
                 raise InvariantError(f"quiescent run left {broker.id} with open conversations")
-            if broker.in_flight != 0:
-                raise InvariantError(f"{broker.id} in-flight count desynced")
         for provider in world.providers.values():
             for res in provider.ledger.values():
                 if res.status is ReservationStatus.HELD:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
+from .agents import ConsumerPhase
 from .engine import RunResult
 from .model import Money, ScenarioError, format_money, money
-from .pricing import total_cost
+from .pricing import lease_factor, total_cost
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ def cheapest_feasible(result: RunResult, meta) -> Money | None:
     fits the provider's raw capacity. Base prices are used, so this is the
     frictionless lower bound the gap is measured against.
     """
+    request = meta.consumer.request
+    factor = lease_factor(request, meta.consumer.params)
     best: Money | None = None
     for pid in meta.live_at_issue:
         provider = result.providers[pid]
@@ -62,11 +65,11 @@ def cheapest_feasible(result: RunResult, meta) -> Money | None:
             rtype in provider.base_prices
             and rtype in provider.capacity
             and qty <= provider.capacity[rtype]
-            for rtype, qty in meta.bundle.items
+            for rtype, qty in request.bundle.items
         )
         if not ok:
             continue
-        cost = total_cost(meta.bundle, provider.base_prices, meta.factor)
+        cost = total_cost(request.bundle, provider.base_prices, factor)
         if best is None or cost < best:
             best = cost
     return best
@@ -75,8 +78,8 @@ def cheapest_feasible(result: RunResult, meta) -> Money | None:
 def compute_metrics(result: RunResult) -> MetricsReport:
     """Pure summary of one run; recomputation yields an identical report."""
     metas = list(result.conversations.values())
-    done = [m for m in metas if m.status == "done"]
-    failed = [m for m in metas if m.status == "failed"]
+    done = [m for m in metas if m.consumer.phase is ConsumerPhase.DONE]
+    failed = [m for m in metas if m.consumer.phase is ConsumerPhase.FAILED]
     total = len(metas)
 
     terminal = len(done) + len(failed)
@@ -97,26 +100,28 @@ def compute_metrics(result: RunResult) -> MetricsReport:
     else:
         std = 0.0
 
-    paid_values = [m.paid for m in done if m.paid is not None]
+    paid_values = [m.consumer.paid for m in done if m.consumer.paid is not None]
     mean_paid = (
         money(sum(paid_values, Decimal(0)) / len(paid_values)) if paid_values else money(0)
     )
 
     violations = 0
     for m in done:
-        if m.snapshot is None or m.paid is None:
+        paid = m.consumer.paid
+        if m.snapshot is None or paid is None:
             violations += 1
             continue
         minimum = oracle_min_cost(m.snapshot)
-        if minimum is None or m.paid != minimum:
+        if minimum is None or paid != minimum:
             violations += 1
 
     gaps = []
     for m in done:
+        paid = m.consumer.paid
         cheapest = cheapest_feasible(result, m)
-        if cheapest is None or cheapest <= 0 or m.paid is None:
+        if cheapest is None or cheapest <= 0 or paid is None:
             continue
-        gaps.append(float((m.paid - cheapest) / cheapest))
+        gaps.append(float((paid - cheapest) / cheapest))
     gap = sum(gaps) / len(gaps) if gaps else 0.0
 
     counts: dict[str, int] = {}
@@ -213,7 +218,10 @@ def render_tabular(report: MetricsReport) -> str:
 
 
 def emit_report(report: MetricsReport, fmt: str, destination=None) -> str:
-    """Render the report; write it to `destination` (path) when given."""
+    """Render the report; write it to `destination` (path) when given.
+
+    A destination that cannot be written raises the `OSError`.
+    """
     if fmt == "structured":
         text = render_structured(report)
     elif fmt == "tabular-text":
@@ -221,8 +229,5 @@ def emit_report(report: MetricsReport, fmt: str, destination=None) -> str:
     else:
         raise ScenarioError(f"unknown report format {fmt!r}")
     if destination is not None:
-        try:
-            Path(destination).write_text(text)
-        except OSError as exc:
-            raise ScenarioError(f"cannot write report to {destination}: {exc}") from None
+        Path(destination).write_text(text)
     return text

@@ -7,7 +7,7 @@ replacing entries, never by editing these objects in place.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from operator import itemgetter
 from typing import Mapping

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .migration import CRITERIA, DEFAULT_CRITERIA
 from .model import (
     AgentId,
+    DomainError,
     Money,
     Request,
     ResourceBundle,
@@ -28,12 +30,6 @@ from .model import (
     validate_request,
 )
 from .pricing import LeaseMode, PricingParams
-from .model import DomainError
-
-DEFAULT_EVENT_BUDGET = 1_000_000
-DEFAULT_HOLD_TIMEOUT = 50
-DEFAULT_MAX_REJECTS = 3
-DEFAULT_DELAY = 1
 
 
 class ChurnAction(str, enum.Enum):
@@ -103,6 +99,11 @@ class ChurnSpec:
     provider: int | None = None        # leave target
     join: ProviderSpec | None = None   # join payload
 
+    @property
+    def agent(self) -> AgentId:
+        """The provider that leaves or joins."""
+        return provider(self.provider) if self.action is ChurnAction.LEAVE else self.join.agent
+
 
 @dataclass(frozen=True)
 class DelaySpec:
@@ -119,13 +120,14 @@ class Scenario:
     consumers: tuple[ConsumerSpec, ...]
     churn: tuple[ChurnSpec, ...] = ()
     delays: tuple[DelaySpec, ...] = ()
+    # the defaults of the optional fields; parse_scenario passes only those given
     pricing: PricingParams = PricingParams()
-    criteria: tuple[str, ...] = ("workload", "delay")
+    criteria: tuple[str, ...] = DEFAULT_CRITERIA
     max_migrations: int | None = None  # None: broker count - 1
-    max_rejects: int = DEFAULT_MAX_REJECTS
-    hold_timeout: int = DEFAULT_HOLD_TIMEOUT
-    event_budget: int = DEFAULT_EVENT_BUDGET
-    default_delay: int = DEFAULT_DELAY
+    max_rejects: int = 3
+    hold_timeout: int = 50
+    event_budget: int = 1_000_000
+    default_delay: int = 1
 
     def effective_max_migrations(self) -> int:
         if self.max_migrations is not None:
@@ -150,8 +152,8 @@ def _int_field(data: dict, key: str, where: str, minimum: int | None = None) -> 
     return value
 
 
-def _float_field(data: dict, key: str, where: str, default: float) -> float:
-    value = data.get(key, default)
+def _float_field(data: dict, key: str, where: str) -> float:
+    value = data[key]
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -213,6 +215,18 @@ def _provider_spec(raw: dict, where: str, types: set[str], broker_ids: set[int])
     return ProviderSpec(id=pid, capacity=cap, base_prices=prices, visible_to=visible_to)
 
 
+_PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight")
+
+# optional integer fields, with their smallest valid value
+_OPTIONAL_INTS = (
+    ("max_migrations", 0),
+    ("max_rejects", 0),
+    ("hold_timeout", 1),
+    ("event_budget", 1),
+    ("default_delay", 0),
+)
+
+
 def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     """Build and fully validate a Scenario from parsed JSON."""
     if not isinstance(data, dict):
@@ -230,22 +244,19 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         types.append(rtype)
     type_set = set(types)
 
-    pricing = PricingParams()
+    optional = {}  # the optional fields present in `data`
     if "pricing" in data:
         raw = data["pricing"]
         if not isinstance(raw, dict):
             raise ScenarioError(f"{where}.pricing: expected an object")
+        loc = f"{where}.pricing"
+        given = {key: _float_field(raw, key, loc) for key in _PRICING_FLOATS if key in raw}
         try:
-            loc = f"{where}.pricing"
-            pricing = PricingParams(
-                demand_sensitivity=_float_field(raw, "demand_sensitivity", loc, 1.0),
-                grade_smoothing=_float_field(raw, "grade_smoothing", loc, 0.3),
-                cost_weight=_float_field(raw, "cost_weight", loc, 0.5),
-                time_weight=_float_field(raw, "time_weight", loc, 0.5),
-                lease_mode=LeaseMode(raw.get("lease_mode", "lease-duration")),
-            )
+            if "lease_mode" in raw:
+                given["lease_mode"] = LeaseMode(raw["lease_mode"])
+            optional["pricing"] = PricingParams(**given)
         except (DomainError, ValueError) as exc:
-            raise ScenarioError(f"{where}.pricing: {exc}") from None
+            raise ScenarioError(f"{loc}: {exc}") from None
 
     # brokers
     raw_brokers = _require(data, "brokers", where)
@@ -374,21 +385,20 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             raise ScenarioError(f"{loc}: agent {missing} is not declared")
         delays.append(DelaySpec(a=a, b=b, delay=_int_field(raw, "delay", loc, minimum=0)))
 
-    raw_criteria = data.get("criteria", ["workload", "delay"])
-    if not isinstance(raw_criteria, list):
-        raise ScenarioError(f"{where}.criteria: expected a list of criterion names")
-    from .migration import CRITERIA
+    if "criteria" in data:
+        raw_criteria = data["criteria"]
+        if not isinstance(raw_criteria, list):
+            raise ScenarioError(f"{where}.criteria: expected a list of criterion names")
+        for name in raw_criteria:
+            if not isinstance(name, str) or name not in CRITERIA:
+                raise ScenarioError(f"{where}.criteria: unknown criterion {name!r}")
+        if not raw_criteria:
+            raise ScenarioError(f"{where}.criteria: at least one criterion is required")
+        optional["criteria"] = tuple(raw_criteria)
 
-    for name in raw_criteria:
-        if not isinstance(name, str) or name not in CRITERIA:
-            raise ScenarioError(f"{where}.criteria: unknown criterion {name!r}")
-    if not raw_criteria:
-        raise ScenarioError(f"{where}.criteria: at least one criterion is required")
-    criteria = tuple(raw_criteria)
-
-    max_migrations = None
-    if "max_migrations" in data:
-        max_migrations = _int_field(data, "max_migrations", where, minimum=0)
+    for key, minimum in _OPTIONAL_INTS:
+        if key in data:
+            optional[key] = _int_field(data, key, where, minimum)
 
     return Scenario(
         resource_types=tuple(types),
@@ -397,13 +407,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         consumers=tuple(consumers),
         churn=tuple(churn),
         delays=tuple(delays),
-        pricing=pricing,
-        criteria=criteria,
-        max_migrations=max_migrations,
-        max_rejects=_int_field(data, "max_rejects", where, minimum=0) if "max_rejects" in data else DEFAULT_MAX_REJECTS,
-        hold_timeout=_int_field(data, "hold_timeout", where, minimum=1) if "hold_timeout" in data else DEFAULT_HOLD_TIMEOUT,
-        event_budget=_int_field(data, "event_budget", where, minimum=1) if "event_budget" in data else DEFAULT_EVENT_BUDGET,
-        default_delay=_int_field(data, "default_delay", where, minimum=0) if "default_delay" in data else DEFAULT_DELAY,
+        **optional,
     )
 
 

@@ -8,6 +8,7 @@ import random
 import time
 from pathlib import Path
 
+from fedsim.agents import ConsumerPhase
 from fedsim.engine import format_trace, run
 from fedsim.metrics import compute_metrics, oracle_min_cost
 from fedsim.migration import criteria_vector, select_direction, verify_constraints
@@ -73,7 +74,7 @@ def test_criterion_3_recovery_via_migration():
         scenario = parse_scenario(recovery_scenario(rng))
         result = run(scenario, seed=i)
         meta = result.conversations["consumer:0#0"]
-        if not (result.quiescent and meta.status == "done"):
+        if not (result.quiescent and meta.consumer.phase is ConsumerPhase.DONE):
             failures += 1
         elif meta.migrations > 0:
             migrated_done += 1
@@ -144,8 +145,8 @@ def test_criterion_7_local_cost_optimality(fuzz_batch):
         done += report.done
         gaps.append(report.global_optimality_gap)
         for meta in result.conversations.values():
-            if meta.status == "done":
-                assert meta.paid == oracle_min_cost(meta.snapshot)
+            if meta.consumer.phase is ConsumerPhase.DONE:
+                assert meta.consumer.paid == oracle_min_cost(meta.snapshot)
     mean_gap = sum(gaps) / len(gaps)
     print(
         "\nPASS criterion 7: local cost optimality exact on "

@@ -499,7 +499,7 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
         RefusePayload(reason=RefuseReason.EXPECTED_COST, ratios=(("cpu", 0.5),)),
     )
     _, out = broker_step(state, refuse, now=2)
-    assert state.entry_for(provider(0)).prices["cpu"] == money("3.00")
+    assert state.contact_list.get(provider(0)).prices["cpu"] == money("3.00")
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
     assert msg.payload.cost == money("3.00")
@@ -574,7 +574,7 @@ def test_broker_full_happy_path_and_grade_update():
     )
     assert out == []
     assert state.in_flight == 0
-    assert state.entry_for(provider(0)).grade == pytest.approx(0.65)
+    assert state.contact_list.get(provider(0)).grade == pytest.approx(0.65)
 
 
 def test_broker_departed_refusal_purges_provider_everywhere():
@@ -592,7 +592,7 @@ def test_broker_departed_refusal_purges_provider_everywhere():
         RefusePayload(reason=RefuseReason.DEPARTED),
     )
     _, out = broker_step(state, refuse, now=2)
-    assert state.entry_for(provider(0)) is None
+    assert state.contact_list.get(provider(0)) is None
     assert out[0].payload.cost == money("9.00")
 
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from fedsim.cli import main
@@ -69,15 +70,23 @@ def test_run_prints_tabular_report_by_default():
     assert "satisfaction rate" in result.output
 
 
-def test_env_var_budget_triggers_liveness_exit(tmp_path, monkeypatch):
-    monkeypatch.setenv("FEDSIM_EVENT_BUDGET", "3")
-    runner = CliRunner()
-    result = runner.invoke(main, ["run", "--scenario", str(SCENARIOS / "minimal.json")])
+def test_scenario_event_budget_triggers_liveness_exit(tmp_path):
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({**data, "event_budget": 3}))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(path)])
     assert result.exit_code == 3
     assert "liveness failure" in result.output
-    monkeypatch.setenv("FEDSIM_EVENT_BUDGET", "zzz")
-    result = runner.invoke(main, ["run", "--scenario", str(SCENARIOS / "minimal.json")])
-    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("option", ["--trace-out", "--report-out"])
+def test_run_reports_an_unwritable_output_path_with_exit_code_2(tmp_path, option):
+    missing = tmp_path / "missing" / "out.txt"
+    result = CliRunner().invoke(
+        main, ["run", "--scenario", str(SCENARIOS / "minimal.json"), option, str(missing)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and str(missing) in result.stderr
 
 
 def test_sweep_checks_determinism_across_seeds():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -72,8 +73,8 @@ def test_single_path_negotiation_chain():
         ("INFORM", "consumer", "broker"),
     ]
     meta = result.conversations["consumer:0#0"]
-    assert meta.status == "done"
-    assert meta.paid == money("120.00")
+    assert meta.consumer.phase is ConsumerPhase.DONE
+    assert meta.consumer.paid == money("120.00")
 
 
 def test_trace_times_and_seqs_strictly_increase():
@@ -87,9 +88,9 @@ def test_migration_scenario_recovers_through_neighbor(monkeypatch):
     result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"), seed=0)
     assert result.quiescent
     meta = result.conversations["consumer:0#0"]
-    assert meta.status == "done"
+    assert meta.consumer.phase is ConsumerPhase.DONE
     assert meta.migrations == 1
-    assert meta.serving_broker == broker(1)
+    assert meta.consumer.serving_broker == broker(1)
     assert world.migrations == world.arrivals == 1
     assert world.incoherent == []
 
@@ -113,7 +114,7 @@ def test_leave_during_negotiation_bounces_and_recovers():
     assert result.quiescent
     assert sum(r.payload.endswith(",bounced") for r in result.trace) == 1
     meta = result.conversations["consumer:0#0"]
-    assert meta.status == "done"
+    assert meta.consumer.phase is ConsumerPhase.DONE
     assert meta.serving_provider == provider(1)
     assert provider(0) not in result.registry
     assert provider(2) in result.registry  # joined later
@@ -134,16 +135,16 @@ def test_no_message_is_ever_handled_by_departed_provider():
 
 
 def test_event_budget_exhaustion_reports_open_conversations():
-    result = run(minimal(), seed=0, event_budget=3)
+    result = run(replace(minimal(), event_budget=3), seed=0)
     assert not result.quiescent
     assert result.open_conversations == ["consumer:0#0"]
     assert result.events_processed == 3
 
 
-def test_env_agnostic_run_function_budget_argument_wins():
+def test_budget_of_exactly_the_events_needed_reaches_quiescence():
     full = run(minimal(), seed=0)
     assert full.quiescent
-    capped = run(minimal(), seed=0, event_budget=full.events_processed)
+    capped = run(replace(minimal(), event_budget=full.events_processed), seed=0)
     assert capped.quiescent  # exactly enough events
 
 
@@ -179,7 +180,7 @@ def test_configured_criteria_reach_the_brokers():
     }
     result = run(parse_scenario(data), seed=0)
     assert result.quiescent
-    assert result.conversations["consumer:0#0"].status == "done"
+    assert result.conversations["consumer:0#0"].consumer.phase is ConsumerPhase.DONE
     for state in result.brokers.values():
         assert state.criteria == ("workload", "delay", "provider_scarcity")
 

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from fedsim.agents import ConsumerPhase
 from fedsim.engine import run
 from fedsim.metrics import (
     cheapest_feasible,
@@ -134,8 +135,8 @@ def test_emit_report_writes_destination(tmp_path):
 def test_local_optimality_oracle_agrees_on_done_conversations():
     result = run(load_scenario(SCENARIOS / "migration.json"), seed=0)
     for meta in result.conversations.values():
-        if meta.status == "done":
+        if meta.consumer.phase is ConsumerPhase.DONE:
             assert meta.snapshot is not None
-            assert oracle_min_cost(meta.snapshot) == meta.paid
+            assert oracle_min_cost(meta.snapshot) == meta.consumer.paid
             cheapest = cheapest_feasible(result, meta)
-            assert cheapest is not None and cheapest <= meta.paid
+            assert cheapest is not None and cheapest <= meta.consumer.paid

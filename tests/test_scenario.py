@@ -168,6 +168,52 @@ def test_non_finite_or_non_numeric_pricing_rejected(field, value):
         parse_scenario(data)
 
 
+# the README's documented default of each optional field, by its path in a Scenario
+DOCUMENTED_DEFAULTS = {
+    "max_migrations": None,  # broker count - 1, resolved by effective_max_migrations
+    "max_rejects": 3,
+    "hold_timeout": 50,
+    "event_budget": 1_000_000,
+    "default_delay": 1,
+    "criteria": ("workload", "delay"),
+    "pricing.demand_sensitivity": 1.0,
+    "pricing.grade_smoothing": 0.3,
+    "pricing.cost_weight": 0.5,
+    "pricing.time_weight": 0.5,
+    "pricing.lease_mode": "lease-duration",
+}
+
+
+@pytest.mark.parametrize("pricing", [None, {}], ids=["no-pricing", "empty-pricing"])
+@pytest.mark.parametrize("path, expected", sorted(DOCUMENTED_DEFAULTS.items()))
+def test_an_omitted_optional_field_takes_its_documented_default(path, expected, pricing):
+    data = minimal_dict()
+    if pricing is not None:
+        data["pricing"] = pricing
+    value = parse_scenario(data)
+    for name in path.split("."):
+        value = getattr(value, name)
+    assert value == expected
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("event_budget", 0, "must be >= 1"),
+        ("hold_timeout", 0, "must be >= 1"),
+        ("max_rejects", -1, "must be >= 0"),
+        ("default_delay", -1, "must be >= 0"),
+        ("max_migrations", -1, "must be >= 0"),
+        ("event_budget", "zzz", "expected an integer"),
+        ("hold_timeout", 2.5, "expected an integer"),
+        ("max_rejects", True, "expected an integer"),
+    ],
+)
+def test_an_invalid_optional_integer_is_a_scenario_error_naming_it(key, value, match):
+    with pytest.raises(ScenarioError, match=rf"^scenario\.{key}: {match}"):
+        parse_scenario({**minimal_dict(), key: value})
+
+
 def _set(data, path, value):
     for key in path[:-1]:
         data = data[key]

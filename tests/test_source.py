@@ -18,3 +18,29 @@ def test_no_bare_assert_in_the_package():
     ]
     assert len(list(PACKAGE.glob("*.py"))) > 5
     assert found == []
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; `__all__` counts as a read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports_in_the_package():
+    # an import nothing reads is dead code, and often the last trace of a deleted feature
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unused_imports(path)]
+    assert found == []

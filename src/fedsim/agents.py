@@ -12,7 +12,7 @@ import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .migration import DEFAULT_CRITERIA, SelfOrganizeResult, self_organize
 from .model import (
@@ -78,6 +78,7 @@ class ConsumerState:
     request: Request
     conversation: str
     params: PricingParams
+    task_duration: int                   # run time of the task once confirmed
     max_rejects: int = 3
     phase: ConsumerPhase = ConsumerPhase.IDLE
     rounds: int = 0                      # REJECT_PROPOSALs sent so far
@@ -202,8 +203,7 @@ class BrokerPhase(str, enum.Enum):
     AWAITING_FEEDBACK = "awaiting-feedback"
 
 
-@dataclass(frozen=True)
-class SelectionSnapshot:
+class SelectionSnapshot(NamedTuple):
     """Contact list as priced at one selection, kept for post-hoc cost audits.
 
     Contact lists are replaced, never edited, so the one current at the
@@ -331,7 +331,7 @@ def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
             prices[rtype] = expected_unit_price(
                 prices[rtype], ratio, 1.0, state.params.demand_sensitivity
             )
-    _replace_entry(state, replace(entry, prices=prices))
+    _replace_entry(state, entry._replace(prices=prices))
 
 
 def _remove_from_temporary(conv: BrokerConversation, pid: AgentId, for_cause: bool) -> None:
@@ -348,7 +348,7 @@ def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> No
         if entry is not None:
             _replace_entry(
                 state,
-                replace(entry, grade=update_grade(entry.grade, 0.0, state.params.grade_smoothing)),
+                entry._replace(grade=update_grade(entry.grade, 0.0, state.params.grade_smoothing)),
             )
 
 
@@ -483,9 +483,8 @@ def broker_step(
             feedback: InformPayload = msg.payload
             entry = state.contact_list.get(conv.best)
             if entry is not None and feedback.feedback is not None:
-                graded = replace(
-                    entry,
-                    grade=update_grade(entry.grade, feedback.feedback, state.params.grade_smoothing),
+                graded = entry._replace(
+                    grade=update_grade(entry.grade, feedback.feedback, state.params.grade_smoothing)
                 )
                 _replace_entry(state, graded)
             del state.conversations[msg.conversation]

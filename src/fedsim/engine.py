@@ -13,6 +13,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .agents import (
     BrokerState,
@@ -39,7 +40,6 @@ from .model import (
     ProposeStage,
     RefusePayload,
     RefuseReason,
-    Request,
     ScenarioError,
     conversation_id,
 )
@@ -54,20 +54,17 @@ class EventKind(str, enum.Enum):
     TASK_COMPLETE = "task-complete"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: int
     seq: int
     kind: EventKind
     message: Message | None = None
     churn: ChurnSpec | None = None
-    request: Request | None = None
     conversation: str | None = None
     provider: AgentId | None = None
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One trace line; fields appear in this fixed order."""
 
     time: int
@@ -155,7 +152,7 @@ class _World:
         # per broker: sorted ids of its visible live providers, and the
         # resource types they price; cleared on every join and leave
         self._views: dict[AgentId, tuple[tuple[AgentId, ...], frozenset[str]]] = {}
-        self.durations: dict[str, int] = {}
+        self._entries: dict[AgentId, list[ContactEntry]] = {}  # registry views, cleared likewise
 
         self.brokers: dict[AgentId, BrokerState] = {}
         for spec in scenario.brokers:
@@ -177,18 +174,19 @@ class _World:
                 self.visibility[spec.agent].add(AgentId(AgentKind.PROVIDER, pid))
 
         self.consumers: dict[AgentId, ConsumerState] = {}
+        self.unissued: dict[str, ConsumerState] = {}  # by conversation, until its start event
         for spec in scenario.consumers:
-            conv = conversation_id(spec.agent, 0)
-            self.consumers[spec.agent] = ConsumerState(
+            state = ConsumerState(
                 id=spec.agent,
                 request=spec.request(),
-                conversation=conv,
+                conversation=conversation_id(spec.agent, 0),
                 params=self.params,
+                task_duration=spec.task_duration,
                 max_rejects=scenario.max_rejects,
             )
-            self.durations[conv] = spec.task_duration
+            self.consumers[spec.agent] = self.unissued[state.conversation] = state
 
-        self.queue: list[tuple[int, int, Event]] = []
+        self.queue: list[Event] = []
         self.seq = 0
         self.now = 0
         self.events = 0  # events processed; each is one workload sample
@@ -213,23 +211,25 @@ class _World:
         self.registry.add(pid)
         for bid in spec.visible_to:
             self.visibility[AgentId(AgentKind.BROKER, bid)].add(pid)
+        self._clear_views()
+
+    def _clear_views(self) -> None:
         self._views.clear()
+        self._entries.clear()
 
     def delay(self, a: AgentId, b: AgentId) -> int:
         return self.delays.get((a, b), self.default_delay)
 
-    def schedule(self, time: int, **kwargs) -> Event:
+    def schedule(self, time: int, kind: EventKind, message: Message | None = None, **kwargs) -> Event:
         if time < self.now:
             raise InvariantError(f"event scheduled in the past: {time} < {self.now}")
         self.seq += 1
-        event = Event(time=time, seq=self.seq, **kwargs)
-        heapq.heappush(self.queue, (event.time, event.seq, event))
+        event = Event(time, self.seq, kind, message, **kwargs)
+        heapq.heappush(self.queue, event)  # ordered by (time, seq), which is unique
         return event
 
     def send(self, msg: Message, now: int) -> None:
-        self.schedule(
-            now + self.delay(msg.sender, msg.receiver), kind=EventKind.DELIVER, message=msg
-        )
+        self.schedule(now + self.delay(msg.sender, msg.receiver), EventKind.DELIVER, msg)
 
     def _visible_live(self, bid: AgentId) -> tuple[tuple[AgentId, ...], frozenset[str]]:
         """Sorted ids of the live providers `bid` sees, and the types they price."""
@@ -241,14 +241,17 @@ class _World:
         return view
 
     def registry_view(self, bid: AgentId) -> list[ContactEntry]:
-        return [
-            ContactEntry(
-                provider=pid,
-                prices=dict(self.providers[pid].base_prices),
-                grade=0.5,
-            )
-            for pid in self._visible_live(bid)[0]
-        ]
+        """Entries for `bid`'s visible live providers, shared until a join or leave; do not edit.
+
+        Entries are immutable, and base prices never change after a provider joins.
+        """
+        entries = self._entries.get(bid)
+        if entries is None:
+            entries = self._entries[bid] = [
+                ContactEntry(pid, dict(self.providers[pid].base_prices))
+                for pid in self._visible_live(bid)[0]
+            ]
+        return entries
 
     def neighbor_info(self, of: AgentId, nid: AgentId) -> NeighborInfo:
         """Fresh info on broker `nid`, as its next refresh would see it, from `of`.
@@ -285,28 +288,20 @@ class _World:
         elif event.kind is EventKind.CHURN:
             performative = f"provider-{event.churn.action.value}"
             receiver = str(event.churn.agent)
-        elif event.kind is EventKind.CONSUMER_START:
-            receiver = str(event.request.consumer)
-            conversation = event.conversation
-            payload = event.request.digest()
         elif event.kind is EventKind.HOLD_EXPIRY:
             receiver = str(event.provider)
             conversation = event.conversation
-        elif event.kind is EventKind.TASK_COMPLETE:
-            receiver = str(self.meta[event.conversation].consumer.id)
+        else:  # consumer start or task completion, of a request already issued
+            consumer = self.meta[event.conversation].consumer
+            receiver = str(consumer.id)
             conversation = event.conversation
+            if event.kind is EventKind.CONSUMER_START:
+                payload = consumer.request.digest()
         if payload_suffix:
             payload = payload + payload_suffix if payload != "-" else payload_suffix.lstrip(",")
         self.trace.append(
             EventRecord(
-                time=event.time,
-                seq=event.seq,
-                kind=kind,
-                sender=sender,
-                receiver=receiver,
-                performative=performative,
-                conversation=conversation,
-                payload=payload,
+                event.time, event.seq, kind, sender, receiver, performative, conversation, payload
             )
         )
 
@@ -346,7 +341,7 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
         if pid not in world.registry:
             raise ScenarioError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
-        world._views.clear()
+        world._clear_views()
         provider = world.providers[pid]
         for conversation in sorted(provider.ledger):
             release_hold(provider, conversation)  # held reservations die with the membership
@@ -361,16 +356,16 @@ def _run_once(world: _World, event_budget: int) -> bool:
     while world.queue:
         if world.events >= event_budget:
             return False
-        _, _, event = heapq.heappop(world.queue)
+        event = heapq.heappop(world.queue)
         world.events += 1
         now = world.now = event.time
 
         if event.kind is EventKind.CONSUMER_START:
-            world.record(event)
-            consumer = world.consumers[event.request.consumer]
+            consumer = world.unissued.pop(event.conversation)
             world.meta[event.conversation] = ConversationMeta(
                 consumer=consumer, live_at_issue=tuple(sorted(world.registry))
             )
+            world.record(event)
             for msg in consumer_start(consumer):
                 world.send(msg, now)
 
@@ -419,7 +414,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
                     meta = world.meta[msg.conversation]
                     request = meta.consumer.request
                     task_start = max(now, request.earliest_start)
-                    notional_end = task_start + world.durations[msg.conversation]
+                    notional_end = task_start + meta.consumer.task_duration
                     meta.on_time = notional_end <= request.deadline
                     world.schedule(
                         max(now, min(request.deadline, notional_end)),
@@ -477,8 +472,7 @@ def run(scenario: Scenario, seed: int = 0) -> RunResult:
         world.schedule(
             spec.issue_time,
             kind=EventKind.CONSUMER_START,
-            request=spec.request(),
-            conversation=conversation_id(spec.agent, 0),
+            conversation=world.consumers[spec.agent].conversation,
         )
     for change in scenario.churn:
         world.schedule(change.time, kind=EventKind.CHURN, churn=change)

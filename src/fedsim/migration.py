@@ -18,7 +18,7 @@ the minimum over the admissible neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import (
     AgentId,
@@ -32,22 +32,25 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CriteriaVector:
-    """Minimized criteria values for one candidate neighbor."""
-
+class _CriteriaFields(NamedTuple):
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.values:
+
+class CriteriaVector(_CriteriaFields):
+    """Minimized criteria values for one candidate neighbor, checked as it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, values):
+        if not values:
             raise DomainError("criteria vector must have at least one entry")
-        for v in self.values:
+        for v in values:
             if v != v or v in (float("inf"), float("-inf")):
                 raise DomainError(f"criteria values must be finite, got {v}")
+        return tuple.__new__(cls, (values,))
 
 
-@dataclass(frozen=True)
-class NeighborInfo:
+class NeighborInfo(NamedTuple):
     """Zero-staleness snapshot of one neighbor broker, taken at decision time."""
 
     broker: AgentId
@@ -94,7 +97,7 @@ def verify_constraints(req: Request, info: NeighborInfo) -> bool:
     """Preventive coherence checks: the target must plausibly be able to serve."""
     if info.provider_count <= 0:
         return False
-    if not req.bundle.types() <= info.provider_types:
+    if not req.bundle.types <= info.provider_types:
         return False
     if info.broker in req.visited:
         return False

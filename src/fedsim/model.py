@@ -1,7 +1,8 @@
 """Shared value types for the federation simulator.
 
 Everything here is an immutable record: agents mutate their own state by
-replacing entries, never by editing these objects in place.
+replacing entries, never by editing these objects in place. Records built on
+every event are NamedTuples: copy one with `_replace`, not `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
+from functools import cached_property
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 CENT = Decimal("0.01")
 
@@ -126,6 +128,7 @@ class ResourceBundle:
     def as_dict(self) -> dict[ResourceType, int]:
         return dict(self.items)
 
+    @cached_property
     def types(self) -> frozenset[ResourceType]:
         return frozenset(r for r, _ in self.items)
 
@@ -181,8 +184,7 @@ def validate_request(req: Request, max_migrations: int | None = None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ContactEntry:
+class ContactEntry(NamedTuple):
     """One broker's knowledge of one provider. Updated by replacement only."""
 
     provider: AgentId
@@ -190,7 +192,7 @@ class ContactEntry:
     grade: float = 0.5
 
     def covers(self, bundle: ResourceBundle) -> bool:
-        return bundle.types() <= frozenset(self.prices)
+        return bundle.types <= self.prices.keys()
 
 
 class Performative(str, enum.Enum):
@@ -221,8 +223,7 @@ class RefuseReason(str, enum.Enum):
     DEPARTED = "departed"            # synthesized: the provider left the federation
 
 
-@dataclass(frozen=True)
-class CallPayload:
+class CallPayload(NamedTuple):
     request: Request
     cost: Money | None = None  # set on broker -> provider calls only
 
@@ -231,8 +232,7 @@ class CallPayload:
         return f"{base},cost={format_money(self.cost)}" if self.cost is not None else base
 
 
-@dataclass(frozen=True)
-class ProposePayload:
+class ProposePayload(NamedTuple):
     stage: ProposeStage
     cost: Money
     provider: AgentId | None = None  # set on agreement proposals
@@ -244,16 +244,14 @@ class ProposePayload:
         return out
 
 
-@dataclass(frozen=True)
-class RejectPayload:
+class RejectPayload(NamedTuple):
     cost_limit: Money
 
     def digest(self) -> str:
         return f"limit={format_money(self.cost_limit)}"
 
 
-@dataclass(frozen=True)
-class RefusePayload:
+class RefusePayload(NamedTuple):
     reason: RefuseReason
     # demand/capacity ratio per refused resource type, sorted by type
     ratios: tuple[tuple[ResourceType, float], ...] = ()
@@ -265,44 +263,46 @@ class RefusePayload:
         return out
 
 
-@dataclass(frozen=True)
-class InformPayload:
+class InformPayload(NamedTuple):
     feedback: float | None = None  # None is the plain acknowledgement
 
     def digest(self) -> str:
         return "ack" if self.feedback is None else f"feedback={self.feedback:.4f}"
 
 
-@dataclass(frozen=True)
-class FailurePayload:
+class FailurePayload(NamedTuple):
     reason: str
 
     def digest(self) -> str:
         return f"reason={self.reason}"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One performative-tagged protocol message."""
-
+class _MessageFields(NamedTuple):
     performative: Performative
     conversation: str
     sender: AgentId
     receiver: AgentId
     payload: object = None
 
-    def __post_init__(self):
-        if self.performative is Performative.FAILURE:
-            if self.sender.kind is not AgentKind.BROKER or self.receiver.kind is not AgentKind.CONSUMER:
+
+class Message(_MessageFields):
+    """One performative-tagged protocol message; `_make` and `_replace` skip its checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, performative, conversation, sender, receiver, payload=None):
+        if performative is Performative.FAILURE:
+            if sender.kind is not AgentKind.BROKER or receiver.kind is not AgentKind.CONSUMER:
                 raise ValidationError("failure-route", "FAILURE is broker -> consumer only")
-        if self.performative is Performative.REJECT_PROPOSAL and not isinstance(self.payload, RejectPayload):
+        if performative is Performative.REJECT_PROPOSAL and not isinstance(payload, RejectPayload):
             raise ValidationError("missing-cost-limit", "REJECT_PROPOSAL must carry a cost limit")
         if (
-            self.performative is Performative.REFUSE
-            and self.sender.kind is AgentKind.PROVIDER
-            and not isinstance(self.payload, RefusePayload)
+            performative is Performative.REFUSE
+            and sender.kind is AgentKind.PROVIDER
+            and not isinstance(payload, RefusePayload)
         ):
             raise ValidationError("missing-ratio", "provider REFUSE must carry a demand/price payload")
+        return tuple.__new__(cls, (performative, conversation, sender, receiver, payload))
 
     def payload_digest(self) -> str:
         if self.payload is None:

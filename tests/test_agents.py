@@ -54,6 +54,7 @@ def make_consumer(cid=0, budget="10.00", max_rejects=3, **quantities):
         request=req,
         conversation=f"consumer:{cid}#0",
         params=PARAMS,
+        task_duration=2,
         max_rejects=max_rejects,
     )
 

@@ -1,3 +1,4 @@
+import heapq
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 import fedsim.migration as migration
 from fedsim.agents import ConsumerPhase, ReservationStatus
 from fedsim.engine import (
+    Event,
     EventKind,
+    EventRecord,
     _World,
     format_trace,
     run,
@@ -197,3 +200,26 @@ def test_scheduling_in_the_past_raises_even_without_asserts():
     world.now = 5
     with pytest.raises(InvariantError, match="in the past"):
         world.schedule(4, kind=EventKind.CONSUMER_START)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Event(3, 1, EventKind.HOLD_EXPIRY, conversation="consumer:0#0", provider=provider(0)),
+        EventRecord(3, 1, "hold-expiry", "-", "provider:0", "-", "consumer:0#0", "released=no"),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_kernel_records_are_immutable(record):
+    for name in record._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_events_pop_in_time_then_scheduling_order():
+    world = _World(minimal())
+    late = world.schedule(5, kind=EventKind.CONSUMER_START, conversation="consumer:0#0")
+    first = world.schedule(2, kind=EventKind.HOLD_EXPIRY, conversation="consumer:0#0", provider=provider(0))
+    second = world.schedule(2, kind=EventKind.CHURN)
+    assert [heapq.heappop(world.queue) for _ in range(3)] == [first, second, late]
+    assert (first.message, first.churn, late.provider) == (None, None, None)

@@ -12,10 +12,12 @@ sender and the target. The full runs are the session's shared fuzz batch
 
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import fedsim.engine as engine
 from fedsim.engine import WorkloadStat, run
-from fedsim.model import AgentKind, Performative
+from fedsim.model import AgentKind, Performative, broker
+from fedsim.scenario import load_scenario
 
 from helpers import oracle_neighbor_snapshot, oracle_registry_view
 
@@ -59,7 +61,7 @@ class CheckedWorld(engine._World):
             checks = {
                 "a neighbor": target in source.neighbors,
                 "non-empty": info.provider_count > 0,
-                "covering": req.bundle.types() <= info.provider_types,
+                "covering": req.bundle.types <= info.provider_types,
                 "unvisited": target not in req.visited,
                 "-1 at the sender": source.in_flight - before - opened == -1,
             }
@@ -127,3 +129,15 @@ def test_cached_views_and_workloads_match_the_oracles(monkeypatch, fuzz_batch):
     assert actions["join"] > 10 and actions["leave"] > 10
     assert truncated > 90 and checked > 10_000
 
+
+
+def test_registry_view_is_shared_until_a_join_or_leave():
+    world = engine._World(load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "churn.json"))
+    view = world.registry_view(broker(0))
+    assert world.registry_view(broker(0)) is view
+    for change in world.scenario.churn:  # provider 0 leaves, provider 2 joins; broker 0 sees both
+        engine.apply_churn(world, change)
+        fresh = world.registry_view(broker(0))
+        assert fresh is not view and fresh == oracle_registry_view(world, broker(0))
+        view = fresh
+    assert [entry.provider.index for entry in view] == [2]

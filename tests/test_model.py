@@ -1,16 +1,29 @@
+import random
 from dataclasses import dataclass
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fedsim.agents import SelectionSnapshot
+from fedsim.engine import run
+from fedsim.migration import CriteriaVector
 from fedsim.model import (
     AgentId,
     AgentKind,
+    CallPayload,
+    DomainError,
     FailurePayload,
+    InformPayload,
     Message,
     Performative,
+    ProposePayload,
+    ProposeStage,
     RefusePayload,
     RefuseReason,
+    RejectPayload,
+    ResourceBundle,
     ValidationError,
     broker,
     consumer,
@@ -18,8 +31,11 @@ from fedsim.model import (
     provider,
     validate_request,
 )
+from fedsim.scenario import load_scenario, parse_scenario
 
-from helpers import bundle, request
+from helpers import bundle, entry, fuzz_scenario, neighbor, request
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_validate_request_accepts_plain_request():
@@ -153,29 +169,101 @@ def test_bundle_is_canonical_regardless_of_insertion_order():
     assert bundle(cpu=1, gpu=2).digest() == "cpu:1+gpu:2"
 
 
-def test_failure_is_broker_to_consumer_only():
-    Message(Performative.FAILURE, "consumer:0#0", broker(0), consumer(0), FailurePayload("x"))
-    with pytest.raises(ValidationError):
-        Message(Performative.FAILURE, "consumer:0#0", provider(0), consumer(0), FailurePayload("x"))
-    with pytest.raises(ValidationError):
-        Message(Performative.FAILURE, "consumer:0#0", broker(0), broker(1), FailurePayload("x"))
+def _message(keyword, *fields):
+    """Build a Message from its five fields, positionally or by keyword."""
+    if keyword:
+        return Message(**dict(zip(Message._fields, fields)))
+    return Message(*fields)
 
 
-def test_reject_must_carry_cost_limit():
-    with pytest.raises(ValidationError):
-        Message(Performative.REJECT_PROPOSAL, "consumer:0#0", consumer(0), broker(0))
+CONV = "consumer:0#0"
 
 
-def test_provider_refuse_must_carry_ratio_payload():
-    with pytest.raises(ValidationError):
-        Message(Performative.REFUSE, "consumer:0#0", provider(0), broker(0))
-    Message(
-        Performative.REFUSE,
-        "consumer:0#0",
-        provider(0),
-        broker(0),
+@pytest.mark.parametrize("keyword", [False, True])
+def test_failure_is_broker_to_consumer_only(keyword):
+    _message(keyword, Performative.FAILURE, CONV, broker(0), consumer(0), FailurePayload("x"))
+    for sender, receiver in ((provider(0), consumer(0)), (broker(0), broker(1))):
+        with pytest.raises(ValidationError) as err:
+            _message(keyword, Performative.FAILURE, CONV, sender, receiver, FailurePayload("x"))
+        assert err.value.code == "failure-route"
+
+
+@pytest.mark.parametrize("keyword", [False, True])
+def test_reject_must_carry_cost_limit(keyword):
+    _message(keyword, Performative.REJECT_PROPOSAL, CONV, consumer(0), broker(0), RejectPayload(money(1)))
+    with pytest.raises(ValidationError) as err:
+        _message(keyword, Performative.REJECT_PROPOSAL, CONV, consumer(0), broker(0), None)
+    assert err.value.code == "missing-cost-limit"
+
+
+@pytest.mark.parametrize("keyword", [False, True])
+def test_provider_refuse_must_carry_ratio_payload(keyword):
+    with pytest.raises(ValidationError) as err:
+        _message(keyword, Performative.REFUSE, CONV, provider(0), broker(0), None)
+    assert err.value.code == "missing-ratio"
+    refuse = RefusePayload(reason=RefuseReason.CAPACITY, ratios=(("cpu", 0.5),))
+    msg = _message(keyword, Performative.REFUSE, CONV, provider(0), broker(0), refuse)
+    assert msg.payload is refuse and msg.payload_digest() == "reason=capacity,ratio=cpu:0.5000"
+
+
+@pytest.mark.parametrize("keyword", [False, True])
+@pytest.mark.parametrize("values", [(), (1.0, float("nan")), (float("inf"),), (0.0, float("-inf"))])
+def test_criteria_vector_must_be_non_empty_and_finite(keyword, values):
+    with pytest.raises(DomainError):
+        CriteriaVector(values=values) if keyword else CriteriaVector(values)
+
+
+def test_criteria_vector_keeps_its_values():
+    assert CriteriaVector((1.0, 2.0)).values == CriteriaVector(values=(1.0, 2.0)).values == (1.0, 2.0)
+
+
+def _records():
+    """One instance of each record built per event or per selection."""
+    return [
+        Message(Performative.CFP, CONV, consumer(0), broker(0), CallPayload(request())),
+        CallPayload(request(), cost=money(3)),
+        ProposePayload(stage=ProposeStage.QUOTE, cost=money(3), provider=provider(1)),
+        RejectPayload(cost_limit=money(2)),
         RefusePayload(reason=RefuseReason.CAPACITY, ratios=(("cpu", 0.5),)),
-    )
+        InformPayload(feedback=0.5),
+        FailurePayload("no-admissible-broker"),
+        entry(1, cpu="1.00"),
+        SelectionSnapshot({}, frozenset(), frozenset(), bundle(cpu=2), Decimal(1), money(3)),
+        neighbor(1),
+        CriteriaVector((1.0,)),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_per_event_records_are_immutable(record):
+    for name in record._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.__dict__
+
+
+def test_bundle_equality_and_hash_ignore_the_cached_types():
+    a, b = ResourceBundle((("cpu", 1), ("gpu", 2))), ResourceBundle((("cpu", 1), ("gpu", 2)))
+    before = hash(a)
+    assert a.types == frozenset({"cpu", "gpu"})
+    assert a.types is a.types  # computed once
+    assert a == b and hash(a) == hash(b) == before == hash((a.items,))
+    assert a != ResourceBundle((("cpu", 1),)) and "types" not in repr(a)
+    assert bundle(cpu=1).types <= entry(0, cpu="1.00", gpu="2.00").prices.keys()
+
+
+def test_no_message_is_built_without_its_checks(monkeypatch):
+    # `_make` and `_replace` skip `Message.__new__`; the package must never use them
+    def refuse(*args, **kwargs):
+        raise AssertionError("Message built through _make or _replace")
+
+    monkeypatch.setattr(Message, "_make", classmethod(refuse))
+    monkeypatch.setattr(Message, "_replace", refuse)
+    scenarios = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.json"))]
+    scenarios += [parse_scenario(fuzz_scenario(random.Random(seed))) for seed in range(5)]
+    for scn in scenarios:
+        assert run(scn).quiescent
 
 
 def test_money_rounds_half_even():

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -308,7 +309,7 @@ def test_churn_error_names_the_entry_as_written():
 TRICKY = st.sampled_from(
     [0, 1, -1, True, None, "", "NaN", "Infinity", "-0", "1e999", "broker:0", "provider:0",
      "broker:\u00b2", "workload", 10**400, float("nan"), float("inf"), [[1]], {"id": 0}]
-)
+).map(copy.deepcopy)  # mutated_minimal edits what it draws: never hand out the shared list or dict
 JSON = st.recursive(
     TRICKY | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=4)

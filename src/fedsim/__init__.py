@@ -1,7 +1,7 @@
 """Deterministic multi-agent simulator of resource brokering on an open federated cloud."""
 
 from .engine import RunResult, run
-from .metrics import MetricsReport, compute_metrics, emit_report
+from .metrics import MetricsReport, compute_metrics, emit_report, parse_report
 from .model import (
     AgentId,
     AgentKind,
@@ -33,5 +33,6 @@ __all__ = [
     "emit_report",
     "load_scenario",
     "money",
+    "parse_report",
     "run",
 ]

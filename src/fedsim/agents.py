@@ -236,10 +236,9 @@ class BrokerConversation:
     # holding the reservation: a conversation has at most one provider
     # request outstanding, the CFP to `best`, so the hold is `best`'s
     best: AgentId | None = None
-    proposed_cost: Money | None = None
     attempted: set[AgentId] = field(default_factory=set)
     excluded: set[AgentId] = field(default_factory=set)
-    snapshot: SelectionSnapshot | None = None
+    snapshot: SelectionSnapshot | None = None  # the last selection; its cost is the quote
     # per candidate: the prices mapping last priced, and its cost for this
     # request (None when those prices miss a bundle type)
     quotes: dict[AgentId, tuple[Mapping[ResourceType, Money], Money | None]] = field(
@@ -376,21 +375,20 @@ def _advance(
             conversation,
             state.criteria,
         )
-        if result.decision is None or result.decision.failed:
+        if result.target is None:
             _record_failure_feedback(state, conv)
         del state.conversations[conversation]  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
     conv.attempted.add(best)
-    conv.proposed_cost = conv.quotes[best][1]
     conv.snapshot = SelectionSnapshot(
         contact_list=known,
         universe=conv.universe,
         excluded=frozenset(conv.excluded),
         bundle=conv.request.bundle,
         factor=conv.factor,
-        cost=conv.proposed_cost,
+        cost=conv.quotes[best][1],
     )
     conv.phase = BrokerPhase.QUOTING
     return [
@@ -399,7 +397,7 @@ def _advance(
             conversation,
             state.id,
             conv.request.consumer,
-            payload=ProposePayload(stage=ProposeStage.QUOTE, cost=conv.proposed_cost),
+            payload=ProposePayload(stage=ProposeStage.QUOTE, cost=conv.snapshot.cost),
         )
     ]
 
@@ -407,7 +405,6 @@ def _advance(
 def broker_step(
     state: BrokerState,
     msg: Message,
-    now: int,
     registry_view: list[ContactEntry] | None = None,
     neighbor_info=None,
 ) -> tuple[BrokerState, list[Message]]:
@@ -455,7 +452,7 @@ def broker_step(
                     msg.conversation,
                     state.id,
                     conv.best,
-                    payload=CallPayload(request=conv.request, cost=conv.proposed_cost),
+                    payload=CallPayload(request=conv.request, cost=conv.snapshot.cost),
                 )
             ]
         if perf in (Performative.REJECT_PROPOSAL, Performative.REFUSE) and conv.phase is BrokerPhase.QUOTING:

@@ -435,7 +435,6 @@ def _run_once(world: _World, event_budget: int) -> bool:
                 _, out = broker_step(
                     broker,
                     msg,
-                    now,
                     registry_view=(
                         world.registry_view(target) if msg.performative is Performative.CFP else None
                     ),

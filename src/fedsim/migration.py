@@ -60,15 +60,6 @@ class NeighborInfo(NamedTuple):
     provider_count: int                    # size of its live contact list
 
 
-@dataclass(frozen=True)
-class MigrationDecision:
-    target: AgentId | None  # None means stay and fail
-
-    @property
-    def failed(self) -> bool:
-        return self.target is None
-
-
 CriterionFn = Callable[[NeighborInfo], float]
 
 CRITERIA: dict[str, CriterionFn] = {
@@ -108,8 +99,8 @@ def select_direction(
     req: Request,
     neighbors: Iterable[NeighborInfo],
     criteria: Sequence[str] = DEFAULT_CRITERIA,
-) -> MigrationDecision:
-    """Pick the migration target, or stay and fail.
+) -> AgentId | None:
+    """Return the migration target, or None to stay and fail.
 
     The target is the neighbor that passes the constraints with the smallest
     (criteria values, broker id); deterministic. This is the Pareto pick:
@@ -118,20 +109,20 @@ def select_direction(
     inadmissible picks reaches the minimum over the admissible neighbors.
     An unknown criterion raises `DomainError` even with no neighbors.
     """
-    fns = _criterion_fns(criteria)
+    _criterion_fns(criteria)
     best = None
     for info in neighbors:
         if verify_constraints(req, info):
-            key = (CriteriaVector(tuple(fn(info) for fn in fns)).values, info.broker)
+            key = (criteria_vector(info, criteria).values, info.broker)
             if best is None or key < best:
                 best = key
-    return MigrationDecision(target=None if best is None else best[1])
+    return None if best is None else best[1]
 
 
 @dataclass(frozen=True)
 class SelfOrganizeResult:
     messages: tuple[Message, ...]
-    decision: MigrationDecision | None  # None when the hop limit blocked selection
+    target: AgentId | None  # the broker the request migrates to; None when it fails here
 
 
 def self_organize(
@@ -148,26 +139,21 @@ def self_organize(
     count bumped and this broker recorded as visited; otherwise reports
     FAILURE to the consumer. Either way the conversation leaves this broker.
     """
+    target = None
     if req.migrations >= max_migrations:
+        reason = "migration-limit"
+    else:
+        target = select_direction(req, neighbors, criteria)
+        reason = "no-admissible-broker"
+    if target is None:
         fail = Message(
             Performative.FAILURE,
             conversation,
             sender=self_id,
             receiver=req.consumer,
-            payload=FailurePayload("migration-limit"),
+            payload=FailurePayload(reason),
         )
-        return SelfOrganizeResult((fail,), decision=None)
-
-    decision = select_direction(req, neighbors, criteria)
-    if decision.failed:
-        fail = Message(
-            Performative.FAILURE,
-            conversation,
-            sender=self_id,
-            receiver=req.consumer,
-            payload=FailurePayload("no-admissible-broker"),
-        )
-        return SelfOrganizeResult((fail,), decision=decision)
+        return SelfOrganizeResult((fail,), target=None)
 
     hopped = replace(
         req,
@@ -178,7 +164,7 @@ def self_organize(
         Performative.CFP,
         conversation,
         sender=self_id,
-        receiver=decision.target,
+        receiver=target,
         payload=CallPayload(request=hopped),
     )
-    return SelfOrganizeResult((cfp,), decision=decision)
+    return SelfOrganizeResult((cfp,), target=target)

@@ -159,7 +159,7 @@ class Request:
         )
 
 
-def validate_request(req: Request, max_migrations: int | None = None) -> None:
+def validate_request(req: Request) -> None:
     """Raise ValidationError naming the first violated field; return None when valid."""
     if req.earliest_start >= req.deadline:
         raise ValidationError(
@@ -177,11 +177,6 @@ def validate_request(req: Request, max_migrations: int | None = None) -> None:
             )
     if req.migrations < 0:
         raise ValidationError("negative-migrations", "migration count must be >= 0")
-    if max_migrations is not None and req.migrations > max_migrations:
-        raise ValidationError(
-            "migration-limit-exceeded",
-            f"request carries {req.migrations} migrations, limit is {max_migrations}",
-        )
 
 
 class ContactEntry(NamedTuple):

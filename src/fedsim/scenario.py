@@ -1,4 +1,4 @@
-"""Scenario files: schema, loading, validation, and echo output.
+"""Scenario files: schema, loading and validation.
 
 A scenario is one JSON document describing the whole world: brokers with
 their neighbor links and provider visibility, providers with capacities and
@@ -24,7 +24,6 @@ from .model import (
     ValidationError,
     broker,
     consumer,
-    format_money,
     money,
     provider,
     validate_request,
@@ -154,6 +153,8 @@ def _int_field(data: dict, key: str, where: str, minimum: int | None = None) -> 
 
 def _float_field(data: dict, key: str, where: str) -> float:
     value = data[key]
+    if isinstance(value, bool):
+        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -424,70 +425,3 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return parse_scenario(data, where=str(p))
 
-
-def _provider_to_dict(spec: ProviderSpec, include_visibility: bool) -> dict:
-    out = {
-        "id": spec.id,
-        "capacity": {r: q for r, q in spec.capacity},
-        "base_prices": {r: format_money(price) for r, price in spec.base_prices},
-    }
-    if include_visibility and spec.visible_to:
-        out["visible_to"] = list(spec.visible_to)
-    return out
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    """Echo a Scenario back to its JSON form (round-trips through parse_scenario)."""
-    data = {
-        "resource_types": list(scn.resource_types),
-        "pricing": {
-            "demand_sensitivity": scn.pricing.demand_sensitivity,
-            "grade_smoothing": scn.pricing.grade_smoothing,
-            "cost_weight": scn.pricing.cost_weight,
-            "time_weight": scn.pricing.time_weight,
-            "lease_mode": scn.pricing.lease_mode.value,
-        },
-        "criteria": list(scn.criteria),
-        "max_rejects": scn.max_rejects,
-        "hold_timeout": scn.hold_timeout,
-        "event_budget": scn.event_budget,
-        "default_delay": scn.default_delay,
-        "brokers": [
-            {
-                "id": b.id,
-                "neighbors": list(b.neighbors),
-                "visible_providers": list(b.visible_providers),
-            }
-            for b in scn.brokers
-        ],
-        "providers": [_provider_to_dict(p, include_visibility=False) for p in scn.providers],
-        "consumers": [
-            {
-                "id": c.id,
-                "broker": c.broker,
-                "issue_time": c.issue_time,
-                "earliest_start": c.earliest_start,
-                "deadline": c.deadline,
-                "budget": format_money(c.budget),
-                "bundle": {r: q for r, q in c.bundle},
-                "task_duration": c.task_duration,
-            }
-            for c in scn.consumers
-        ],
-        "churn": [
-            (
-                {"time": ev.time, "action": "leave", "provider": ev.provider}
-                if ev.action is ChurnAction.LEAVE
-                else {"time": ev.time, "action": "join", "provider": _provider_to_dict(ev.join, True)}
-            )
-            for ev in scn.churn
-        ],
-        "delays": [{"a": str(d.a), "b": str(d.b), "delay": d.delay} for d in scn.delays],
-    }
-    if scn.max_migrations is not None:
-        data["max_migrations"] = scn.max_migrations
-    return data
-
-
-def save_scenario(scn: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scn), indent=2, sort_keys=True) + "\n")

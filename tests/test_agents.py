@@ -41,7 +41,7 @@ from fedsim.model import (
 )
 from fedsim.pricing import PricingParams
 
-from helpers import bundle, entry, request, tick_scan_feasible
+from helpers import bundle, entry, neighbor, request, tick_scan_feasible
 
 PARAMS = PricingParams(lease_mode="constant-one")
 LEASE = PricingParams()
@@ -456,7 +456,7 @@ def consumer_cfp(state_broker, cid=0, req=None):
 def test_broker_quotes_best_provider_on_cfp():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="1.50")])
     view = [entry(0, cpu="2.00"), entry(1, cpu="1.50")]
-    _, out = broker_step(state, consumer_cfp(state), now=0, registry_view=view)
+    _, out = broker_step(state, consumer_cfp(state), registry_view=view)
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
     assert msg.payload.cost == money("1.50")
@@ -467,12 +467,9 @@ def test_broker_quotes_best_provider_on_cfp():
 
 def test_broker_with_empty_list_self_organizes_no_quote():
     state = make_broker(entries=[], neighbors=(1,))
-    from helpers import neighbor
-
     _, out = broker_step(
         state,
         consumer_cfp(state),
-        now=0,
         registry_view=[],
         neighbor_info=[neighbor(1, types=("cpu",))],
     )
@@ -486,11 +483,10 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
     # recorded 2.00, ratio 0.5, sensitivity 1 -> 3.00, then a fresh quote
     state = make_broker(entries=[entry(0, cpu="2.00")])
     view = [entry(0, cpu="2.00")]
-    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
+    broker_step(state, consumer_cfp(state), registry_view=view)
     broker_step(
         state,
         Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id),
-        now=1,
     )
     refuse = Message(
         Performative.REFUSE,
@@ -499,7 +495,7 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
         state.id,
         RefusePayload(reason=RefuseReason.EXPECTED_COST, ratios=(("cpu", 0.5),)),
     )
-    _, out = broker_step(state, refuse, now=2)
+    _, out = broker_step(state, refuse)
     assert state.contact_list.get(provider(0)).prices["cpu"] == money("3.00")
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
@@ -509,11 +505,10 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
 def test_broker_capacity_refusal_drops_provider_from_temporary():
     state = make_broker(entries=[entry(0, cpu="1.00"), entry(1, cpu="5.00")])
     view = [entry(0, cpu="1.00"), entry(1, cpu="5.00")]
-    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
+    broker_step(state, consumer_cfp(state), registry_view=view)
     broker_step(
         state,
         Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id),
-        now=1,
     )
     refuse = Message(
         Performative.REFUSE,
@@ -522,17 +517,49 @@ def test_broker_capacity_refusal_drops_provider_from_temporary():
         state.id,
         RefusePayload(reason=RefuseReason.CAPACITY, ratios=(("cpu", 0.0),)),
     )
-    _, out = broker_step(state, refuse, now=2)
+    _, out = broker_step(state, refuse)
     conv = state.conversations["consumer:0#0"]
     assert provider(0) not in conv.temporary
     assert provider(0) in conv.excluded
     assert out[0].payload.cost == money("5.00")  # requoted from the survivor
 
 
+@pytest.mark.parametrize(
+    "max_migrations, neighbors, reason, grade",
+    [
+        (0, [neighbor(1)], "migration-limit", 0.35),
+        (2, [neighbor(1, types=(), count=0)], "no-admissible-broker", 0.35),
+        (2, [neighbor(1)], None, 0.5),  # migrates: not a failure here
+    ],
+    ids=["hop-limit", "no-admissible-broker", "migrates"],
+)
+def test_broker_grades_attempted_providers_down_only_when_the_request_fails(
+    max_migrations, neighbors, reason, grade
+):
+    state = make_broker(entries=[entry(0, cpu="2.00")], neighbors=(1,), max_migrations=max_migrations)
+    broker_step(state, consumer_cfp(state), registry_view=[entry(0, cpu="2.00")])
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id))
+    refuse = Message(
+        Performative.REFUSE,
+        "consumer:0#0",
+        provider(0),
+        state.id,
+        RefusePayload(reason=RefuseReason.CAPACITY, ratios=(("cpu", 0.0),)),
+    )
+    _, out = broker_step(state, refuse, neighbor_info=neighbors)
+    (msg,) = out
+    if reason is None:
+        assert (msg.performative, msg.receiver) == (Performative.CFP, broker(1))
+    else:
+        assert (msg.performative, msg.payload.reason) == (Performative.FAILURE, reason)
+    assert state.contact_list[provider(0)].grade == pytest.approx(grade)
+    assert state.in_flight == 0
+
+
 def test_broker_reject_loop_drains_temporary_then_fails():
     state = make_broker(entries=[entry(0, cpu="4.00"), entry(1, cpu="6.00")], neighbors=())
     view = [entry(0, cpu="4.00"), entry(1, cpu="6.00")]
-    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
+    broker_step(state, consumer_cfp(state), registry_view=view)
     reject = Message(
         Performative.REJECT_PROPOSAL,
         "consumer:0#0",
@@ -540,9 +567,9 @@ def test_broker_reject_loop_drains_temporary_then_fails():
         state.id,
         payload=RejectPayload(money("1.00")),
     )
-    _, out = broker_step(state, reject, now=1)
+    _, out = broker_step(state, reject)
     assert out[0].payload.cost == money("6.00")
-    _, out = broker_step(state, reject, now=2)
+    _, out = broker_step(state, reject)
     (msg,) = out
     assert msg.performative is Performative.FAILURE
     assert state.in_flight == 0
@@ -552,8 +579,8 @@ def test_broker_full_happy_path_and_grade_update():
     state = make_broker(entries=[entry(0, grade=0.5, cpu="2.00")])
     view = [entry(0, cpu="2.00")]
     conv_id = "consumer:0#0"
-    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
-    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), now=1)
+    broker_step(state, consumer_cfp(state), registry_view=view)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id))
     _, out = broker_step(
         state,
         Message(
@@ -563,15 +590,13 @@ def test_broker_full_happy_path_and_grade_update():
             state.id,
             ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00")),
         ),
-        now=2,
     )
     assert out[0].payload.stage is ProposeStage.AGREEMENT
-    _, out = broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id), now=3)
+    _, out = broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id))
     assert out[0].performative is Performative.CONFIRM
     _, out = broker_step(
         state,
         Message(Performative.INFORM, conv_id, consumer(0), state.id, InformPayload(feedback=1.0)),
-        now=4,
     )
     assert out == []
     assert state.in_flight == 0
@@ -581,9 +606,9 @@ def test_broker_full_happy_path_and_grade_update():
 def test_broker_departed_refusal_purges_provider_everywhere():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
     view = [entry(0, cpu="2.00"), entry(1, cpu="9.00")]
-    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
+    broker_step(state, consumer_cfp(state), registry_view=view)
     broker_step(
-        state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), now=1
+        state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id)
     )
     refuse = Message(
         Performative.REFUSE,
@@ -592,7 +617,7 @@ def test_broker_departed_refusal_purges_provider_everywhere():
         state.id,
         RefusePayload(reason=RefuseReason.DEPARTED),
     )
-    _, out = broker_step(state, refuse, now=2)
+    _, out = broker_step(state, refuse)
     assert state.contact_list.get(provider(0)) is None
     assert out[0].payload.cost == money("9.00")
 
@@ -601,11 +626,11 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
     view = [entry(0, cpu="2.00"), entry(1, cpu="9.00")]
     conv_id = "consumer:0#0"
-    broker_step(state, consumer_cfp(state), now=0, registry_view=view)
-    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), now=1)
+    broker_step(state, consumer_cfp(state), registry_view=view)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id))
     hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00"))
-    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold), now=2)
-    broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id), now=3)
+    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold))
+    broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id))
     assert state.conversations[conv_id].phase is BrokerPhase.AWAITING_FEEDBACK
     refuse = Message(
         Performative.REFUSE,
@@ -614,7 +639,7 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
         state.id,
         RefusePayload(reason=RefuseReason.EXPIRED, ratios=(("cpu", 0.0),)),
     )
-    _, out = broker_step(state, refuse, now=4)
+    _, out = broker_step(state, refuse)
     conv = state.conversations[conv_id]
     assert provider(0) not in conv.temporary
     assert provider(0) in conv.excluded
@@ -625,14 +650,13 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
 
 def test_broker_out_of_phase_message_raises():
     state = make_broker(entries=[entry(0, cpu="2.00")])
-    broker_step(state, consumer_cfp(state), now=0, registry_view=[entry(0, cpu="2.00")])
+    broker_step(state, consumer_cfp(state), registry_view=[entry(0, cpu="2.00")])
     with pytest.raises(ProtocolError):
         broker_step(
-            state, Message(Performative.AGREE, "consumer:0#0", consumer(0), state.id), now=1
+            state, Message(Performative.AGREE, "consumer:0#0", consumer(0), state.id)
         )
     with pytest.raises(ProtocolError):
         broker_step(
             state,
             Message(Performative.AGREE, "consumer:9#0", consumer(9), state.id),
-            now=1,
         )

@@ -64,7 +64,7 @@ class SelectionOracle:
                 assert conversation not in state.conversations  # self-organized
                 self.failures += 1
             else:
-                assert (conv.best, conv.proposed_cost) == (expected[2], expected[0])
+                assert (conv.best, conv.snapshot.cost) == (expected[2], expected[0])
                 at_selection = tuple(e for pid, e in state.contact_list.items() if pid in universe)
                 self.snapshots.append((conv.snapshot, at_selection))
                 self.selections += 1

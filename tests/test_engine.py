@@ -15,7 +15,6 @@ from fedsim.engine import (
     run,
     write_trace,
 )
-from fedsim.migration import MigrationDecision
 from fedsim.model import InvariantError, broker, money, provider
 from fedsim.scenario import load_scenario, parse_scenario
 
@@ -105,7 +104,7 @@ def test_migration_checks_catch_a_planted_bad_target(monkeypatch, pick, reason):
     # picked at broker 0, min(visited) is broker 0 itself: visited and not its own
     # neighbor; broker 2 is a neighbor that sees no provider
     monkeypatch.setattr(
-        migration, "select_direction", lambda req, infos, criteria: MigrationDecision(pick(req.visited))
+        migration, "select_direction", lambda req, infos, criteria: pick(req.visited)
     )
     result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"))
     assert result.quiescent and world.migrations > 0

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 import fedsim.migration as migration
 from fedsim.migration import (
-    MigrationDecision,
     NeighborInfo,
     criteria_vector,
     select_direction,
@@ -109,21 +108,20 @@ def test_constraints_accept_live_superset_coverage():
 
 def test_singleton_neighbor_selected():
     req = request(cpu=1)
-    decision = select_direction(req, [neighbor(1, types=("cpu",))])
-    assert decision == MigrationDecision(target=broker(1))
+    assert select_direction(req, [neighbor(1, types=("cpu",))]) == broker(1)
 
 
 def test_lexicographic_tiebreak_between_incomparable_vectors():
     req = request(cpu=1)
     a = neighbor(1, workload=1, delay=5, types=("cpu",))
     b = neighbor(2, workload=2, delay=1, types=("cpu",))
-    assert select_direction(req, [b, a]).target == broker(1)
+    assert select_direction(req, [b, a]) == broker(1)
 
 
 def test_exhaustion_means_stay_and_fail():
     req = request(cpu=1, gpu=1)
     neighbors = [neighbor(1, types=("cpu",)), neighbor(2, count=0, types=())]
-    assert select_direction(req, neighbors).failed
+    assert select_direction(req, neighbors) is None
 
 
 def _random_instance(rng: random.Random):
@@ -157,7 +155,7 @@ def test_thousand_random_instances_match_bruteforce_oracle():
     rng = random.Random(20413)
     for _ in range(1000):
         req, infos, criteria = _random_instance(rng)
-        decision = select_direction(req, infos, criteria)
+        target = select_direction(req, infos, criteria)
 
         vectors = {
             info.broker: tuple(criteria_vector(info, criteria).values) for info in infos
@@ -165,15 +163,15 @@ def test_thousand_random_instances_match_bruteforce_oracle():
         admissible = {info.broker: verify_constraints(req, info) for info in infos}
         expected, rounds = oracle_select(vectors, admissible)
 
-        assert decision.target == expected
-        if decision.target is not None:
+        assert target == expected
+        if target is not None:
             # the pick must sit in the brute-force non-dominated front of the
             # exact suffix it was drawn from
             final_pick, front = rounds[-1]
-            assert decision.target == final_pick
-            assert decision.target in front
+            assert target == final_pick
+            assert target in front
             suffix = {k: v for k, v in vectors.items() if k not in {p for p, _ in rounds[:-1]}}
-            assert decision.target in oracle_nondominated(suffix)
+            assert target in oracle_nondominated(suffix)
 
 
 small = st.integers(min_value=0, max_value=2)
@@ -207,8 +205,8 @@ def test_ties_and_duplicated_vectors_match_the_oracle(shapes, copies, criteria):
     visited = {broker(bid) for bid, shape in enumerate(shapes) if shape[4]}
     req = request(cpu=1, visited=visited)
     expected, _ = _oracle_pick(req, infos, tuple(criteria))
-    assert select_direction(req, infos, tuple(criteria)).target == expected
-    assert select_direction(req, infos[::-1], tuple(criteria)).target == expected
+    assert select_direction(req, infos, tuple(criteria)) == expected
+    assert select_direction(req, infos[::-1], tuple(criteria)) == expected
 
 
 class DirectionOracle:
@@ -220,13 +218,13 @@ class DirectionOracle:
 
     def __call__(self, req, neighbors, criteria=migration.DEFAULT_CRITERIA):
         infos = list(neighbors)
-        decision = self.original(req, infos, criteria)
+        target = self.original(req, infos, criteria)
         expected, rounds = _oracle_pick(req, infos, criteria)
-        assert decision.target == expected
+        assert target == expected
         self.seen["calls"] += 1
-        self.seen["failed"] += decision.failed
+        self.seen["failed"] += target is None
         self.seen["rounds_after_a_removal"] += len(rounds) > 1
-        return decision
+        return target
 
 
 def test_every_selection_of_the_fuzz_batch_matches_the_oracle(fuzz_batch):
@@ -247,9 +245,10 @@ def test_select_direction_is_deterministic():
 def test_hop_limit_forces_failure_message():
     req = request(cid=3, cpu=1, migrations=2)
     result = self_organize(req, broker(0), [neighbor(1, types=("cpu",))], 2, "consumer:3#0")
-    assert result.decision is None
+    assert result.target is None
     (msg,) = result.messages
     assert msg.performative is Performative.FAILURE
+    assert msg.payload.reason == "migration-limit"
     assert msg.receiver == consumer(3)
 
 
@@ -258,7 +257,7 @@ def test_migration_carries_hop_and_visited():
     result = self_organize(req, broker(0), [neighbor(1, types=("cpu",))], 3, "consumer:3#0")
     (msg,) = result.messages
     assert msg.performative is Performative.CFP
-    assert msg.receiver == broker(1)
+    assert msg.receiver == result.target == broker(1)
     hopped = msg.payload.request
     assert hopped.migrations == req.migrations + 1
     assert broker(0) in hopped.visited
@@ -269,5 +268,6 @@ def test_no_admissible_neighbor_fails_without_cfp():
     result = self_organize(req, broker(0), [neighbor(1, types=("cpu",))], 3, "consumer:3#0")
     (msg,) = result.messages
     assert msg.performative is Performative.FAILURE
-    assert result.decision is not None and result.decision.failed
+    assert msg.payload.reason == "no-admissible-broker"
+    assert result.target is None
 

@@ -68,14 +68,6 @@ def test_empty_bundle_rejected():
     assert err.value.code == "empty-bundle"
 
 
-def test_migration_limit_checked_when_given():
-    req = request(migrations=3)
-    validate_request(req)  # no limit, fine
-    with pytest.raises(ValidationError) as err:
-        validate_request(req, max_migrations=2)
-    assert err.value.code == "migration-limit-exceeded"
-
-
 @given(
     start=st.integers(min_value=-5, max_value=20),
     end=st.integers(min_value=-5, max_value=20),

@@ -10,8 +10,6 @@ from fedsim.scenario import (
     Scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -135,32 +133,12 @@ def test_missing_file_and_bad_json(tmp_path):
         load_scenario(bad)
 
 
-def test_echo_round_trip_is_idempotent(tmp_path):
-    for name in ("minimal.json", "migration.json", "churn.json"):
-        scn = load_scenario(SCENARIOS / name)
-        echo = tmp_path / f"echo-{name}"
-        save_scenario(scn, echo)
-        again = load_scenario(echo)
-        assert again == scn
-        # a second echo is byte-identical
-        echo2 = tmp_path / f"echo2-{name}"
-        save_scenario(again, echo2)
-        assert echo.read_bytes() == echo2.read_bytes()
-
-
-def test_echo_dict_is_json_stable():
-    scn = parse_scenario(minimal_dict())
-    first = json.dumps(scenario_to_dict(scn), sort_keys=True)
-    second = json.dumps(scenario_to_dict(parse_scenario(minimal_dict())), sort_keys=True)
-    assert first == second
-
-
 PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight")
 
 
 @pytest.mark.parametrize("field", PRICING_FLOATS)
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), "NaN", "Infinity", [1], {"x": 1}], ids=repr
+    "value", [float("nan"), float("inf"), "NaN", "Infinity", [1], {"x": 1}, True, False], ids=repr
 )
 def test_non_finite_or_non_numeric_pricing_rejected(field, value):
     data = minimal_dict()

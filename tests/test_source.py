@@ -44,3 +44,26 @@ def test_no_unused_imports_in_the_package():
     # an import nothing reads is dead code, and often the last trace of a deleted feature
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unused_imports(path)]
     assert found == []
+
+
+def test_every_top_level_definition_is_used_by_the_package():
+    # a function or class that only tests call is code the simulator never runs;
+    # decorated ones (click commands) are reached through their decorator
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set(fedsim.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and node.name not in read
+    ]
+    assert len(trees) > 5
+    assert found == []

@@ -150,20 +150,12 @@ def consumer_step(state: ConsumerState, msg: Message) -> tuple[ConsumerState, li
             # a fresh quote also restarts negotiation after a provider fell through
             return state, _consumer_quote(state, msg, payload.cost)
         if payload.stage is ProposeStage.AGREEMENT and state.phase is ConsumerPhase.AWAITING_AGREEMENT:
-            if payload.cost == state.accepted_cost:
-                state.serving_broker = msg.sender
-                state.phase = ConsumerPhase.AWAITING_CONFIRM
-                return state, [Message(Performative.AGREE, msg.conversation, state.id, msg.sender)]
-            state.phase = ConsumerPhase.AWAITING_COST
-            return state, [
-                Message(
-                    Performative.REFUSE,
-                    msg.conversation,
-                    state.id,
-                    msg.sender,
-                    payload=RefusePayload(reason=RefuseReason.DECLINED),
-                )
-            ]
+            if payload.cost != state.accepted_cost:
+                # the broker's CFP, so the hold it relays, carries the accepted quote's cost
+                raise InvariantError(f"{state.id} got terms {payload.cost}, not {state.accepted_cost}")
+            state.serving_broker = msg.sender
+            state.phase = ConsumerPhase.AWAITING_CONFIRM
+            return state, [Message(Performative.AGREE, msg.conversation, state.id, msg.sender)]
         raise _violation(state.id, state.phase, msg)
 
     if perf is Performative.CONFIRM and state.phase is ConsumerPhase.AWAITING_CONFIRM:
@@ -465,17 +457,6 @@ def broker_step(
             return state, [
                 Message(Performative.CONFIRM, msg.conversation, state.id, conv.best)
             ]
-        if perf is Performative.REFUSE and conv.phase is BrokerPhase.AWAITING_AGREEMENT:
-            held = conv.best
-            _remove_from_temporary(conv, held, for_cause=True)
-            release = Message(
-                Performative.REFUSE,
-                msg.conversation,
-                state.id,
-                held,
-                payload=RefusePayload(reason=RefuseReason.DECLINED),
-            )
-            return state, [release] + _advance(state, msg.conversation, conv, neighbor_info)
         if perf is Performative.INFORM and conv.phase is BrokerPhase.AWAITING_FEEDBACK:
             feedback: InformPayload = msg.payload
             entry = state.contact_list.get(conv.best)
@@ -654,7 +635,7 @@ def _release_demand(state: ProviderState, bundle: ResourceBundle) -> None:
 
 
 def release_hold(state: ProviderState, conversation: str) -> bool:
-    """Drop a held reservation (broker refusal, expiry, or churn). Idempotent."""
+    """Drop a held reservation (expiry or churn). Idempotent."""
     res = state.ledger.get(conversation)
     if res is None or res.status is not ReservationStatus.HELD:
         return False
@@ -671,6 +652,11 @@ def finish_lease(state: ProviderState, conversation: str) -> None:
         _release_demand(state, res.bundle)
 
 
+def _refuse(state: ProviderState, msg: Message, reason: RefuseReason, bundle: ResourceBundle) -> Message:
+    payload = RefusePayload(reason=reason, ratios=state.demand_ratios(bundle))
+    return Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, payload)
+
+
 def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, list[Message]]:
     if msg.receiver != state.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {state.id}")
@@ -681,27 +667,18 @@ def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, li
         req = payload.request
         known = all(r in state.base_prices and r in state.capacity for r, _ in req.bundle.items)
         if not known:
-            refuse = RefusePayload(
-                reason=RefuseReason.UNAVAILABLE, ratios=state.demand_ratios(req.bundle)
-            )
-            return state, [Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, refuse)]
+            return state, [_refuse(state, msg, RefuseReason.UNAVAILABLE, req.bundle)]
         factor = lease_factor(req, state.params)
         expected_prices = {r: state.expected_price(r) for r, _ in req.bundle.items}
         expected = total_cost(req.bundle, expected_prices, factor)
         if expected > payload.cost:
-            refuse = RefusePayload(
-                reason=RefuseReason.EXPECTED_COST, ratios=state.demand_ratios(req.bundle)
-            )
-            return state, [Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, refuse)]
+            return state, [_refuse(state, msg, RefuseReason.EXPECTED_COST, req.bundle)]
         res = allocate(
             state, req.bundle, req.earliest_start, req.deadline,
             msg.conversation, req.consumer, payload.cost,
         )
         if res is None:
-            refuse = RefusePayload(
-                reason=RefuseReason.CAPACITY, ratios=state.demand_ratios(req.bundle)
-            )
-            return state, [Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, refuse)]
+            return state, [_refuse(state, msg, RefuseReason.CAPACITY, req.bundle)]
         return state, [
             Message(
                 Performative.PROPOSE,
@@ -716,20 +693,13 @@ def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, li
         res = state.ledger.get(msg.conversation)
         if res is not None and res.status is ReservationStatus.RELEASED:
             # the hold expired before the agreement came back
-            refuse = RefusePayload(
-                reason=RefuseReason.EXPIRED, ratios=state.demand_ratios(res.bundle)
-            )
-            return state, [Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, refuse)]
+            return state, [_refuse(state, msg, RefuseReason.EXPIRED, res.bundle)]
         if res is None or res.status is not ReservationStatus.HELD:
             raise ProtocolError(
                 f"{state.id} got CONFIRM for {msg.conversation} without a held reservation"
             )
         res.status = ReservationStatus.CONFIRMED
         return state, [Message(Performative.CONFIRM, msg.conversation, state.id, res.consumer)]
-
-    if perf is Performative.REFUSE:
-        release_hold(state, msg.conversation)
-        return state, []
 
     if perf is Performative.INFORM:
         # consumer acknowledgement; the confirmed lease simply stands

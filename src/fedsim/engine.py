@@ -37,7 +37,6 @@ from .model import (
     InvariantError,
     Message,
     Performative,
-    ProposeStage,
     RefusePayload,
     RefuseReason,
     ScenarioError,
@@ -103,7 +102,6 @@ class ConversationMeta:
     consumer: ConsumerState
     live_at_issue: tuple[AgentId, ...]  # the registry when the request was issued
     migrations: int = 0
-    serving_provider: AgentId | None = None
     snapshot: object = None  # SelectionSnapshot of the final selection
     on_time: bool | None = None
 
@@ -383,8 +381,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
             world.record(event, payload_suffix=f"on_time={'yes' if meta.on_time else 'no'}")
             for msg in consumer_complete(meta.consumer, meta.on_time):
                 world.send(msg, now)
-            if meta.serving_provider is not None:
-                finish_lease(world.providers[meta.serving_provider], event.conversation)
+            finish_lease(world.providers[event.provider], event.conversation)
 
         elif event.kind is EventKind.DELIVER:
             msg = event.message
@@ -420,6 +417,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
                         max(now, min(request.deadline, notional_end)),
                         kind=EventKind.TASK_COMPLETE,
                         conversation=msg.conversation,
+                        provider=msg.sender,  # the serving provider sends the CONFIRM
                     )
 
             elif target.kind is AgentKind.BROKER:
@@ -444,8 +442,6 @@ def _run_once(world: _World, event_budget: int) -> bool:
                 for m in out:
                     if m.performative is Performative.CFP and m.receiver.kind is AgentKind.BROKER:
                         world.meta[m.conversation].migrations = m.payload.request.migrations
-                    if m.performative is Performative.PROPOSE and m.payload.stage is ProposeStage.AGREEMENT:
-                        world.meta[m.conversation].serving_provider = m.payload.provider
 
             else:  # provider
                 _, out = provider_step(world.providers[target], msg)

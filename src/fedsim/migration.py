@@ -32,24 +32,6 @@ from .model import (
 )
 
 
-class _CriteriaFields(NamedTuple):
-    values: tuple[float, ...]
-
-
-class CriteriaVector(_CriteriaFields):
-    """Minimized criteria values for one candidate neighbor, checked as it is built."""
-
-    __slots__ = ()
-
-    def __new__(cls, values):
-        if not values:
-            raise DomainError("criteria vector must have at least one entry")
-        for v in values:
-            if v != v or v in (float("inf"), float("-inf")):
-                raise DomainError(f"criteria values must be finite, got {v}")
-        return tuple.__new__(cls, (values,))
-
-
 class NeighborInfo(NamedTuple):
     """Zero-staleness snapshot of one neighbor broker, taken at decision time."""
 
@@ -79,9 +61,9 @@ def _criterion_fns(criteria: Sequence[str]) -> list[CriterionFn]:
         raise DomainError(f"unknown criterion {exc.args[0]!r}") from None
 
 
-def criteria_vector(info: NeighborInfo, criteria: Sequence[str] = DEFAULT_CRITERIA) -> CriteriaVector:
-    """Project a neighbor snapshot onto the configured criteria, in order."""
-    return CriteriaVector(tuple(fn(info) for fn in _criterion_fns(criteria)))
+def criteria_vector(info: NeighborInfo, criteria: Sequence[str] = DEFAULT_CRITERIA) -> tuple[float, ...]:
+    """Project a neighbor snapshot onto the configured criteria, in order; all minimized."""
+    return tuple(fn(info) for fn in _criterion_fns(criteria))
 
 
 def verify_constraints(req: Request, info: NeighborInfo) -> bool:
@@ -113,7 +95,7 @@ def select_direction(
     best = None
     for info in neighbors:
         if verify_constraints(req, info):
-            key = (criteria_vector(info, criteria).values, info.broker)
+            key = (criteria_vector(info, criteria), info.broker)
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]

@@ -210,7 +210,6 @@ class ProposeStage(str, enum.Enum):
 
 class RefuseReason(str, enum.Enum):
     OVER_BUDGET = "over-budget"      # consumer: rejection budget spent, quote still too high
-    DECLINED = "declined"            # consumer declined agreement terms / broker releasing provider
     EXPECTED_COST = "expected-cost"  # provider: demand-adjusted cost above the CFP cost
     CAPACITY = "capacity"            # provider: bundle does not fit the window
     UNAVAILABLE = "unavailable"      # provider: unknown or unpriced resource type

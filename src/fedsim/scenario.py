@@ -153,7 +153,7 @@ def _int_field(data: dict, key: str, where: str, minimum: int | None = None) -> 
 
 def _float_field(data: dict, key: str, where: str) -> float:
     value = data[key]
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -227,11 +227,23 @@ _OPTIONAL_INTS = (
     ("default_delay", 0),
 )
 
+_FIELDS = frozenset(
+    ("resource_types", "brokers", "providers", "consumers", "churn", "delays", "pricing", "criteria")
+    + tuple(key for key, _ in _OPTIONAL_INTS)
+)
+
+
+def _reject_unknown(data: dict, fields: frozenset[str], where: str) -> None:
+    for key in data:  # a misspelled optional field must not silently keep its default
+        if key not in fields:
+            raise ScenarioError(f"{where}: unknown field {key!r}")
+
 
 def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     """Build and fully validate a Scenario from parsed JSON."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: expected a JSON object at the top level")
+    _reject_unknown(data, _FIELDS, where)
 
     raw_types = _require(data, "resource_types", where)
     if not isinstance(raw_types, list) or not raw_types:
@@ -251,6 +263,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError(f"{where}.pricing: expected an object")
         loc = f"{where}.pricing"
+        _reject_unknown(raw, frozenset(_PRICING_FLOATS + ("lease_mode",)), loc)
         given = {key: _float_field(raw, key, loc) for key in _PRICING_FLOATS if key in raw}
         try:
             if "lease_mode" in raw:

@@ -37,9 +37,7 @@ def test_criterion_1_pareto_oracle_equivalence():
     for _ in range(1000):
         req, infos, criteria = _random_instance(rng)
         target = select_direction(req, infos, criteria)
-        vectors = {
-            info.broker: tuple(criteria_vector(info, criteria).values) for info in infos
-        }
+        vectors = {info.broker: criteria_vector(info, criteria) for info in infos}
         admissible = {info.broker: verify_constraints(req, info) for info in infos}
         expected, rounds = oracle_select(vectors, admissible)
         if target != expected:

@@ -25,6 +25,7 @@ from fedsim.model import (
     CallPayload,
     FailurePayload,
     InformPayload,
+    InvariantError,
     Message,
     Performative,
     ProposePayload,
@@ -139,13 +140,13 @@ def test_consumer_agrees_to_matching_agreement_then_confirms():
 
 
 def test_consumer_refuses_mismatched_agreement_terms():
+    # the broker relays the hold of a CFP at the accepted quote's cost, so
+    # terms that differ mean a broker or kernel bug, not a consumer choice
     state = make_consumer(budget="10.00")
     consumer_start(state)
     consumer_step(state, quote("9.00"))
-    _, out = consumer_step(state, quote("9.50", stage=ProposeStage.AGREEMENT, pid=provider(1)))
-    assert out[0].performative is Performative.REFUSE
-    assert out[0].payload.reason is RefuseReason.DECLINED
-    assert state.phase is ConsumerPhase.AWAITING_COST
+    with pytest.raises(InvariantError, match="got terms 9.50, not 9.00"):
+        consumer_step(state, quote("9.50", stage=ProposeStage.AGREEMENT, pid=provider(1)))
 
 
 def test_consumer_requote_after_provider_fell_through():
@@ -348,7 +349,8 @@ def test_provider_second_confirm_is_protocol_violation():
         provider_step(state, confirm)
 
 
-def test_provider_releases_hold_on_broker_refusal():
+def test_provider_refuse_is_protocol_violation():
+    # no agent refuses a provider: a hold ends only by CONFIRM, expiry or churn
     state = make_provider()
     provider_step(state, cfp_to_provider("4.00"))
     refuse = Message(
@@ -356,12 +358,11 @@ def test_provider_releases_hold_on_broker_refusal():
         "consumer:0#0",
         broker(0),
         provider(0),
-        RefusePayload(reason=RefuseReason.DECLINED),
+        RefusePayload(reason=RefuseReason.OVER_BUDGET),
     )
-    _, out = provider_step(state, refuse)
-    assert out == []
-    assert state.ledger["consumer:0#0"].status is ReservationStatus.RELEASED
-    assert state.demand["cpu"] == 0.0
+    with pytest.raises(ProtocolError):
+        provider_step(state, refuse)
+    assert state.ledger["consumer:0#0"].status is ReservationStatus.HELD
 
 
 def test_provider_refuses_unknown_resource_type():
@@ -660,3 +661,13 @@ def test_broker_out_of_phase_message_raises():
             state,
             Message(Performative.AGREE, "consumer:9#0", consumer(9), state.id),
         )
+    # once the consumer has accepted, the agreement carries the quoted cost,
+    # so the consumer never refuses it
+    conv_id = "consumer:0#0"
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id))
+    hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00"))
+    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold))
+    assert state.conversations[conv_id].phase is BrokerPhase.AWAITING_AGREEMENT
+    refuse = RefusePayload(reason=RefuseReason.OVER_BUDGET)
+    with pytest.raises(ProtocolError):
+        broker_step(state, Message(Performative.REFUSE, conv_id, consumer(0), state.id, refuse))

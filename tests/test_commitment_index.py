@@ -19,8 +19,6 @@ from fedsim.model import (
     CallPayload,
     Message,
     Performative,
-    RefusePayload,
-    RefuseReason,
     broker,
     money,
     provider,
@@ -116,14 +114,9 @@ def test_index_follows_replaced_and_released_entries():
                 provider_step(state, Message(Performative.CFP, conv, broker(0), state.id, call))
                 if before is not None and state.ledger[conv] is not before:
                     replaced[before.status] += 1
-            elif roll < 0.75:
-                declined = RefusePayload(reason=RefuseReason.DECLINED)
-                msg = Message(Performative.REFUSE, conv, broker(0), state.id, declined)
-                provider_step(state, msg)
-            elif roll < 0.9:
-                if before is not None and before.status is ReservationStatus.HELD:
-                    provider_step(state, Message(Performative.CONFIRM, conv, broker(0), state.id))
-            else:
-                release_hold(state, conv)  # a hold expiry
+            elif roll < 0.75 or roll >= 0.9:
+                release_hold(state, conv)  # a hold expiry or a departure
+            elif before is not None and before.status is ReservationStatus.HELD:
+                provider_step(state, Message(Performative.CONFIRM, conv, broker(0), state.id))
             assert_index_matches(state)
     assert all(replaced[status] > 20 for status in ReservationStatus)

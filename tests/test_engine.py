@@ -117,7 +117,7 @@ def test_leave_during_negotiation_bounces_and_recovers():
     assert sum(r.payload.endswith(",bounced") for r in result.trace) == 1
     meta = result.conversations["consumer:0#0"]
     assert meta.consumer.phase is ConsumerPhase.DONE
-    assert meta.serving_provider == provider(1)
+    assert result.providers[provider(1)].ledger["consumer:0#0"].status is ReservationStatus.CONFIRMED
     assert provider(0) not in result.registry
     assert provider(2) in result.registry  # joined later
     # the departed provider keeps no live holds

@@ -29,14 +29,14 @@ from helpers import (
 
 
 def test_default_criteria_project_workload_then_delay():
-    assert criteria_vector(neighbor(1, workload=3, delay=7)).values == (3.0, 7.0)
-    assert criteria_vector(neighbor(1, workload=0, delay=0)).values == (0.0, 0.0)
+    assert criteria_vector(neighbor(1, workload=3, delay=7)) == (3.0, 7.0)
+    assert criteria_vector(neighbor(1, workload=0, delay=0)) == (0.0, 0.0)
 
 
 def test_third_criterion_shrinks_with_provider_count():
     info = neighbor(1, workload=2, delay=3, count=4)
     got = criteria_vector(info, ("workload", "delay", "provider_scarcity"))
-    assert got.values == (2.0, 3.0, pytest.approx(0.2))
+    assert got == (2.0, 3.0, pytest.approx(0.2))
 
 
 def test_unknown_criterion_rejected():
@@ -146,7 +146,7 @@ def _random_instance(rng: random.Random):
 
 
 def _oracle_pick(req, infos, criteria):
-    vectors = {info.broker: criteria_vector(info, criteria).values for info in infos}
+    vectors = {info.broker: criteria_vector(info, criteria) for info in infos}
     admissible = {info.broker: verify_constraints(req, info) for info in infos}
     return oracle_select(vectors, admissible)
 
@@ -157,9 +157,7 @@ def test_thousand_random_instances_match_bruteforce_oracle():
         req, infos, criteria = _random_instance(rng)
         target = select_direction(req, infos, criteria)
 
-        vectors = {
-            info.broker: tuple(criteria_vector(info, criteria).values) for info in infos
-        }
+        vectors = {info.broker: criteria_vector(info, criteria) for info in infos}
         admissible = {info.broker: verify_constraints(req, info) for info in infos}
         expected, rounds = oracle_select(vectors, admissible)
 

@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 
 from fedsim.agents import SelectionSnapshot
 from fedsim.engine import run
-from fedsim.migration import CriteriaVector
 from fedsim.model import (
     AgentId,
     AgentKind,
     CallPayload,
-    DomainError,
     FailurePayload,
     InformPayload,
     Message,
@@ -198,17 +196,6 @@ def test_provider_refuse_must_carry_ratio_payload(keyword):
     assert msg.payload is refuse and msg.payload_digest() == "reason=capacity,ratio=cpu:0.5000"
 
 
-@pytest.mark.parametrize("keyword", [False, True])
-@pytest.mark.parametrize("values", [(), (1.0, float("nan")), (float("inf"),), (0.0, float("-inf"))])
-def test_criteria_vector_must_be_non_empty_and_finite(keyword, values):
-    with pytest.raises(DomainError):
-        CriteriaVector(values=values) if keyword else CriteriaVector(values)
-
-
-def test_criteria_vector_keeps_its_values():
-    assert CriteriaVector((1.0, 2.0)).values == CriteriaVector(values=(1.0, 2.0)).values == (1.0, 2.0)
-
-
 def _records():
     """One instance of each record built per event or per selection."""
     return [
@@ -222,7 +209,6 @@ def _records():
         entry(1, cpu="1.00"),
         SelectionSnapshot({}, frozenset(), frozenset(), bundle(cpu=2), Decimal(1), money(3)),
         neighbor(1),
-        CriteriaVector((1.0,)),
     ]
 
 

@@ -138,7 +138,9 @@ PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_
 
 @pytest.mark.parametrize("field", PRICING_FLOATS)
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), "NaN", "Infinity", [1], {"x": 1}, True, False], ids=repr
+    "value",
+    [float("nan"), float("inf"), "NaN", "Infinity", "2.5", " 0.25 ", [1], {"x": 1}, True, False],
+    ids=repr,
 )
 def test_non_finite_or_non_numeric_pricing_rejected(field, value):
     data = minimal_dict()
@@ -226,6 +228,7 @@ HOSTILE = [
     ),
     pytest.param(("criteria",), 5, r"criteria: expected a list", id="criteria-int"),
     pytest.param(("criteria",), "workload", r"criteria: expected a list", id="criteria-string"),
+    pytest.param(("criteria",), [], r"criteria: at least one criterion", id="criteria-empty"),
     pytest.param(
         ("criteria",), [["workload"]],
         r"criteria: unknown criterion",
@@ -261,6 +264,13 @@ HOSTILE = [
         ("pricing",), {"cost_weight": 10**400},
         r"pricing\.cost_weight",
         id="pricing-float-overflow",
+    ),
+    # a misspelled optional field would otherwise leave its default in force
+    pytest.param(("hold_timout",), 3, r"^scenario: unknown field 'hold_timout'$", id="typo-top-level"),
+    pytest.param(
+        ("pricing",), {"demand_sensitivty": 2.0},
+        r"^scenario\.pricing: unknown field 'demand_sensitivty'$",
+        id="typo-pricing",
     ),
 ]
 

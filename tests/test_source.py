@@ -67,3 +67,45 @@ def test_every_top_level_definition_is_used_by_the_package():
     ]
     assert len(trees) > 5
     assert found == []
+
+
+_ENUM_BASES = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}
+
+
+def _enum_members(tree):
+    """(class, member, line) for each member of each enum.Enum subclass defined in `tree`."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None))
+            in _ENUM_BASES
+            for base in node.bases
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name):
+                            yield node.name, target.id, stmt.lineno
+
+
+def test_every_enum_member_is_read_by_the_package():
+    # a member the package never names as `Class.MEMBER` is a protocol edge or
+    # state no run can reach; iterating or parsing the enum does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {
+        (node.value.id, node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    members = [
+        (name, cls, member, line)
+        for name, tree in trees.items()
+        for cls, member, line in _enum_members(tree)
+    ]
+    found = [
+        f"{name}:{line} {cls}.{member}"
+        for name, cls, member, line in members
+        if (cls, member) not in read
+    ]
+    assert len(members) > 30
+    assert found == []

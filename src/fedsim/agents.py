@@ -426,7 +426,7 @@ def broker_step(
             request=req,
             phase=BrokerPhase.QUOTING,
             temporary=set(refreshed),
-            factor=lease_factor(req, state.params),
+            factor=lease_factor(req),
             universe=frozenset(refreshed),
         )
         state.conversations[msg.conversation] = conv
@@ -668,7 +668,7 @@ def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, li
         known = all(r in state.base_prices and r in state.capacity for r, _ in req.bundle.items)
         if not known:
             return state, [_refuse(state, msg, RefuseReason.UNAVAILABLE, req.bundle)]
-        factor = lease_factor(req, state.params)
+        factor = lease_factor(req)
         expected_prices = {r: state.expected_price(r) for r, _ in req.bundle.items}
         expected = total_cost(req.bundle, expected_prices, factor)
         if expected > payload.cost:

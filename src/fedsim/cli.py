@@ -1,4 +1,4 @@
-"""Command-line entry point: validate, run, and sweep scenarios."""
+"""Command-line entry point: validate a scenario, run it, and check its determinism."""
 
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ def validate(scenario_path):
 
 @main.command(name="run")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--trace-out", default=None, type=click.Path())
 @click.option("--report-out", default=None, type=click.Path())
 @click.option(
@@ -56,11 +55,11 @@ def validate(scenario_path):
     show_default=True,
     type=click.Choice(["tabular-text", "structured"]),
 )
-def run_cmd(scenario_path, seed, trace_out, report_out, fmt):
+def run_cmd(scenario_path, trace_out, report_out, fmt):
     """Run one scenario and report its metrics."""
     try:
         scn = load_scenario(scenario_path)
-        result = run_engine(scn, seed=seed)
+        result = run_engine(scn)
         if trace_out:
             write_trace(result.trace, trace_out)
         text = emit_report(compute_metrics(result), fmt, destination=report_out)
@@ -82,47 +81,28 @@ def run_cmd(scenario_path, seed, trace_out, report_out, fmt):
 
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
-@click.option("--seeds", default=5, show_default=True, type=int)
-@click.option(
-    "--format",
-    "fmt",
-    default="tabular-text",
-    show_default=True,
-    type=click.Choice(["tabular-text", "structured"]),
-)
-def sweep(scenario_path, seeds, fmt):
-    """Run a scenario across seeds, checking per-seed determinism."""
+def sweep(scenario_path):
+    """Run a scenario twice and check that the two traces are byte-identical."""
     try:
         scn = load_scenario(scenario_path)
     except ScenarioError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 
-    mismatches = 0
-    liveness_failures = 0
-    rates = []
-    for seed in range(seeds):
-        first = run_engine(scn, seed=seed)
-        second = run_engine(scn, seed=seed)
-        same = format_trace(first.trace) == format_trace(second.trace)
-        if not same:
-            mismatches += 1
-        if not first.quiescent:
-            liveness_failures += 1
-        report = compute_metrics(first)
-        rates.append(report.satisfaction_rate)
-        click.echo(
-            f"seed {seed}: satisfaction {report.satisfaction_rate:.4f} "
-            f"events {first.events_processed} deterministic {'yes' if same else 'NO'}"
-        )
-    mean_rate = sum(rates) / len(rates) if rates else 0.0
-    click.echo(f"mean satisfaction over {seeds} seeds: {mean_rate:.4f}")
-    if mismatches or liveness_failures:
-        click.echo(
-            f"problems: {mismatches} determinism mismatches, "
-            f"{liveness_failures} liveness failures",
-            err=True,
-        )
+    first, second = run_engine(scn), run_engine(scn)
+    same = format_trace(first.trace) == format_trace(second.trace)
+    report = compute_metrics(first)
+    click.echo(
+        f"satisfaction {report.satisfaction_rate:.4f} "
+        f"events {first.events_processed} deterministic {'yes' if same else 'NO'}"
+    )
+    problems = [
+        name
+        for name, found in (("determinism mismatch", not same), ("liveness failure", not first.quiescent))
+        if found
+    ]
+    if problems:
+        click.echo("problems: " + ", ".join(problems), err=True)
         sys.exit(EXIT_LIVENESS)
 
 

@@ -3,8 +3,8 @@
 Events are processed in strict (time, seq) order from one heap; seq is a
 monotone counter assigned at scheduling time, so simultaneous events run in
 causal scheduling order. All state lives in the World; agent step functions
-are invoked sequentially, never concurrently. Identical (scenario, seed)
-inputs produce byte-identical traces.
+are invoked sequentially, never concurrently. The same scenario produces a
+byte-identical trace.
 """
 
 from __future__ import annotations
@@ -109,16 +109,11 @@ class ConversationMeta:
 @dataclass
 class WorkloadStat:
     peak: int = 0
-    total: int = 0
-    samples: int = 0
-
-    def mean(self) -> float:
-        return self.total / self.samples if self.samples else 0.0
+    total: int = 0  # in-flight count summed over every event of the run
 
 
 @dataclass
 class RunResult:
-    seed: int
     trace: list[EventRecord]
     consumers: dict[AgentId, ConsumerState]
     brokers: dict[AgentId, BrokerState]
@@ -321,9 +316,7 @@ class _World:
 
     def settle_workloads(self) -> None:
         for bid, (level, before) in self._levels.items():
-            stat = self.workloads[bid]
-            stat.total += level * (self.events - before)
-            stat.samples = self.events
+            self.workloads[bid].total += level * (self.events - before)
 
 
 def _snapshot_when_read(world: _World, of: AgentId):
@@ -459,7 +452,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
     return True
 
 
-def run(scenario: Scenario, seed: int = 0) -> RunResult:
+def run(scenario: Scenario) -> RunResult:
     """Simulate one scenario to quiescence (or its event budget) and trace it."""
     world = _World(scenario)
 
@@ -495,7 +488,6 @@ def run(scenario: Scenario, seed: int = 0) -> RunResult:
                     )
 
     return RunResult(
-        seed=seed,
         trace=world.trace,
         consumers=world.consumers,
         brokers=world.brokers,

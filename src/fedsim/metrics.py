@@ -27,14 +27,12 @@ class MetricsReport:
     migrations_mean: float
     migrations_max: int
     workload_peak: tuple[tuple[str, int], ...]     # per broker
-    workload_mean: tuple[tuple[str, float], ...]   # per broker, event-sampled
+    workload_mean: tuple[tuple[str, float], ...]   # per broker, over all events
     workload_mean_std: float          # std of the per-broker means
     mean_paid: Money                  # over done conversations, 0.00 when none
     local_optimality_violations: int
     global_optimality_gap: float      # mean (paid - cheapest feasible) / cheapest
     message_counts: tuple[tuple[str, int], ...]
-    failure_count: int
-    zero_requests: bool = False       # satisfaction defined as 0 by convention
 
 
 def oracle_min_cost(snapshot) -> Money | None:
@@ -57,7 +55,7 @@ def cheapest_feasible(result: RunResult, meta) -> Money | None:
     frictionless lower bound the gap is measured against.
     """
     request = meta.consumer.request
-    factor = lease_factor(request, meta.consumer.params)
+    factor = lease_factor(request)
     best: Money | None = None
     for pid in meta.live_at_issue:
         provider = result.providers[pid]
@@ -90,7 +88,10 @@ def compute_metrics(result: RunResult) -> MetricsReport:
     migrations_max = max(migrations) if migrations else 0
 
     peaks = tuple(sorted((str(bid), stat.peak) for bid, stat in result.workloads.items()))
-    means_by_broker = {str(bid): stat.mean() for bid, stat in result.workloads.items()}
+    events = result.events_processed
+    means_by_broker = {
+        str(bid): stat.total / events if events else 0.0 for bid, stat in result.workloads.items()
+    }
     means = tuple(sorted((bid, round(v, 4)) for bid, v in means_by_broker.items()))
     if means_by_broker:
         mu = sum(means_by_broker.values()) / len(means_by_broker)
@@ -143,8 +144,6 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         local_optimality_violations=violations,
         global_optimality_gap=round(gap, 4),
         message_counts=tuple(sorted(counts.items())),
-        failure_count=len(failed),
-        zero_requests=total == 0,
     )
 
 
@@ -163,8 +162,6 @@ def report_to_dict(report: MetricsReport) -> dict:
         "local_optimality_violations": report.local_optimality_violations,
         "global_optimality_gap": f"{report.global_optimality_gap:.4f}",
         "message_counts": {perf: n for perf, n in report.message_counts},
-        "failure_count": report.failure_count,
-        "zero_requests": report.zero_requests,
     }
 
 
@@ -183,8 +180,6 @@ def report_from_dict(data: dict) -> MetricsReport:
         local_optimality_violations=int(data["local_optimality_violations"]),
         global_optimality_gap=float(data["global_optimality_gap"]),
         message_counts=tuple(sorted((k, int(v)) for k, v in data["message_counts"].items())),
-        failure_count=int(data["failure_count"]),
-        zero_requests=bool(data["zero_requests"]),
     )
 
 
@@ -201,13 +196,12 @@ def render_tabular(report: MetricsReport) -> str:
         f"requests total            {report.requests_total}",
         f"done / failed             {report.done} / {report.failed}",
         f"satisfaction rate         {report.satisfaction_rate:.4f}"
-        + ("  (no requests; defined as 0)" if report.zero_requests else ""),
+        + ("  (no requests; defined as 0)" if report.requests_total == 0 else ""),
         f"migrations mean / max     {report.migrations_mean:.4f} / {report.migrations_max}",
         f"workload mean std         {report.workload_mean_std:.4f}",
         f"mean paid                 {format_money(report.mean_paid)}",
         f"local optimality breaks   {report.local_optimality_violations}",
         f"global optimality gap     {report.global_optimality_gap:.4f}",
-        f"failures                  {report.failure_count}",
     ]
     for bid, peak in report.workload_peak:
         mean = dict(report.workload_mean)[bid]

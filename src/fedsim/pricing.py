@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -29,13 +28,6 @@ class MissingPriceError(DomainError):
         self.rtype = rtype
 
 
-class LeaseMode(str, enum.Enum):
-    """Interpretation of the per-request cost factor applied to every unit price."""
-
-    LEASE_DURATION = "lease-duration"  # factor = deadline - earliest_start
-    CONSTANT_ONE = "constant-one"      # factor = 1, for unit tests
-
-
 @dataclass(frozen=True)
 class PricingParams:
     """Scenario-wide knobs for pricing, utility, and grade smoothing."""
@@ -44,11 +36,8 @@ class PricingParams:
     grade_smoothing: float = 0.3      # in (0, 1], weight of fresh feedback
     cost_weight: float = 0.5          # utility weights, must sum to 1
     time_weight: float = 0.5
-    lease_mode: LeaseMode = LeaseMode.LEASE_DURATION
 
     def __post_init__(self):
-        if not isinstance(self.lease_mode, LeaseMode):
-            object.__setattr__(self, "lease_mode", LeaseMode(self.lease_mode))
         for name in ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -64,10 +53,8 @@ class PricingParams:
             )
 
 
-def lease_factor(req: Request, params: PricingParams) -> Decimal:
-    """The factor multiplying every unit price when costing this request."""
-    if params.lease_mode is LeaseMode.CONSTANT_ONE:
-        return Decimal(1)
+def lease_factor(req: Request) -> Decimal:
+    """The factor multiplying every unit price when costing this request: its window length."""
     return Decimal(req.deadline - req.earliest_start)
 
 

@@ -28,7 +28,7 @@ from .model import (
     provider,
     validate_request,
 )
-from .pricing import LeaseMode, PricingParams
+from .pricing import PricingParams
 
 
 class ChurnAction(str, enum.Enum):
@@ -250,8 +250,12 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}.resource_types: expected a non-empty list")
     types: list[str] = []
     for rtype in raw_types:
-        if not isinstance(rtype, str) or not rtype:
-            raise ScenarioError(f"{where}.resource_types: {rtype!r} is not a valid type name")
+        # type names are written into trace lines, which are ASCII and split at spaces
+        if not isinstance(rtype, str) or not rtype or not all("!" <= c <= "~" for c in rtype):
+            raise ScenarioError(
+                f"{where}.resource_types: {rtype!r} is not a valid type name "
+                "(printable ASCII without whitespace)"
+            )
         if rtype in types:
             raise ScenarioError(f"{where}.resource_types: duplicate type {rtype!r}")
         types.append(rtype)
@@ -263,13 +267,11 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError(f"{where}.pricing: expected an object")
         loc = f"{where}.pricing"
-        _reject_unknown(raw, frozenset(_PRICING_FLOATS + ("lease_mode",)), loc)
+        _reject_unknown(raw, frozenset(_PRICING_FLOATS), loc)
         given = {key: _float_field(raw, key, loc) for key in _PRICING_FLOATS if key in raw}
         try:
-            if "lease_mode" in raw:
-                given["lease_mode"] = LeaseMode(raw["lease_mode"])
             optional["pricing"] = PricingParams(**given)
-        except (DomainError, ValueError) as exc:
+        except DomainError as exc:
             raise ScenarioError(f"{loc}: {exc}") from None
 
     # brokers
@@ -429,12 +431,18 @@ def load_scenario(path) -> Scenario:
     """Parse and validate the scenario file at `path`."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{p}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{p}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise ScenarioError(f"{p}: invalid JSON: {exc}") from None
     return parse_scenario(data, where=str(p))
 

@@ -34,7 +34,7 @@ def fuzz_batch():
             patch.setattr(migration, "select_direction", batch.directions)
             patch.setattr(agents, "_advance", selection.advance(agents._advance))
             patch.setattr(engine, "broker_step", selection.broker_step(agents.broker_step))
-            result, world = checked_run(patch, parse_scenario(data), seed=i)
+            result, world = checked_run(patch, parse_scenario(data))
         batch.runs.append((result, world, selection))
     batch.elapsed = time.monotonic() - started
     return batch

@@ -44,8 +44,7 @@ from fedsim.pricing import PricingParams
 
 from helpers import bundle, entry, neighbor, request, tick_scan_feasible
 
-PARAMS = PricingParams(lease_mode="constant-one")
-LEASE = PricingParams()
+PARAMS = PricingParams()
 
 
 def make_consumer(cid=0, budget="10.00", max_rejects=3, **quantities):
@@ -270,7 +269,7 @@ def test_selection_matches_exhaustive_ranking_oracle():
 
 
 def cfp_to_provider(cost, pid=0, frm=0, req=None):
-    req = req or request(cpu=2, start=0, end=10)
+    req = req or request(cpu=2, start=0, end=1)  # one tick: the cost is the unit-price sum
     return Message(
         Performative.CFP,
         "consumer:0#0",
@@ -299,7 +298,7 @@ def test_provider_refuses_with_demand_ratio_when_expected_exceeds_cost():
         "consumer:1#0",
         broker(0),
         provider(0),
-        CallPayload(request=request(cid=1, cpu=2), cost=money("4.00")),
+        CallPayload(request=request(cid=1, cpu=2, end=1), cost=money("4.00")),
     )
     _, out = provider_step(state, msg)
     (refuse,) = out
@@ -444,7 +443,7 @@ def test_finish_lease_releases_demand_but_keeps_ledger():
 
 
 def consumer_cfp(state_broker, cid=0, req=None):
-    req = req or request(cid=cid, cpu=1, budget="50.00")
+    req = req or request(cid=cid, cpu=1, end=1, budget="50.00")  # one tick, as above
     return Message(
         Performative.CFP,
         f"consumer:{cid}#0",

@@ -46,7 +46,7 @@ class SelectionOracle:
             seen = self.last_seen[state.id]
             purged = self.purged.get(state.id, set())
             bundle = conv.request.bundle
-            factor = lease_factor(conv.request, state.params)
+            factor = lease_factor(conv.request)
             ranked = []
             for pid in conv.temporary:
                 if pid in purged:

@@ -26,6 +26,14 @@ def test_validate_reports_error_and_exit_code(tmp_path):
     assert "invalid" in result.output
 
 
+def test_validate_reports_a_file_that_is_not_utf8_with_exit_code_2(tmp_path):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    result = CliRunner().invoke(main, ["validate", "--scenario", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"invalid: {bad}: not UTF-8 text")
+
+
 def test_validate_warns_when_holds_lapse_before_the_confirm(tmp_path):
     data = json.loads((SCENARIOS / "minimal.json").read_text())
     for timeout, warns in ((4, True), (5, False)):
@@ -47,8 +55,6 @@ def test_run_writes_trace_and_report(tmp_path):
             "run",
             "--scenario",
             str(SCENARIOS / "migration.json"),
-            "--seed",
-            "1",
             "--trace-out",
             str(trace_out),
             "--report-out",
@@ -89,14 +95,21 @@ def test_run_reports_an_unwritable_output_path_with_exit_code_2(tmp_path, option
     assert result.stderr.startswith("error: ") and str(missing) in result.stderr
 
 
-def test_sweep_checks_determinism_across_seeds():
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["sweep", "--scenario", str(SCENARIOS / "churn.json"), "--seeds", "3"]
-    )
+def test_sweep_checks_determinism():
+    result = CliRunner().invoke(main, ["sweep", "--scenario", str(SCENARIOS / "churn.json")])
     assert result.exit_code == 0, result.output
-    assert result.output.count("deterministic yes") == 3
-    assert "mean satisfaction over 3 seeds" in result.output
+    assert result.stdout == "satisfaction 1.0000 events 21 deterministic yes\n"
+    assert result.stderr == ""
+
+
+def test_sweep_exits_3_on_a_liveness_failure(tmp_path):
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({**data, "event_budget": 3}))
+    result = CliRunner().invoke(main, ["sweep", "--scenario", str(path)])
+    assert result.exit_code == 3
+    assert "events 3 deterministic yes" in result.stdout
+    assert result.stderr == "problems: liveness failure\n"
 
 
 def test_run_rejects_nan_pricing_with_exit_code_2(tmp_path):

@@ -99,7 +99,7 @@ def test_index_follows_replaced_and_released_entries():
             provider(0),
             {"cpu": 6, "storage": 6},
             {"cpu": money("1.00"), "storage": money("1.00")},
-            PricingParams(lease_mode="constant-one"),
+            PricingParams(),
         )
         for _ in range(50):
             conv = f"consumer:{rng.randrange(6)}#0"

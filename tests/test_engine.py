@@ -39,22 +39,22 @@ def empty_scenario():
 
 
 def test_empty_scenario_reaches_immediate_quiescence():
-    result = run(empty_scenario(), seed=0)
+    result = run(empty_scenario())
     assert result.quiescent
     assert result.trace == []
     assert result.events_processed == 0
 
 
-def test_same_seed_gives_byte_identical_traces():
+def test_same_scenario_gives_byte_identical_traces():
     scn = minimal()
-    first = format_trace(run(scn, seed=3).trace)
-    second = format_trace(run(scn, seed=3).trace)
+    first = format_trace(run(scn).trace)
+    second = format_trace(run(scn).trace)
     assert first == second
 
 
 def test_single_path_negotiation_chain():
     # hand-walked chain for one consumer, one broker, one provider
-    result = run(minimal(), seed=0)
+    result = run(minimal())
     assert result.quiescent
     sequence = [
         (r.performative, r.sender.split(":")[0], r.receiver.split(":")[0])
@@ -80,14 +80,14 @@ def test_single_path_negotiation_chain():
 
 
 def test_trace_times_and_seqs_strictly_increase():
-    result = run(load_scenario(SCENARIOS / "migration.json"), seed=0)
+    result = run(load_scenario(SCENARIOS / "migration.json"))
     keys = [(r.time, r.seq) for r in result.trace]
     assert keys == sorted(keys)
     assert len(set(r.seq for r in result.trace)) == len(result.trace)
 
 
 def test_migration_scenario_recovers_through_neighbor(monkeypatch):
-    result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"), seed=0)
+    result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"))
     assert result.quiescent
     meta = result.conversations["consumer:0#0"]
     assert meta.consumer.phase is ConsumerPhase.DONE
@@ -112,7 +112,7 @@ def test_migration_checks_catch_a_planted_bad_target(monkeypatch, pick, reason):
 
 
 def test_leave_during_negotiation_bounces_and_recovers():
-    result = run(load_scenario(SCENARIOS / "churn.json"), seed=0)
+    result = run(load_scenario(SCENARIOS / "churn.json"))
     assert result.quiescent
     assert sum(r.payload.endswith(",bounced") for r in result.trace) == 1
     meta = result.conversations["consumer:0#0"]
@@ -126,7 +126,7 @@ def test_leave_during_negotiation_bounces_and_recovers():
 
 
 def test_no_message_is_ever_handled_by_departed_provider():
-    result = run(load_scenario(SCENARIOS / "churn.json"), seed=0)
+    result = run(load_scenario(SCENARIOS / "churn.json"))
     leave_time = next(
         (r.time, r.seq) for r in result.trace if r.performative == "provider-leave"
     )
@@ -137,22 +137,22 @@ def test_no_message_is_ever_handled_by_departed_provider():
 
 
 def test_event_budget_exhaustion_reports_open_conversations():
-    result = run(replace(minimal(), event_budget=3), seed=0)
+    result = run(replace(minimal(), event_budget=3))
     assert not result.quiescent
     assert result.open_conversations == ["consumer:0#0"]
     assert result.events_processed == 3
 
 
 def test_budget_of_exactly_the_events_needed_reaches_quiescence():
-    full = run(minimal(), seed=0)
+    full = run(minimal())
     assert full.quiescent
-    capped = run(replace(minimal(), event_budget=full.events_processed), seed=0)
+    capped = run(replace(minimal(), event_budget=full.events_processed))
     assert capped.quiescent  # exactly enough events
 
 
 def test_quiescent_run_has_all_consumers_terminal():
     for name in ("minimal.json", "migration.json", "churn.json"):
-        result = run(load_scenario(SCENARIOS / name), seed=0)
+        result = run(load_scenario(SCENARIOS / name))
         assert result.quiescent
         for state in result.consumers.values():
             assert state.phase in (ConsumerPhase.DONE, ConsumerPhase.FAILED)
@@ -180,7 +180,7 @@ def test_configured_criteria_reach_the_brokers():
             }
         ],
     }
-    result = run(parse_scenario(data), seed=0)
+    result = run(parse_scenario(data))
     assert result.quiescent
     assert result.conversations["consumer:0#0"].consumer.phase is ConsumerPhase.DONE
     for state in result.brokers.values():
@@ -188,7 +188,7 @@ def test_configured_criteria_reach_the_brokers():
 
 
 def test_write_trace_round_trips_bytes(tmp_path):
-    result = run(minimal(), seed=0)
+    result = run(minimal())
     out = tmp_path / "trace.log"
     write_trace(result.trace, out)
     assert out.read_bytes() == format_trace(result.trace).encode("ascii")

@@ -90,7 +90,6 @@ class CheckedWorld(engine._World):
             stat = self.naive[bid]
             stat.peak = max(stat.peak, state.in_flight)
             stat.total += state.in_flight
-            stat.samples += 1
 
     def settle_workloads(self):
         if self.events:
@@ -125,7 +124,6 @@ def test_cached_views_and_workloads_match_the_oracles(monkeypatch, fuzz_batch):
         )
         truncated += not cut.quiescent
         assert cut.workloads == world.naive
-        assert all(stat.samples == cut.events_processed for stat in cut.workloads.values())
     assert actions["join"] > 10 and actions["leave"] > 10
     assert truncated > 90 and checked > 10_000
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fedsim.model import DomainError, ResourceBundle, money
 from fedsim.pricing import (
-    LeaseMode,
     MissingPriceError,
     PricingParams,
     compute_utility,
@@ -74,11 +73,8 @@ def test_cost_scales_linearly_in_factor():
         assert abs(total_cost(b, prices, 2 * factor) - 2 * total_cost(b, prices, factor)) <= Decimal("0.01")
 
 
-def test_lease_factor_modes():
-    req = request(start=3, end=15)
-    assert lease_factor(req, HALF) == Decimal(12)
-    const = PricingParams(lease_mode=LeaseMode.CONSTANT_ONE)
-    assert lease_factor(req, const) == Decimal(1)
+def test_lease_factor_is_the_window_length():
+    assert lease_factor(request(start=3, end=15)) == Decimal(12)
 
 
 def test_expected_price_zero_demand_is_identity():

@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,12 +126,28 @@ def test_unknown_delay_agent_rejected():
         parse_scenario(data)
 
 
-def test_missing_file_and_bad_json(tmp_path):
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        pytest.param(b"{not json", "invalid JSON at line 1", id="syntax"),
+        pytest.param(b"\xff\xfe{}", "not UTF-8 text", id="not-utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, "invalid JSON: nested too deeply", id="deep"),
+        pytest.param(
+            b'{"max_rejects": ' + b"7" * 5_000 + b"}",
+            "invalid JSON: .*digits",
+            id="long-integer",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit"
+            ),
+        ),
+    ],
+)
+def test_missing_file_and_bad_json(tmp_path, payload, match):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ScenarioError, match="invalid JSON"):
+    bad.write_bytes(payload)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(str(bad))}: {match}"):
         load_scenario(bad)
 
 
@@ -161,7 +179,6 @@ DOCUMENTED_DEFAULTS = {
     "pricing.grade_smoothing": 0.3,
     "pricing.cost_weight": 0.5,
     "pricing.time_weight": 0.5,
-    "pricing.lease_mode": "lease-duration",
 }
 
 
@@ -271,6 +288,27 @@ HOSTILE = [
         ("pricing",), {"demand_sensitivty": 2.0},
         r"^scenario\.pricing: unknown field 'demand_sensitivty'$",
         id="typo-pricing",
+    ),
+    pytest.param(
+        ("pricing",), {"lease_mode": "constant-one"},
+        r"^scenario\.pricing: unknown field 'lease_mode'$",
+        id="lease-mode-removed",
+    ),
+    # a type name is written into ASCII trace lines whose fields are split at spaces
+    pytest.param(
+        ("resource_types",), ["cp\u00fc"],
+        r"^scenario\.resource_types: 'cp\u00fc' is not a valid type name",
+        id="type-non-ascii",
+    ),
+    pytest.param(
+        ("resource_types",), ["c pu"],
+        r"^scenario\.resource_types: 'c pu' is not a valid type name",
+        id="type-space",
+    ),
+    pytest.param(
+        ("resource_types",), ["cpu\n"],
+        r"^scenario\.resource_types: 'cpu\\n' is not a valid type name",
+        id="type-newline",
     ),
 ]
 

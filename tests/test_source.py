@@ -109,3 +109,32 @@ def test_every_enum_member_is_read_by_the_package():
     ]
     assert len(members) > 30
     assert found == []
+
+
+def _unread_parameters(path):
+    """Parameters of each function or lambda in a module that its body never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        for param in params:
+            if param is None or param.arg in ("self", "cls") or param.arg.startswith("_"):
+                continue
+            if param.arg not in read:
+                yield f"{path.name}:{node.lineno} {name}({param.arg})"
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a knob that changes nothing
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unread_parameters(path)]
+    assert found == []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping, NamedTuple
 
@@ -200,13 +200,12 @@ class SelectionSnapshot(NamedTuple):
 
     Contact lists are replaced, never edited, so the one current at the
     selection is held as it stood and `entries` is read from it on demand.
+    The bundle and lease factor priced are the request's own.
     """
 
     contact_list: Mapping[AgentId, ContactEntry]
     universe: frozenset[AgentId]
     excluded: frozenset[AgentId]  # removed for cause: capacity, unavailable, expired, departed
-    bundle: ResourceBundle
-    factor: Decimal
     cost: Money
 
     @property
@@ -329,7 +328,6 @@ def _remove_from_temporary(conv: BrokerConversation, pid: AgentId, for_cause: bo
     conv.temporary.discard(pid)
     if for_cause:
         conv.excluded.add(pid)
-    conv.best = None
 
 
 def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> None:
@@ -378,8 +376,6 @@ def _advance(
         contact_list=known,
         universe=conv.universe,
         excluded=frozenset(conv.excluded),
-        bundle=conv.request.bundle,
-        factor=conv.factor,
         cost=conv.quotes[best][1],
     )
     conv.phase = BrokerPhase.QUOTING
@@ -416,7 +412,7 @@ def broker_step(
         if conv is not None:
             raise ProtocolError(f"{state.id} got a second CFP for {msg.conversation}")
         payload: CallPayload = msg.payload
-        req = replace(payload.request, visited=payload.request.visited | {state.id})
+        req = payload.request
         refreshed = update_contact_list(state.contact_list, registry_view or [])
         for pid, entry in state.contact_list.items():
             if pid not in refreshed:
@@ -499,10 +495,8 @@ def broker_step(
                 _remove_from_temporary(conv, msg.sender, for_cause=True)
             else:
                 _apply_price_update(state, msg.sender, payload.ratios)
-                if payload.reason is RefuseReason.EXPECTED_COST:
-                    # prices are refreshed, the provider stays eligible
-                    conv.best = None
-                else:  # capacity, unavailable or an expired hold
+                # an expected-cost refusal only refreshes prices: the provider stays eligible
+                if payload.reason is not RefuseReason.EXPECTED_COST:
                     _remove_from_temporary(conv, msg.sender, for_cause=True)
             return state, _advance(state, msg.conversation, conv, neighbor_info)
         raise _violation(state.id, conv.phase, msg)

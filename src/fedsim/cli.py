@@ -85,13 +85,13 @@ def sweep(scenario_path):
     """Run a scenario twice and check that the two traces are byte-identical."""
     try:
         scn = load_scenario(scenario_path)
-    except ScenarioError as exc:
+        first, second = run_engine(scn), run_engine(scn)
+        report = compute_metrics(first)
+    except SimulatorError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 
-    first, second = run_engine(scn), run_engine(scn)
     same = format_trace(first.trace) == format_trace(second.trace)
-    report = compute_metrics(first)
     click.echo(
         f"satisfaction {report.satisfaction_rate:.4f} "
         f"events {first.events_processed} deterministic {'yes' if same else 'NO'}"

@@ -149,35 +149,34 @@ class _World:
 
         self.brokers: dict[AgentId, BrokerState] = {}
         for spec in scenario.brokers:
-            state = BrokerState(
-                id=spec.agent,
+            self.brokers[spec.id] = BrokerState(
+                id=spec.id,
                 contact_list={},
-                neighbors=tuple(sorted(AgentId(AgentKind.BROKER, n) for n in spec.neighbors)),
+                neighbors=spec.neighbors,
                 params=self.params,
                 max_migrations=self.max_migrations,
                 criteria=scenario.criteria,
             )
-            self.brokers[spec.agent] = state
-            self.visibility[spec.agent] = set()
+            self.visibility[spec.id] = set()
 
         for spec in scenario.providers:
             self._add_provider(spec)
         for spec in scenario.brokers:
-            for pid in spec.visible_providers:
-                self.visibility[spec.agent].add(AgentId(AgentKind.PROVIDER, pid))
+            self.visibility[spec.id].update(spec.visible_providers)
 
         self.consumers: dict[AgentId, ConsumerState] = {}
         self.unissued: dict[str, ConsumerState] = {}  # by conversation, until its start event
         for spec in scenario.consumers:
+            cid = spec.request.consumer
             state = ConsumerState(
-                id=spec.agent,
-                request=spec.request(),
-                conversation=conversation_id(spec.agent, 0),
+                id=cid,
+                request=spec.request,
+                conversation=conversation_id(cid, 0),
                 params=self.params,
                 task_duration=spec.task_duration,
                 max_rejects=scenario.max_rejects,
             )
-            self.consumers[spec.agent] = self.unissued[state.conversation] = state
+            self.consumers[cid] = self.unissued[state.conversation] = state
 
         self.queue: list[Event] = []
         self.seq = 0
@@ -194,16 +193,16 @@ class _World:
     # -- infrastructure -----------------------------------------------------
 
     def _add_provider(self, spec: ProviderSpec) -> None:
-        pid = spec.agent
+        pid = spec.id
         self.providers[pid] = ProviderState(
             id=pid,
-            capacity=spec.capacity_dict(),
-            base_prices=spec.price_dict(),
+            capacity=dict(spec.capacity),
+            base_prices=dict(spec.base_prices),
             params=self.params,
         )
         self.registry.add(pid)
         for bid in spec.visible_to:
-            self.visibility[AgentId(AgentKind.BROKER, bid)].add(pid)
+            self.visibility[bid].add(pid)
         self._clear_views()
 
     def _clear_views(self) -> None:
@@ -280,7 +279,7 @@ class _World:
             payload = msg.payload_digest()
         elif event.kind is EventKind.CHURN:
             performative = f"provider-{event.churn.action.value}"
-            receiver = str(event.churn.agent)
+            receiver = str(event.churn.provider)
         elif event.kind is EventKind.HOLD_EXPIRY:
             receiver = str(event.provider)
             conversation = event.conversation
@@ -327,8 +326,8 @@ def _snapshot_when_read(world: _World, of: AgentId):
 
 def apply_churn(world: _World, change: ChurnSpec) -> None:
     """Apply one membership change to the registry and affected reservations."""
+    pid = change.provider
     if change.action is ChurnAction.LEAVE:
-        pid = change.agent
         if pid not in world.registry:
             raise ScenarioError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
@@ -337,10 +336,9 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
         for conversation in sorted(provider.ledger):
             release_hold(provider, conversation)  # held reservations die with the membership
     else:
-        spec = change.join
-        if spec.agent in world.providers:
-            raise ScenarioError(f"churn join reuses provider id {spec.agent}")
-        world._add_provider(spec)
+        if pid in world.providers:
+            raise ScenarioError(f"churn join reuses provider id {pid}")
+        world._add_provider(change.join)
 
 
 def _run_once(world: _World, event_budget: int) -> bool:
@@ -460,7 +458,7 @@ def run(scenario: Scenario) -> RunResult:
         world.schedule(
             spec.issue_time,
             kind=EventKind.CONSUMER_START,
-            conversation=world.consumers[spec.agent].conversation,
+            conversation=world.consumers[spec.request.consumer].conversation,
         )
     for change in scenario.churn:
         world.schedule(change.time, kind=EventKind.CHURN, churn=change)

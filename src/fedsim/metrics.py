@@ -35,14 +35,14 @@ class MetricsReport:
     message_counts: tuple[tuple[str, int], ...]
 
 
-def oracle_min_cost(snapshot) -> Money | None:
-    """Cheapest admissible entry in a selection snapshot (covering, not removed
-    for cause). This is the reference the paid cost must match."""
+def oracle_min_cost(snapshot, request) -> Money | None:
+    """Cheapest admissible entry in a selection snapshot for `request` (covering,
+    not removed for cause). This is the reference the paid cost must match."""
+    bundle, factor = request.bundle, lease_factor(request)
     costs = [
-        total_cost(snapshot.bundle, entry.prices, snapshot.factor)
+        total_cost(bundle, entry.prices, factor)
         for entry in snapshot.entries
-        if entry.provider not in snapshot.excluded
-        and entry.covers(snapshot.bundle)
+        if entry.provider not in snapshot.excluded and entry.covers(bundle)
     ]
     return min(costs) if costs else None
 
@@ -112,7 +112,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         if m.snapshot is None or paid is None:
             violations += 1
             continue
-        minimum = oracle_min_cost(m.snapshot)
+        minimum = oracle_min_cost(m.snapshot, m.consumer.request)
         if minimum is None or paid != minimum:
             violations += 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, NamedTuple
@@ -21,8 +21,15 @@ ResourceType = str
 
 
 def money(value) -> Money:
-    """Quantize to 2 decimals, half-even. The single rounding point for money."""
-    return Decimal(str(value)).quantize(CENT, rounding=ROUND_HALF_EVEN)
+    """Quantize to 2 decimals, half-even. The single rounding point for money.
+
+    Raises DomainError for a value that is not a number or needs more digits,
+    cents included, than the decimal context's precision.
+    """
+    try:
+        return Decimal(str(value)).quantize(CENT, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:
+        raise DomainError(f"cannot hold {value} as money to the cent") from None
 
 
 def format_money(value: Money) -> str:
@@ -150,7 +157,7 @@ class Request:
     budget: Money
     source: AgentId
     migrations: int = 0
-    visited: frozenset[AgentId] = frozenset()
+    visited: frozenset[AgentId] = frozenset()  # the brokers it has left, stamped by each hop
 
     def digest(self) -> str:
         return (

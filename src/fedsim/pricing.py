@@ -34,23 +34,18 @@ class PricingParams:
 
     demand_sensitivity: float = 1.0   # >= 0, scales the demand/capacity markup
     grade_smoothing: float = 0.3      # in (0, 1], weight of fresh feedback
-    cost_weight: float = 0.5          # utility weights, must sum to 1
-    time_weight: float = 0.5
+    cost_weight: float = 0.5          # in [0, 1]; timeliness weighs 1 - cost_weight
 
     def __post_init__(self):
-        for name in ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight"):
+        for name in ("demand_sensitivity", "grade_smoothing", "cost_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.demand_sensitivity < 0:
             raise DomainError(f"demand_sensitivity must be >= 0, got {self.demand_sensitivity}")
         if not 0 < self.grade_smoothing <= 1:
             raise DomainError(f"grade_smoothing must be in (0, 1], got {self.grade_smoothing}")
-        if self.cost_weight < 0 or self.time_weight < 0:
-            raise DomainError("utility weights must be >= 0")
-        if abs(self.cost_weight + self.time_weight - 1.0) > 1e-9:
-            raise DomainError(
-                f"utility weights must sum to 1, got {self.cost_weight + self.time_weight}"
-            )
+        if not 0 <= self.cost_weight <= 1:
+            raise DomainError(f"cost_weight must be in [0, 1], got {self.cost_weight}")
 
 
 def lease_factor(req: Request) -> Decimal:
@@ -90,7 +85,8 @@ def compute_utility(budget: Money, paid: Money, on_time: bool, params: PricingPa
     if paid < 0:
         raise DomainError(f"paid must be >= 0, got {paid}")
     saved = max(Decimal(0), budget - paid)
-    value = params.cost_weight * float(saved / budget) + params.time_weight * (1.0 if on_time else 0.0)
+    weight = params.cost_weight
+    value = weight * float(saved / budget) + (1.0 - weight) * (1.0 if on_time else 0.0)
     return min(1.0, max(0.0, value))
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from .migration import CRITERIA, DEFAULT_CRITERIA
 from .model import (
     AgentId,
+    AgentKind,
     DomainError,
     Money,
     Request,
@@ -38,70 +39,32 @@ class ChurnAction(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ProviderSpec:
-    id: int
+    id: AgentId
     capacity: tuple[tuple[str, int], ...]
     base_prices: tuple[tuple[str, Money], ...]
-    visible_to: tuple[int, ...] = ()  # brokers that see the provider when it joins
-
-    @property
-    def agent(self) -> AgentId:
-        return provider(self.id)
-
-    def capacity_dict(self) -> dict[str, int]:
-        return dict(self.capacity)
-
-    def price_dict(self) -> dict[str, Money]:
-        return dict(self.base_prices)
+    visible_to: tuple[AgentId, ...] = ()  # brokers that see the provider when it joins
 
 
 @dataclass(frozen=True)
 class BrokerSpec:
-    id: int
-    neighbors: tuple[int, ...]
-    visible_providers: tuple[int, ...]
-
-    @property
-    def agent(self) -> AgentId:
-        return broker(self.id)
+    id: AgentId
+    neighbors: tuple[AgentId, ...]
+    visible_providers: tuple[AgentId, ...]
 
 
 @dataclass(frozen=True)
 class ConsumerSpec:
-    id: int
-    broker: int
+    request: Request  # validated; its consumer and source broker are the spec's ids
     issue_time: int
-    earliest_start: int
-    deadline: int
-    budget: Money
-    bundle: tuple[tuple[str, int], ...]
     task_duration: int
-
-    @property
-    def agent(self) -> AgentId:
-        return consumer(self.id)
-
-    def request(self) -> Request:
-        return Request(
-            consumer=self.agent,
-            bundle=ResourceBundle(self.bundle),
-            earliest_start=self.earliest_start,
-            deadline=self.deadline,
-            budget=self.budget,
-            source=broker(self.broker),
-        )
 
 
 @dataclass(frozen=True)
 class ChurnSpec:
     time: int
     action: ChurnAction
-    provider: int | None = None        # leave target
+    provider: AgentId                  # the provider that leaves or joins
     join: ProviderSpec | None = None   # join payload
-
-    @property
-    def agent(self) -> AgentId:
-        """The provider that leaves or joins."""
-        return provider(self.provider) if self.action is ChurnAction.LEAVE else self.join.agent
 
 
 @dataclass(frozen=True)
@@ -113,7 +76,6 @@ class DelaySpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    resource_types: tuple[str, ...]
     brokers: tuple[BrokerSpec, ...]
     providers: tuple[ProviderSpec, ...]
     consumers: tuple[ConsumerSpec, ...]
@@ -164,21 +126,24 @@ def _float_field(data: dict, key: str, where: str) -> float:
 def _money(value, where: str) -> Money:
     try:
         amount = money(value)
-    except ArithmeticError:  # decimal.InvalidOperation
+    except DomainError:
         amount = None
     if amount is None or not amount.is_finite():
         raise ScenarioError(f"{where}: cannot read {value!r} as money")
     return amount
 
 
-def _id_list(data: dict, key: str, where: str, known: set[int], what: str) -> tuple[int, ...]:
+def _id_list(
+    data: dict, key: str, where: str, known: set[int], kind: AgentKind
+) -> tuple[AgentId, ...]:
     ids = data.get(key, [])
+    what = kind.name.lower()
     if not isinstance(ids, list):
         raise ScenarioError(f"{where}.{key}: expected a list of {what} ids")
     for value in ids:
         if not isinstance(value, int) or isinstance(value, bool) or value not in known:
             raise ScenarioError(f"{where}.{key}: {what} {value!r} is not declared")
-    return tuple(sorted(set(ids)))
+    return tuple(AgentId(kind, value) for value in sorted(set(ids)))
 
 
 def _quantity_map(data, where: str, types: set[str]) -> tuple[tuple[str, int], ...]:
@@ -212,11 +177,11 @@ def _provider_spec(raw: dict, where: str, types: set[str], broker_ids: set[int])
     pid = _int_field(raw, "id", where, minimum=0)
     cap = _quantity_map(_require(raw, "capacity", where), f"{where}.capacity", types)
     prices = _price_map(_require(raw, "base_prices", where), f"{where}.base_prices", types)
-    visible_to = _id_list(raw, "visible_to", where, broker_ids, "broker")
-    return ProviderSpec(id=pid, capacity=cap, base_prices=prices, visible_to=visible_to)
+    visible_to = _id_list(raw, "visible_to", where, broker_ids, AgentKind.BROKER)
+    return ProviderSpec(id=provider(pid), capacity=cap, base_prices=prices, visible_to=visible_to)
 
 
-_PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight")
+_PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight")
 
 # optional integer fields, with their smallest valid value
 _OPTIONAL_INTS = (
@@ -248,7 +213,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     raw_types = _require(data, "resource_types", where)
     if not isinstance(raw_types, list) or not raw_types:
         raise ScenarioError(f"{where}.resource_types: expected a non-empty list")
-    types: list[str] = []
+    type_set: set[str] = set()
     for rtype in raw_types:
         # type names are written into trace lines, which are ASCII and split at spaces
         if not isinstance(rtype, str) or not rtype or not all("!" <= c <= "~" for c in rtype):
@@ -256,10 +221,9 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
                 f"{where}.resource_types: {rtype!r} is not a valid type name "
                 "(printable ASCII without whitespace)"
             )
-        if rtype in types:
+        if rtype in type_set:
             raise ScenarioError(f"{where}.resource_types: duplicate type {rtype!r}")
-        types.append(rtype)
-    type_set = set(types)
+        type_set.add(rtype)
 
     optional = {}  # the optional fields present in `data`
     if "pricing" in data:
@@ -293,28 +257,26 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     provider_ids: set[int] = set()
     for i, raw in enumerate(raw_providers):
         spec = _provider_spec(raw, f"{where}.providers[{i}]", type_set, broker_ids)
-        if spec.id in provider_ids:
-            raise ScenarioError(f"{where}.providers[{i}]: duplicate provider id {spec.id}")
-        provider_ids.add(spec.id)
+        pid = spec.id.index
+        if pid in provider_ids:
+            raise ScenarioError(f"{where}.providers[{i}]: duplicate provider id {pid}")
+        provider_ids.add(pid)
         providers.append(spec)
 
-    brokers: list[BrokerSpec] = []
-    neighbor_sets: dict[int, set[int]] = {}
+    brokers: dict[AgentId, BrokerSpec] = {}
     for i, raw in enumerate(raw_brokers):
         loc = f"{where}.brokers[{i}]"
-        bid = raw["id"]
-        neighbors = _id_list(raw, "neighbors", loc, broker_ids, "broker")
+        bid = broker(raw["id"])
+        neighbors = _id_list(raw, "neighbors", loc, broker_ids, AgentKind.BROKER)
         if bid in neighbors:
-            raise ScenarioError(f"{loc}.neighbors: broker {bid} cannot neighbor itself")
-        visible = _id_list(raw, "visible_providers", loc, provider_ids, "provider")
-        neighbor_sets[bid] = set(neighbors)
-        brokers.append(BrokerSpec(id=bid, neighbors=neighbors, visible_providers=visible))
-    for spec in brokers:
+            raise ScenarioError(f"{loc}.neighbors: broker {bid.index} cannot neighbor itself")
+        visible = _id_list(raw, "visible_providers", loc, provider_ids, AgentKind.PROVIDER)
+        brokers[bid] = BrokerSpec(id=bid, neighbors=neighbors, visible_providers=visible)
+    for spec in brokers.values():
         for nid in spec.neighbors:
-            if spec.id not in neighbor_sets[nid]:
-                raise ScenarioError(
-                    f"{where}.brokers: neighbor edge {spec.id} -> {nid} is not symmetric"
-                )
+            if spec.id not in brokers[nid].neighbors:
+                edge = f"{spec.id.index} -> {nid.index}"
+                raise ScenarioError(f"{where}.brokers: neighbor edge {edge} is not symmetric")
 
     # consumers
     raw_consumers = data.get("consumers", [])
@@ -331,21 +293,23 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         home = _int_field(raw, "broker", loc)
         if home not in broker_ids:
             raise ScenarioError(f"{loc}.broker: broker {home!r} is not declared")
-        spec = ConsumerSpec(
-            id=cid,
-            broker=home,
-            issue_time=_int_field(raw, "issue_time", loc, minimum=0),
+        issue_time = _int_field(raw, "issue_time", loc, minimum=0)
+        request = Request(
+            consumer=consumer(cid),
             earliest_start=_int_field(raw, "earliest_start", loc, minimum=0),
             deadline=_int_field(raw, "deadline", loc, minimum=0),
             budget=_money(_require(raw, "budget", loc), f"{loc}.budget"),
-            bundle=_quantity_map(_require(raw, "bundle", loc), f"{loc}.bundle", type_set),
-            task_duration=_int_field(raw, "task_duration", loc, minimum=1),
+            bundle=ResourceBundle(
+                _quantity_map(_require(raw, "bundle", loc), f"{loc}.bundle", type_set)
+            ),
+            source=broker(home),
         )
+        task_duration = _int_field(raw, "task_duration", loc, minimum=1)
         try:
-            validate_request(spec.request())
+            validate_request(request)
         except ValidationError as exc:
             raise ScenarioError(f"{loc}: {exc.code}: {exc}") from None
-        consumers.append(spec)
+        consumers.append(ConsumerSpec(request, issue_time, task_duration))
 
     # churn schedule
     raw_churn = data.get("churn", [])
@@ -365,17 +329,18 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             if target not in live_after:
                 raise ScenarioError(f"{loc}: provider {target} is not live at time {when}")
             live_after.discard(target)
-            churn.append(ChurnSpec(time=when, action=ChurnAction.LEAVE, provider=target))
+            churn.append(ChurnSpec(time=when, action=ChurnAction.LEAVE, provider=provider(target)))
         elif action == ChurnAction.JOIN.value:
             raw_spec = _require(raw, "provider", loc)
             if not isinstance(raw_spec, dict):
                 raise ScenarioError(f"{loc}.provider: join needs a provider object")
             spec = _provider_spec(raw_spec, f"{loc}.provider", type_set, broker_ids)
-            if spec.id in all_provider_ids:
-                raise ScenarioError(f"{loc}.provider: provider id {spec.id} already used")
-            all_provider_ids.add(spec.id)
-            live_after.add(spec.id)
-            churn.append(ChurnSpec(time=when, action=ChurnAction.JOIN, join=spec))
+            pid = spec.id.index
+            if pid in all_provider_ids:
+                raise ScenarioError(f"{loc}.provider: provider id {pid} already used")
+            all_provider_ids.add(pid)
+            live_after.add(pid)
+            churn.append(ChurnSpec(time=when, action=ChurnAction.JOIN, provider=spec.id, join=spec))
         else:
             raise ScenarioError(f"{loc}.action: expected 'join' or 'leave', got {action!r}")
 
@@ -389,6 +354,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         | {consumer(c) for c in consumer_ids}
     )
     delays: list[DelaySpec] = []
+    given: dict[frozenset[AgentId], int] = {}  # each pair, either way round, to its entry
     for i, raw in enumerate(raw_delays):
         loc = f"{where}.delays[{i}]"
         try:
@@ -399,6 +365,9 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         if a not in known_agents or b not in known_agents:
             missing = a if a not in known_agents else b
             raise ScenarioError(f"{loc}: agent {missing} is not declared")
+        first = given.setdefault(frozenset((a, b)), i)
+        if first != i:
+            raise ScenarioError(f"{loc}: pair {a}, {b} already given in delays[{first}]")
         delays.append(DelaySpec(a=a, b=b, delay=_int_field(raw, "delay", loc, minimum=0)))
 
     if "criteria" in data:
@@ -417,8 +386,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             optional[key] = _int_field(data, key, where, minimum)
 
     return Scenario(
-        resource_types=tuple(types),
-        brokers=tuple(brokers),
+        brokers=tuple(brokers.values()),
         providers=tuple(providers),
         consumers=tuple(consumers),
         churn=tuple(churn),

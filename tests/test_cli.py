@@ -123,6 +123,22 @@ def test_run_rejects_nan_pricing_with_exit_code_2(tmp_path):
     assert "demand_sensitivity" in result.output
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_cost_too_large_for_money_exits_2_without_a_traceback(tmp_path, command):
+    # a valid file whose costs need more digits than the decimal context holds:
+    # 2 cpu x 10**25 x 30 time units is 29 digits with its cents
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    data["providers"][0]["base_prices"] = {"cpu": "1" + "0" * 25, "storage": "1" + "0" * 25}
+    path = tmp_path / "dear.json"
+    path.write_text(json.dumps(data))
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", "--scenario", str(path)]).exit_code == 0
+    result = runner.invoke(main, [command, "--scenario", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and "money" in result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_run_rejects_a_non_object_broker_with_exit_code_2(tmp_path):
     data = json.loads((SCENARIOS / "minimal.json").read_text())
     data["brokers"].append(7)

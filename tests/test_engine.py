@@ -101,10 +101,13 @@ def test_migration_scenario_recovers_through_neighbor(monkeypatch):
     "pick, reason", [(min, "unvisited"), (lambda visited: broker(2), "non-empty")], ids=["sender", "empty"]
 )
 def test_migration_checks_catch_a_planted_bad_target(monkeypatch, pick, reason):
-    # picked at broker 0, min(visited) is broker 0 itself: visited and not its own
-    # neighbor; broker 2 is a neighbor that sees no provider
+    # picked at broker 0, the request's source and so the least broker of its
+    # path is broker 0 itself: visited once it hops, and not its own neighbor;
+    # broker 2 is a neighbor that sees no provider
     monkeypatch.setattr(
-        migration, "select_direction", lambda req, infos, criteria: pick(req.visited)
+        migration,
+        "select_direction",
+        lambda req, infos, criteria: pick(req.visited | {req.source}),
     )
     result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"))
     assert result.quiescent and world.migrations > 0

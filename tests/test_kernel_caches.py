@@ -6,14 +6,20 @@ with from-scratch oracles, and at every event it samples every broker's
 in-flight count the naive way, for comparison with the incremental
 `WorkloadStat`s. It rechecks every migration from world state, not trusting
 the selector: hop bound, preventive constraints, and -1/+1 in flight at the
-sender and the target. The full runs are the session's shared fuzz batch
-(`conftest.py`), whose churn joins and leaves invalidate the caches.
+sender and the target. It keeps each conversation's path, since the hop is the
+one owner of the request's path: `visited` must equal the brokers the
+conversation has left, and `migrations` the hops so far. The full runs are the
+session's shared fuzz batch (`conftest.py`), whose churn joins and leaves
+invalidate the caches.
 """
 
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+import fedsim.agents as agents
 import fedsim.engine as engine
 from fedsim.engine import WorkloadStat, run
 from fedsim.model import AgentKind, Performative, broker
@@ -34,6 +40,7 @@ class CheckedWorld(engine._World):
         self.naive = {bid: WorkloadStat() for bid in self.brokers}
         self.incoherent = []  # one line per failed migration check
         self.delivery = None  # (message, receiver's in-flight count) of the last broker delivery
+        self.left = {}  # conversation -> the brokers it migrated away from, in order
 
     def sample_workloads(self, bid):
         # called once per broker delivery, after the broker's step
@@ -58,7 +65,11 @@ class CheckedWorld(engine._World):
             info = self.neighbor_info(source.id, target)
             arrival, before = self.delivery
             opened = arrival.performative is Performative.CFP  # a +1 at this same event
+            left = self.left.setdefault(msg.conversation, [])
+            left.append(source.id)
             checks = {
+                "stamped with its path": req.visited == frozenset(left),
+                "counted in hops": req.migrations == len(left),
                 "a neighbor": target in source.neighbors,
                 "non-empty": info.provider_count > 0,
                 "covering": req.bundle.types <= info.provider_types,
@@ -127,6 +138,29 @@ def test_cached_views_and_workloads_match_the_oracles(monkeypatch, fuzz_batch):
     assert actions["join"] > 10 and actions["leave"] > 10
     assert truncated > 90 and checked > 10_000
 
+
+
+@pytest.mark.parametrize(
+    "field, check", [("visited", "stamped with its path"), ("migrations", "counted in hops")]
+)
+def test_path_checks_catch_a_hop_that_does_not_stamp_the_request(monkeypatch, field, check):
+    original = agents.self_organize
+
+    def forgetful(req, *args):
+        # the hop's request keeps the arriving request's value of `field`
+        result = original(req, *args)
+        kept = {field: getattr(req, field)}
+        unstamped = tuple(
+            m._replace(payload=m.payload._replace(request=replace(m.payload.request, **kept)))
+            for m in result.messages
+        )
+        return replace(result, messages=unstamped)
+
+    monkeypatch.setattr(agents, "self_organize", forgetful)
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "migration.json")
+    result, world = checked_run(monkeypatch, scenario)
+    assert result.quiescent and world.migrations == 1
+    assert world.incoherent == [f"consumer:0#0: broker:0 -> broker:1: not {check}"]
 
 
 def test_registry_view_is_shared_until_a_join_or_leave():

@@ -1,6 +1,5 @@
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from fedsim.model import (
     AgentId,
     AgentKind,
     CallPayload,
+    DomainError,
     FailurePayload,
     InformPayload,
     Message,
@@ -207,7 +207,7 @@ def _records():
         InformPayload(feedback=0.5),
         FailurePayload("no-admissible-broker"),
         entry(1, cpu="1.00"),
-        SelectionSnapshot({}, frozenset(), frozenset(), bundle(cpu=2), Decimal(1), money(3)),
+        SelectionSnapshot({}, frozenset(), frozenset(), money(3)),
         neighbor(1),
     ]
 
@@ -248,3 +248,16 @@ def test_money_rounds_half_even():
     assert money("2.005") == money("2.00")
     assert money("2.015") == money("2.02")
     assert str(money(2)) == "2.00"
+
+
+def test_money_holds_every_amount_the_decimal_context_fits():
+    # 28 digits, cents included, is the default decimal precision
+    assert str(money("9" * 26)) == "9" * 26 + ".00"
+
+
+@pytest.mark.parametrize(
+    "value", ["1" + "0" * 26, 10**30, "abc", "Infinity"], ids=["27-digits", "int", "text", "inf"]
+)
+def test_money_that_cannot_be_held_to_the_cent_is_a_domain_error(value):
+    with pytest.raises(DomainError, match="as money"):
+        money(value)

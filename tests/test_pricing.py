@@ -120,6 +120,19 @@ def test_utility_at_budget_and_late_is_zero():
     assert compute_utility(money("10.00"), money("10.00"), False, HALF) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("cost_weight", [0.0, 0.25, 1.0])
+def test_timeliness_weighs_one_minus_the_cost_weight(cost_weight):
+    params = PricingParams(cost_weight=cost_weight)
+    # a free task is all savings; one at budget is all timeliness
+    assert compute_utility(money("10.00"), money("0.00"), False, params) == cost_weight
+    assert compute_utility(money("10.00"), money("10.00"), True, params) == 1.0 - cost_weight
+
+
+def test_a_cost_too_large_for_money_is_a_domain_error():
+    with pytest.raises(DomainError, match="as money"):
+        total_cost(bundle(cpu=2), {"cpu": money("1" + "0" * 25)}, 30)
+
+
 def test_utility_rejects_non_positive_budget():
     with pytest.raises(DomainError):
         compute_utility(money("0.00"), money("0.00"), True, HALF)
@@ -168,11 +181,12 @@ def test_params_validation():
         PricingParams(demand_sensitivity=-0.1)
     with pytest.raises(DomainError):
         PricingParams(grade_smoothing=0.0)
-    with pytest.raises(DomainError):
-        PricingParams(cost_weight=0.7, time_weight=0.5)
+    for weight in (-0.1, 1.5):
+        with pytest.raises(DomainError, match=r"cost_weight must be in \[0, 1\]"):
+            PricingParams(cost_weight=weight)
 
 
-@pytest.mark.parametrize("field", ["demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight"])
+@pytest.mark.parametrize("field", ["demand_sensitivity", "grade_smoothing", "cost_weight"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(DomainError, match=field):

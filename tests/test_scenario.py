@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim.model import ScenarioError
+from fedsim.engine import _World
+from fedsim.model import ScenarioError, broker, consumer, provider
 from fedsim.scenario import (
     Scenario,
     load_scenario,
@@ -43,7 +44,30 @@ def test_minimal_scenario_parses():
     scn = parse_scenario(minimal_dict())
     assert len(scn.brokers) == 1
     assert scn.effective_max_migrations() == 0
-    assert scn.consumers[0].request().budget == 50
+    assert scn.consumers[0].request.budget == 50
+
+
+def test_specs_hold_the_agent_ids_and_the_request_the_run_uses():
+    scn = load_scenario(SCENARIOS / "migration.json")
+    assert [(b.id, b.neighbors, b.visible_providers) for b in scn.brokers] == [
+        (broker(0), (broker(1), broker(2)), ()),
+        (broker(1), (broker(0), broker(2)), (provider(0), provider(1))),
+        (broker(2), (broker(0), broker(1)), ()),
+    ]
+    assert [p.id for p in scn.providers] == [provider(0), provider(1)]
+    request = scn.consumers[1].request
+    assert (request.consumer, request.source) == (consumer(1), broker(1))
+    churn = load_scenario(SCENARIOS / "churn.json").churn
+    assert [(c.action.value, c.provider) for c in churn] == [
+        ("leave", provider(0)),
+        ("join", provider(2)),
+    ]
+    assert churn[1].join.id == provider(2) and churn[1].join.visible_to == (broker(0),)
+    # the parser's Request is the one each consumer runs, shared by every run
+    for _ in range(2):
+        world = _World(scn)
+        for spec in scn.consumers:
+            assert world.consumers[spec.request.consumer].request is spec.request
 
 
 def test_bundled_scenarios_all_load():
@@ -151,7 +175,7 @@ def test_missing_file_and_bad_json(tmp_path, payload, match):
         load_scenario(bad)
 
 
-PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight", "time_weight")
+PRICING_FLOATS = ("demand_sensitivity", "grade_smoothing", "cost_weight")
 
 
 @pytest.mark.parametrize("field", PRICING_FLOATS)
@@ -178,7 +202,6 @@ DOCUMENTED_DEFAULTS = {
     "pricing.demand_sensitivity": 1.0,
     "pricing.grade_smoothing": 0.3,
     "pricing.cost_weight": 0.5,
-    "pricing.time_weight": 0.5,
 }
 
 
@@ -288,6 +311,24 @@ HOSTILE = [
         ("pricing",), {"demand_sensitivty": 2.0},
         r"^scenario\.pricing: unknown field 'demand_sensitivty'$",
         id="typo-pricing",
+    ),
+    pytest.param(
+        ("pricing",), {"time_weight": 0.5},
+        r"^scenario\.pricing: unknown field 'time_weight'$",
+        id="time-weight-removed",
+    ),
+    # a pair given twice, in either order, would silently keep the later delay
+    pytest.param(
+        ("delays",),
+        [{"a": "broker:0", "b": "provider:0", "delay": 1}, {"a": "broker:0", "b": "provider:0", "delay": 7}],
+        r"^scenario\.delays\[1\]: pair broker:0, provider:0 already given in delays\[0\]$",
+        id="delay-pair-twice",
+    ),
+    pytest.param(
+        ("delays",),
+        [{"a": "broker:0", "b": "provider:0", "delay": 1}, {"a": "provider:0", "b": "broker:0", "delay": 7}],
+        r"^scenario\.delays\[1\]: pair provider:0, broker:0 already given in delays\[0\]$",
+        id="delay-pair-reversed",
     ),
     pytest.param(
         ("pricing",), {"lease_mode": "constant-one"},

@@ -138,3 +138,36 @@ def test_every_parameter_is_read():
     # a parameter no body reads is a knob that changes nothing
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unread_parameters(path)]
     assert found == []
+
+
+def _is_record(node):
+    """A dataclass (bare or called decorator) or a class with `NamedTuple` among its bases."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names = [getattr(d, "id", getattr(d, "attr", None)) for d in decorators + node.bases]
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def test_every_record_field_is_read_by_the_package():
+    """A dataclass or NamedTuple field nothing reads is state built or copied for no reader.
+
+    Matching is by name, so a field that shares its name with any attribute
+    the package reads anywhere escapes this check.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (name, stmt.lineno, node.name, stmt.target.id)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    found = [f"{name}:{line} {cls}.{field}" for name, line, cls, field in fields if field not in read]
+    assert len(fields) > 100
+    assert found == []

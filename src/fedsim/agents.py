@@ -85,7 +85,6 @@ class ConsumerState:
     accepted_cost: Money | None = None   # quote accepted, pending confirmation
     paid: Money | None = None            # fixed once the agreement is confirmed
     serving_broker: AgentId | None = None
-    utility: float | None = None
 
 
 def consumer_start(state: ConsumerState) -> list[Message]:
@@ -172,7 +171,7 @@ def consumer_complete(state: ConsumerState, on_time: bool) -> list[Message]:
     """Finish the task: grade the outcome and report it to the serving broker."""
     if state.phase is not ConsumerPhase.RUNNING:
         raise ProtocolError(f"{state.id} cannot complete a task in phase {state.phase.value}")
-    state.utility = compute_utility(state.request.budget, state.paid, on_time, state.params)
+    utility = compute_utility(state.request.budget, state.paid, on_time, state.params)
     state.phase = ConsumerPhase.DONE
     return [
         Message(
@@ -180,7 +179,7 @@ def consumer_complete(state: ConsumerState, on_time: bool) -> list[Message]:
             state.conversation,
             state.id,
             state.serving_broker,
-            payload=InformPayload(feedback=state.utility),
+            payload=InformPayload(feedback=utility),
         )
     ]
 

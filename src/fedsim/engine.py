@@ -39,7 +39,6 @@ from .model import (
     Performative,
     RefusePayload,
     RefuseReason,
-    ScenarioError,
     conversation_id,
 )
 from .scenario import ChurnAction, ChurnSpec, ProviderSpec, Scenario
@@ -129,16 +128,6 @@ class RunResult:
 class _World:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.params = scenario.pricing
-        self.max_migrations = scenario.effective_max_migrations()
-        self.hold_timeout = scenario.hold_timeout
-        self.default_delay = scenario.default_delay
-
-        self.delays: dict[tuple[AgentId, AgentId], int] = {}
-        for spec in scenario.delays:
-            self.delays[(spec.a, spec.b)] = spec.delay
-            self.delays[(spec.b, spec.a)] = spec.delay
-
         self.registry: set[AgentId] = set()
         self.providers: dict[AgentId, ProviderState] = {}
         self.visibility: dict[AgentId, set[AgentId]] = {}
@@ -153,8 +142,8 @@ class _World:
                 id=spec.id,
                 contact_list={},
                 neighbors=spec.neighbors,
-                params=self.params,
-                max_migrations=self.max_migrations,
+                params=scenario.pricing,
+                max_migrations=scenario.max_migrations,
                 criteria=scenario.criteria,
             )
             self.visibility[spec.id] = set()
@@ -172,7 +161,7 @@ class _World:
                 id=cid,
                 request=spec.request,
                 conversation=conversation_id(cid, 0),
-                params=self.params,
+                params=scenario.pricing,
                 task_duration=spec.task_duration,
                 max_rejects=scenario.max_rejects,
             )
@@ -198,7 +187,7 @@ class _World:
             id=pid,
             capacity=dict(spec.capacity),
             base_prices=dict(spec.base_prices),
-            params=self.params,
+            params=self.scenario.pricing,
         )
         self.registry.add(pid)
         for bid in spec.visible_to:
@@ -210,7 +199,7 @@ class _World:
         self._entries.clear()
 
     def delay(self, a: AgentId, b: AgentId) -> int:
-        return self.delays.get((a, b), self.default_delay)
+        return self.scenario.delays.get((a, b), self.scenario.default_delay)
 
     def schedule(self, time: int, kind: EventKind, message: Message | None = None, **kwargs) -> Event:
         if time < self.now:
@@ -329,7 +318,7 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
     pid = change.provider
     if change.action is ChurnAction.LEAVE:
         if pid not in world.registry:
-            raise ScenarioError(f"churn leave targets unknown or departed provider {pid}")
+            raise InvariantError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
         world._clear_views()
         provider = world.providers[pid]
@@ -337,7 +326,7 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
             release_hold(provider, conversation)  # held reservations die with the membership
     else:
         if pid in world.providers:
-            raise ScenarioError(f"churn join reuses provider id {pid}")
+            raise InvariantError(f"churn join reuses provider id {pid}")
         world._add_provider(change.join)
 
 
@@ -439,7 +428,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
                 # a provider answers PROPOSE only to a CFP it has just held a reservation for
                 if any(m.performative is Performative.PROPOSE for m in out):
                     world.schedule(
-                        now + world.hold_timeout,
+                        now + world.scenario.hold_timeout,
                         kind=EventKind.HOLD_EXPIRY,
                         conversation=msg.conversation,
                         provider=target,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .agents import ConsumerPhase
 from .engine import RunResult
-from .model import Money, ScenarioError, format_money, money
+from .model import DomainError, Money, format_money, money
 from .pricing import lease_factor, total_cost
 
 
@@ -221,7 +221,7 @@ def emit_report(report: MetricsReport, fmt: str, destination=None) -> str:
     elif fmt == "tabular-text":
         text = render_tabular(report)
     else:
-        raise ScenarioError(f"unknown report format {fmt!r}")
+        raise DomainError(f"unknown report format {fmt!r}")
     if destination is not None:
         Path(destination).write_text(text)
     return text

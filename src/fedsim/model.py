@@ -139,9 +139,6 @@ class ResourceBundle:
     def types(self) -> frozenset[ResourceType]:
         return frozenset(r for r, _ in self.items)
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
     def digest(self) -> str:
         return "+".join(f"{r}:{q}" for r, q in self.items) or "empty"
 
@@ -164,26 +161,6 @@ class Request:
             f"bundle={self.bundle.digest()},window=[{self.earliest_start},{self.deadline}),"
             f"budget={format_money(self.budget)},migrations={self.migrations}"
         )
-
-
-def validate_request(req: Request) -> None:
-    """Raise ValidationError naming the first violated field; return None when valid."""
-    if req.earliest_start >= req.deadline:
-        raise ValidationError(
-            "deadline-before-start",
-            f"deadline {req.deadline} must be after earliest start {req.earliest_start}",
-        )
-    if req.budget < 0:
-        raise ValidationError("negative-budget", f"budget {req.budget} must be >= 0")
-    if not req.bundle:
-        raise ValidationError("empty-bundle", "request bundle has no resources")
-    for rtype, qty in req.bundle.items:
-        if qty <= 0:
-            raise ValidationError(
-                "non-positive-quantity", f"quantity for {rtype!r} must be > 0, got {qty}"
-            )
-    if req.migrations < 0:
-        raise ValidationError("negative-migrations", "migration count must be >= 0")
 
 
 class ContactEntry(NamedTuple):

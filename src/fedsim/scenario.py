@@ -27,7 +27,6 @@ from .model import (
     consumer,
     money,
     provider,
-    validate_request,
 )
 from .pricing import PricingParams
 
@@ -68,32 +67,21 @@ class ChurnSpec:
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    a: AgentId
-    b: AgentId
-    delay: int
-
-
-@dataclass(frozen=True)
 class Scenario:
     brokers: tuple[BrokerSpec, ...]
     providers: tuple[ProviderSpec, ...]
     consumers: tuple[ConsumerSpec, ...]
-    churn: tuple[ChurnSpec, ...] = ()
-    delays: tuple[DelaySpec, ...] = ()
-    # the defaults of the optional fields; parse_scenario passes only those given
+    churn: tuple[ChurnSpec, ...]
+    # each given link's delay under (a, b) and (b, a); runs of one scenario share it, read only
+    delays: dict[tuple[AgentId, AgentId], int]
+    max_migrations: int  # broker count - 1 when the file does not give it
+    # the defaults of the other optional fields; parse_scenario passes only those given
     pricing: PricingParams = PricingParams()
     criteria: tuple[str, ...] = DEFAULT_CRITERIA
-    max_migrations: int | None = None  # None: broker count - 1
     max_rejects: int = 3
     hold_timeout: int = 50
     event_budget: int = 1_000_000
     default_delay: int = 1
-
-    def effective_max_migrations(self) -> int:
-        if self.max_migrations is not None:
-            return self.max_migrations
-        return max(0, len(self.brokers) - 1)
 
 
 def _require(data: dict, key: str, where: str):
@@ -146,37 +134,37 @@ def _id_list(
     return tuple(AgentId(kind, value) for value in sorted(set(ids)))
 
 
-def _quantity_map(data, where: str, types: set[str]) -> tuple[tuple[str, int], ...]:
-    if not isinstance(data, dict) or not data:
-        raise ScenarioError(f"{where}: expected a non-empty mapping of resource type to quantity")
-    out = []
-    for rtype, qty in data.items():
-        if rtype not in types:
-            raise ScenarioError(f"{where}: resource type {rtype!r} is not declared")
-        if not isinstance(qty, int) or isinstance(qty, bool) or qty <= 0:
-            raise ScenarioError(f"{where}.{rtype}: quantity must be a positive integer, got {qty!r}")
-        out.append((rtype, qty))
-    return tuple(sorted(out))
+def _quantity(qty, where: str) -> int:
+    if not isinstance(qty, int) or isinstance(qty, bool) or qty <= 0:
+        raise ScenarioError(f"{where}: quantity must be a positive integer, got {qty!r}")
+    return qty
 
 
-def _price_map(data, where: str, types: set[str]) -> tuple[tuple[str, Money], ...]:
+def _unit_price(price, where: str) -> Money:
+    value = _money(price, where)
+    if value < 0:
+        raise ScenarioError(f"{where}: unit price must be >= 0, got {price!r}")
+    return value
+
+
+def _type_map(data, where: str, types: set[str], what: str, read) -> tuple[tuple[str, object], ...]:
+    """A non-empty mapping of declared resource type to a `what` that `read` checks, sorted by type."""
     if not isinstance(data, dict) or not data:
-        raise ScenarioError(f"{where}: expected a non-empty mapping of resource type to unit price")
+        raise ScenarioError(f"{where}: expected a non-empty mapping of resource type to {what}")
     out = []
-    for rtype, price in data.items():
+    for rtype, value in data.items():
         if rtype not in types:
             raise ScenarioError(f"{where}: resource type {rtype!r} is not declared")
-        value = _money(price, f"{where}.{rtype}")
-        if value < 0:
-            raise ScenarioError(f"{where}.{rtype}: unit price must be >= 0, got {price!r}")
-        out.append((rtype, value))
+        out.append((rtype, read(value, f"{where}.{rtype}")))
     return tuple(sorted(out))
 
 
 def _provider_spec(raw: dict, where: str, types: set[str], broker_ids: set[int]) -> ProviderSpec:
     pid = _int_field(raw, "id", where, minimum=0)
-    cap = _quantity_map(_require(raw, "capacity", where), f"{where}.capacity", types)
-    prices = _price_map(_require(raw, "base_prices", where), f"{where}.base_prices", types)
+    cap = _type_map(_require(raw, "capacity", where), f"{where}.capacity", types, "quantity", _quantity)
+    prices = _type_map(
+        _require(raw, "base_prices", where), f"{where}.base_prices", types, "unit price", _unit_price
+    )
     visible_to = _id_list(raw, "visible_to", where, broker_ids, AgentKind.BROKER)
     return ProviderSpec(id=provider(pid), capacity=cap, base_prices=prices, visible_to=visible_to)
 
@@ -294,21 +282,25 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         if home not in broker_ids:
             raise ScenarioError(f"{loc}.broker: broker {home!r} is not declared")
         issue_time = _int_field(raw, "issue_time", loc, minimum=0)
+        start = _int_field(raw, "earliest_start", loc, minimum=0)
+        deadline = _int_field(raw, "deadline", loc, minimum=0)
+        budget = _money(_require(raw, "budget", loc), f"{loc}.budget")
+        bundle = _type_map(_require(raw, "bundle", loc), f"{loc}.bundle", type_set, "quantity", _quantity)
+        task_duration = _int_field(raw, "task_duration", loc, minimum=1)
+        if deadline <= start:
+            raise ScenarioError(
+                f"{loc}: deadline-before-start: deadline {deadline} must be after earliest start {start}"
+            )
+        if budget <= 0:  # utility is the share of the budget saved
+            raise ScenarioError(f"{loc}.budget: must be > 0, got {budget}")
         request = Request(
             consumer=consumer(cid),
-            earliest_start=_int_field(raw, "earliest_start", loc, minimum=0),
-            deadline=_int_field(raw, "deadline", loc, minimum=0),
-            budget=_money(_require(raw, "budget", loc), f"{loc}.budget"),
-            bundle=ResourceBundle(
-                _quantity_map(_require(raw, "bundle", loc), f"{loc}.bundle", type_set)
-            ),
+            earliest_start=start,
+            deadline=deadline,
+            budget=budget,
+            bundle=ResourceBundle(bundle),
             source=broker(home),
         )
-        task_duration = _int_field(raw, "task_duration", loc, minimum=1)
-        try:
-            validate_request(request)
-        except ValidationError as exc:
-            raise ScenarioError(f"{loc}: {exc.code}: {exc}") from None
         consumers.append(ConsumerSpec(request, issue_time, task_duration))
 
     # churn schedule
@@ -353,7 +345,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         | {provider(p) for p in all_provider_ids}
         | {consumer(c) for c in consumer_ids}
     )
-    delays: list[DelaySpec] = []
+    delays: dict[tuple[AgentId, AgentId], int] = {}
     given: dict[frozenset[AgentId], int] = {}  # each pair, either way round, to its entry
     for i, raw in enumerate(raw_delays):
         loc = f"{where}.delays[{i}]"
@@ -368,7 +360,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         first = given.setdefault(frozenset((a, b)), i)
         if first != i:
             raise ScenarioError(f"{loc}: pair {a}, {b} already given in delays[{first}]")
-        delays.append(DelaySpec(a=a, b=b, delay=_int_field(raw, "delay", loc, minimum=0)))
+        delays[a, b] = delays[b, a] = _int_field(raw, "delay", loc, minimum=0)
 
     if "criteria" in data:
         raw_criteria = data["criteria"]
@@ -390,7 +382,8 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         providers=tuple(providers),
         consumers=tuple(consumers),
         churn=tuple(churn),
-        delays=tuple(delays),
+        delays=delays,
+        max_migrations=optional.pop("max_migrations", len(brokers) - 1),
         **optional,
     )
 

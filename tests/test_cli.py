@@ -34,6 +34,19 @@ def test_validate_reports_a_file_that_is_not_utf8_with_exit_code_2(tmp_path):
     assert result.stderr.startswith(f"invalid: {bad}: not UTF-8 text")
 
 
+def test_validate_rejects_a_budget_that_run_cannot_grade(tmp_path):
+    # with free resources the task completes, and its utility needs a budget above zero
+    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    data["consumers"][0]["budget"] = "0.00"
+    data["providers"][0]["base_prices"] = {"cpu": "0.00", "storage": "0.00"}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        result = CliRunner().invoke(main, [command, "--scenario", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "consumers[0].budget: must be > 0" in result.stderr
+
+
 def test_validate_warns_when_holds_lapse_before_the_confirm(tmp_path):
     data = json.loads((SCENARIOS / "minimal.json").read_text())
     for timeout, warns in ((4, True), (5, False)):

@@ -92,7 +92,7 @@ class CheckedWorld(engine._World):
             self.delivery = (msg, self.brokers[msg.receiver].in_flight)
             if is_migration(msg):
                 req = msg.payload.request
-                if req.migrations > self.max_migrations or msg.receiver in req.visited:
+                if req.migrations > self.scenario.max_migrations or msg.receiver in req.visited:
                     self.incoherent.append(f"{msg.conversation}: hop {req.migrations} to {msg.receiver}")
         super().record(event, payload_suffix)
 

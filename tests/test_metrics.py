@@ -13,7 +13,7 @@ from fedsim.metrics import (
     render_structured,
     render_tabular,
 )
-from fedsim.model import ScenarioError, money
+from fedsim.model import DomainError, money
 from fedsim.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -128,7 +128,7 @@ def test_emit_report_writes_destination(tmp_path):
     out = tmp_path / "report.json"
     text = emit_report(report, "structured", destination=out)
     assert out.read_text() == text
-    with pytest.raises(ScenarioError, match="unknown report format"):
+    with pytest.raises(DomainError, match="unknown report format"):
         emit_report(report, "csv")
 
 

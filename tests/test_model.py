@@ -27,60 +27,12 @@ from fedsim.model import (
     consumer,
     money,
     provider,
-    validate_request,
 )
 from fedsim.scenario import load_scenario, parse_scenario
 
 from helpers import bundle, entry, fuzz_scenario, neighbor, request
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def test_validate_request_accepts_plain_request():
-    validate_request(request(start=0, end=10, budget="5.00", cpu=1))
-
-
-def test_deadline_must_follow_start():
-    with pytest.raises(ValidationError) as err:
-        validate_request(request(start=10, end=10))
-    assert err.value.code == "deadline-before-start"
-
-
-def test_zero_quantity_rejected():
-    with pytest.raises(ValidationError) as err:
-        validate_request(request(cpu=0))
-    assert err.value.code == "non-positive-quantity"
-
-
-def test_negative_budget_rejected():
-    with pytest.raises(ValidationError) as err:
-        validate_request(request(budget="-1.00"))
-    assert err.value.code == "negative-budget"
-
-
-def test_empty_bundle_rejected():
-    req = request()
-    req = type(req)(**{**req.__dict__, "bundle": bundle()})
-    with pytest.raises(ValidationError) as err:
-        validate_request(req)
-    assert err.value.code == "empty-bundle"
-
-
-@given(
-    start=st.integers(min_value=-5, max_value=20),
-    end=st.integers(min_value=-5, max_value=20),
-    budget=st.integers(min_value=-50, max_value=50),
-    qty=st.integers(min_value=-2, max_value=5),
-)
-def test_fuzzed_requests_never_validate_while_invalid(start, end, budget, qty):
-    req = request(start=max(start, 0), end=end, budget=f"{budget}.00", cpu=qty)
-    try:
-        validate_request(req)
-    except ValidationError:
-        return
-    assert req.earliest_start < req.deadline
-    assert req.budget >= 0
-    assert all(q > 0 for _, q in req.bundle.items)
 
 
 agent_ids = st.builds(

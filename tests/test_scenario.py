@@ -2,6 +2,7 @@ import copy
 import json
 import re
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,7 @@ def minimal_dict():
 def test_minimal_scenario_parses():
     scn = parse_scenario(minimal_dict())
     assert len(scn.brokers) == 1
-    assert scn.effective_max_migrations() == 0
+    assert scn.max_migrations == 0
     assert scn.consumers[0].request.budget == 50
 
 
@@ -193,7 +194,7 @@ def test_non_finite_or_non_numeric_pricing_rejected(field, value):
 
 # the README's documented default of each optional field, by its path in a Scenario
 DOCUMENTED_DEFAULTS = {
-    "max_migrations": None,  # broker count - 1, resolved by effective_max_migrations
+    "max_migrations": 0,  # broker count - 1, with minimal_dict()'s one broker
     "max_rejects": 3,
     "hold_timeout": 50,
     "event_budget": 1_000_000,
@@ -290,6 +291,27 @@ HOSTILE = [
         id="visible-provider-object",
     ),
     pytest.param(("consumers", 0, "budget"), "NaN", r"consumers\[0\]\.budget", id="budget-nan"),
+    # utility is the share of the budget saved, so it needs a budget above zero
+    pytest.param(
+        ("consumers", 0, "budget"), "0.00",
+        r"^scenario\.consumers\[0\]\.budget: must be > 0, got 0\.00$",
+        id="budget-zero",
+    ),
+    pytest.param(
+        ("consumers", 0, "budget"), "-1.00",
+        r"^scenario\.consumers\[0\]\.budget: must be > 0, got -1\.00$",
+        id="budget-negative",
+    ),
+    pytest.param(
+        ("consumers", 0, "bundle"), {},
+        r"^scenario\.consumers\[0\]\.bundle: expected a non-empty mapping",
+        id="bundle-empty",
+    ),
+    pytest.param(
+        ("consumers", 0, "bundle", "cpu"), 0,
+        r"^scenario\.consumers\[0\]\.bundle\.cpu: quantity must be a positive integer, got 0$",
+        id="bundle-zero-quantity",
+    ),
     pytest.param(
         ("consumers", 0, "budget"), "Infinity",
         r"consumers\[0\]\.budget",
@@ -360,6 +382,31 @@ def test_hostile_input_is_a_scenario_error_naming_the_field(path, value, match):
     _set(data, path, value)
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.integers(-2, 12),
+    deadline=st.integers(-2, 12),
+    cents=st.integers(-300, 300),
+    qty=st.integers(-2, 4),
+)
+def test_a_request_parses_exactly_when_its_fields_are_in_their_domain(start, deadline, cents, qty):
+    data = minimal_dict()
+    budget = Decimal(cents) / 100
+    data["consumers"][0].update(
+        earliest_start=start, deadline=deadline, budget=str(budget), bundle={"cpu": qty}
+    )
+    valid = 0 <= start < deadline and budget > 0 and qty > 0
+    try:
+        request = parse_scenario(data).consumers[0].request
+    except ScenarioError:
+        assert not valid
+        return
+    assert valid
+    assert (request.earliest_start, request.deadline, request.budget, request.bundle.as_dict()) == (
+        start, deadline, budget, {"cpu": qty}
+    )
 
 
 def test_churn_error_names_the_entry_as_written():

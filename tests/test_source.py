@@ -171,3 +171,18 @@ def test_every_record_field_is_read_by_the_package():
     found = [f"{name}:{line} {cls}.{field}" for name, line, cls, field in fields if field not in read]
     assert len(fields) > 100
     assert found == []
+
+
+def test_only_the_parser_raises_scenario_error():
+    # a ScenarioError says the input file is at fault; past the parser, a broken
+    # scenario fact is a simulator bug and any other bad argument a DomainError
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "scenario.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ScenarioError"
+    ]
+    assert found == []

@@ -6,7 +6,7 @@ import sys
 
 import click
 
-from .engine import format_trace, run as run_engine, write_trace
+from .engine import run as run_engine, write_trace
 from .metrics import compute_metrics, emit_report
 from .model import ScenarioError, SimulatorError
 from .scenario import load_scenario
@@ -91,7 +91,7 @@ def sweep(scenario_path):
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 
-    same = format_trace(first.trace) == format_trace(second.trace)
+    same = first.trace == second.trace
     click.echo(
         f"satisfaction {report.satisfaction_rate:.4f} "
         f"events {first.events_processed} deterministic {'yes' if same else 'NO'}"

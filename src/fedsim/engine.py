@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 from typing import NamedTuple
 
 from .agents import (
@@ -82,12 +82,19 @@ class EventRecord(NamedTuple):
         )
 
 
-def format_trace(records: list[EventRecord]) -> str:
-    return "".join(record.line() + "\n" for record in records)
+# each member's text, read once here: `member.value` goes through enum's
+# Python-level descriptor, several times slower than a dict lookup
+_TEXT = {member: member.value for enum_class in (EventKind, Performative) for member in enum_class}
 
 
 def write_trace(records: list[EventRecord], path) -> None:
-    Path(path).write_bytes(format_trace(records).encode("ascii"))
+    """Write one line per record, each ending in a bare line feed on every platform.
+
+    Lines go out one at a time, so the whole text never exists in memory.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        for record in records:
+            out.write(record.line() + "\n")
 
 
 @dataclass
@@ -166,6 +173,10 @@ class _World:
                 max_rejects=scenario.max_rejects,
             )
             self.consumers[cid] = self.unissued[state.conversation] = state
+        # each agent's trace text, made once so that every record naming it shares
+        # one string; a joining provider is named by its CHURN record before it joins
+        agents = chain(self.brokers, self.providers, self.consumers, (c.provider for c in scenario.churn))
+        self.names: dict[AgentId, str] = {aid: str(aid) for aid in agents}
 
         self.queue: list[Event] = []
         self.seq = 0
@@ -257,24 +268,24 @@ class _World:
     # -- trace --------------------------------------------------------------
 
     def record(self, event: Event, payload_suffix: str = "") -> None:
-        kind = event.kind.value
+        kind, names = _TEXT[event.kind], self.names
         sender = receiver = performative = conversation = "-"
         payload = "-"
         if event.kind is EventKind.DELIVER:
             msg = event.message
-            sender, receiver = str(msg.sender), str(msg.receiver)
-            performative = msg.performative.value
+            sender, receiver = names[msg.sender], names[msg.receiver]
+            performative = _TEXT[msg.performative]
             conversation = msg.conversation
             payload = msg.payload_digest()
         elif event.kind is EventKind.CHURN:
             performative = f"provider-{event.churn.action.value}"
-            receiver = str(event.churn.provider)
+            receiver = names[event.churn.provider]
         elif event.kind is EventKind.HOLD_EXPIRY:
-            receiver = str(event.provider)
+            receiver = names[event.provider]
             conversation = event.conversation
         else:  # consumer start or task completion, of a request already issued
             consumer = self.meta[event.conversation].consumer
-            receiver = str(consumer.id)
+            receiver = names[consumer.id]
             conversation = event.conversation
             if event.kind is EventKind.CONSUMER_START:
                 payload = consumer.request.digest()

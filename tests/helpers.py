@@ -26,6 +26,11 @@ from fedsim.model import (
 TYPE_POOL = ("cpu", "storage", "bandwidth", "gpu")
 
 
+def trace_text(records) -> str:
+    """The text `write_trace` writes for `records`: each line, newline-terminated."""
+    return "".join(record.line() + "\n" for record in records)
+
+
 def bundle(**quantities) -> ResourceBundle:
     return ResourceBundle.of(quantities)
 

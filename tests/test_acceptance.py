@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from fedsim.agents import ConsumerPhase
-from fedsim.engine import format_trace, run
+from fedsim.engine import run
 from fedsim.metrics import compute_metrics, oracle_min_cost
 from fedsim.migration import criteria_vector, select_direction, verify_constraints
 from fedsim.model import money
@@ -27,6 +27,7 @@ from helpers import (
     oracle_select,
     recovery_scenario,
     tick_scan_overcapacity,
+    trace_text,
 )
 from test_migration import _random_instance
 
@@ -121,7 +122,7 @@ def test_criterion_5_byte_identical_traces(tmp_path):
     # a trace that followed the set or dict order of hashed names would differ
     env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": str(SOURCE)}
     for name in ("minimal.json", "migration.json", "churn.json"):
-        first = format_trace(run(load_scenario(SCENARIOS / name)).trace).encode("ascii")
+        first = trace_text(run(load_scenario(SCENARIOS / name)).trace).encode("ascii")
         trace_out = tmp_path / f"{name}.log"
         subprocess.run(
             [sys.executable, "-m", "fedsim.cli", "run", "--scenario", str(SCENARIOS / name),

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import fedsim.cli
 from fedsim.cli import main
+from fedsim.engine import run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -113,6 +115,25 @@ def test_sweep_checks_determinism():
     assert result.exit_code == 0, result.output
     assert result.stdout == "satisfaction 1.0000 events 21 deterministic yes\n"
     assert result.stderr == ""
+
+
+def test_sweep_reports_a_trace_that_differs_in_one_record(monkeypatch):
+    results = []
+
+    def run_with_one_record_changed_the_second_time(scn):
+        result = run(scn)
+        if results:
+            last = result.trace[-1]
+            result.trace[-1] = last._replace(payload=last.payload + ",changed")
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(fedsim.cli, "run_engine", run_with_one_record_changed_the_second_time)
+    result = CliRunner().invoke(main, ["sweep", "--scenario", str(SCENARIOS / "churn.json")])
+    assert len(results) == 2
+    assert result.exit_code == 3
+    assert result.stdout == "satisfaction 1.0000 events 21 deterministic NO\n"
+    assert result.stderr == "problems: determinism mismatch\n"
 
 
 def test_sweep_exits_3_on_a_liveness_failure(tmp_path):

@@ -1,4 +1,6 @@
 import heapq
+import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,13 +13,13 @@ from fedsim.engine import (
     EventKind,
     EventRecord,
     _World,
-    format_trace,
     run,
     write_trace,
 )
 from fedsim.model import InvariantError, broker, money, provider
 from fedsim.scenario import load_scenario, parse_scenario
 
+from helpers import fuzz_scenario, trace_text
 from test_kernel_caches import checked_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -47,8 +49,8 @@ def test_empty_scenario_reaches_immediate_quiescence():
 
 def test_same_scenario_gives_byte_identical_traces():
     scn = minimal()
-    first = format_trace(run(scn).trace)
-    second = format_trace(run(scn).trace)
+    first = trace_text(run(scn).trace)
+    second = trace_text(run(scn).trace)
     assert first == second
 
 
@@ -194,7 +196,47 @@ def test_write_trace_round_trips_bytes(tmp_path):
     result = run(minimal())
     out = tmp_path / "trace.log"
     write_trace(result.trace, out)
-    assert out.read_bytes() == format_trace(result.trace).encode("ascii")
+    assert out.read_bytes() == trace_text(result.trace).encode("ascii")
+
+
+def test_write_trace_streams_lines_without_holding_the_whole_text(tmp_path):
+    records = [
+        EventRecord(
+            i, i, "deliver", f"broker:{i % 7}", f"consumer:{i % 300}", "PROPOSE", f"consumer:{i % 300}#0",
+            f"stage=quote,cost={i % 997}.00",
+        )
+        for i in range(50_000)
+    ]
+    out = tmp_path / "trace.log"
+    tracemalloc.start()
+    try:
+        write_trace(records, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = trace_text(records).encode("ascii")
+    assert len(expected) > 5_000_000
+    assert out.read_bytes() == expected
+    assert peak < 1_000_000, f"write_trace peaked at {peak} bytes for {len(expected)} bytes of text"
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        lambda: load_scenario(SCENARIOS / "churn.json"),
+        lambda: parse_scenario(fuzz_scenario(random.Random(7), 5, 15, 30, 5)),
+    ],
+    ids=["churn.json", "tier-S"],
+)
+def test_records_naming_an_agent_share_one_text(scenario):
+    texts: dict[str, set[int]] = {}
+    for record in run(scenario()).trace:
+        for text in (record.sender, record.receiver):
+            if text != "-":
+                texts.setdefault(text, set()).add(id(text))
+    kinds = {text.split(":")[0] for text in texts}
+    assert kinds == {"consumer", "broker", "provider"}
+    assert [text for text, ids in texts.items() if len(ids) > 1] == []
 
 
 def test_scheduling_in_the_past_raises_even_without_asserts():

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from fedsim.engine import format_trace, run
+from fedsim.engine import run
 from fedsim.metrics import compute_metrics, emit_report
 from fedsim.scenario import load_scenario, parse_scenario
 
-from helpers import fuzz_scenario
+from helpers import fuzz_scenario, trace_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -67,7 +67,7 @@ def test_every_example_scenario_is_pinned():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_and_report_match_golden_hashes(name):
     result = run(_scenario(name))
-    trace = format_trace(result.trace).encode("ascii")
+    trace = trace_text(result.trace).encode("ascii")
     report = emit_report(compute_metrics(result), "structured").encode("ascii")
     assert result.quiescent
     assert (

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Iterable, Mapping, NamedTuple
 
 from .migration import DEFAULT_CRITERIA, SelfOrganizeResult, self_organize
@@ -34,6 +33,7 @@ from .model import (
     Request,
     ResourceBundle,
     ResourceType,
+    format_money,
 )
 from .pricing import (
     PricingParams,
@@ -151,7 +151,8 @@ def consumer_step(state: ConsumerState, msg: Message) -> tuple[ConsumerState, li
         if payload.stage is ProposeStage.AGREEMENT and state.phase is ConsumerPhase.AWAITING_AGREEMENT:
             if payload.cost != state.accepted_cost:
                 # the broker's CFP, so the hold it relays, carries the accepted quote's cost
-                raise InvariantError(f"{state.id} got terms {payload.cost}, not {state.accepted_cost}")
+                terms, accepted = format_money(payload.cost), format_money(state.accepted_cost)
+                raise InvariantError(f"{state.id} got terms {terms}, not {accepted}")
             state.serving_broker = msg.sender
             state.phase = ConsumerPhase.AWAITING_CONFIRM
             return state, [Message(Performative.AGREE, msg.conversation, state.id, msg.sender)]
@@ -220,7 +221,7 @@ class BrokerConversation:
     # less those removed since; providers joining the federation later are
     # not candidates here
     temporary: set[AgentId]
-    factor: Decimal  # the request's lease factor, fixed for the conversation
+    factor: int  # the request's lease factor, fixed for the conversation
     universe: frozenset[AgentId] = frozenset()  # the contact list's ids at open
     # the provider last quoted; from AWAITING_AGREEMENT on, also the one
     # holding the reservation: a conversation has at most one provider

@@ -1,7 +1,7 @@
 """Run metrics: satisfaction, migrations, workloads, costs, and message counts.
 
-All report fields are rounded at construction (rates to 4 decimals, money to
-2), so emitting and re-parsing a report is lossless.
+All report fields are rounded at construction (rates to 4 decimals, money to the
+cent), so emitting and re-parsing a report is lossless.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from .agents import ConsumerPhase
@@ -102,9 +103,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         std = 0.0
 
     paid_values = [m.consumer.paid for m in done if m.consumer.paid is not None]
-    mean_paid = (
-        money(sum(paid_values, Decimal(0)) / len(paid_values)) if paid_values else money(0)
-    )
+    mean_paid = round(Fraction(sum(paid_values), len(paid_values))) if paid_values else 0
 
     violations = 0
     for m in done:
@@ -122,7 +121,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         cheapest = cheapest_feasible(result, m)
         if cheapest is None or cheapest <= 0 or paid is None:
             continue
-        gaps.append(float((paid - cheapest) / cheapest))
+        gaps.append(float(Decimal(paid - cheapest) / cheapest))
     gap = sum(gaps) / len(gaps) if gaps else 0.0
 
     counts: dict[str, int] = {}

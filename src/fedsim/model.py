@@ -16,24 +16,26 @@ from typing import Mapping, NamedTuple
 
 CENT = Decimal("0.01")
 
-Money = Decimal
+Money = int  # whole cents
 ResourceType = str
 
 
 def money(value) -> Money:
-    """Quantize to 2 decimals, half-even. The single rounding point for money.
+    """Read a decimal amount as whole cents, rounding half-even. Money enters only here.
 
-    Raises DomainError for a value that is not a number or needs more digits,
-    cents included, than the decimal context's precision.
+    Raises DomainError for a value that is not a finite number or needs more
+    digits, cents included, than the decimal context's precision.
     """
     try:
-        return Decimal(str(value)).quantize(CENT, rounding=ROUND_HALF_EVEN)
-    except InvalidOperation:
+        return int(Decimal(str(value)).quantize(CENT, rounding=ROUND_HALF_EVEN) * 100)
+    except (InvalidOperation, ValueError):  # ValueError: int() of a NaN
         raise DomainError(f"cannot hold {value} as money to the cent") from None
 
 
 def format_money(value: Money) -> str:
-    return f"{value:.2f}"
+    """Cents as `d.cc`, with a `-` sign for a negative amount."""
+    units, cents = divmod(abs(value), 100)
+    return f"{'-' if value < 0 else ''}{units}.{cents:02d}"
 
 
 class SimulatorError(Exception):

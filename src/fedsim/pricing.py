@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from typing import Mapping
 
 from .model import (
@@ -14,7 +15,7 @@ from .model import (
     Request,
     ResourceBundle,
     ResourceType,
-    money,
+    format_money,
 )
 
 PriceTable = Mapping[ResourceType, Money]
@@ -48,22 +49,21 @@ class PricingParams:
             raise DomainError(f"cost_weight must be in [0, 1], got {self.cost_weight}")
 
 
-def lease_factor(req: Request) -> Decimal:
+def lease_factor(req: Request) -> int:
     """The factor multiplying every unit price when costing this request: its window length."""
-    return Decimal(req.deadline - req.earliest_start)
+    return req.deadline - req.earliest_start
 
 
-def total_cost(bundle: ResourceBundle, prices: PriceTable, factor) -> Money:
-    """Sum of quantity x unit cost x factor over the bundle, money-rounded once."""
-    f = Decimal(str(factor))
-    if f <= 0:
+def total_cost(bundle: ResourceBundle, prices: PriceTable, factor: int) -> Money:
+    """Sum of quantity x unit cost over the bundle, times the factor: exact, in cents."""
+    if factor <= 0:
         raise DomainError(f"cost factor must be > 0, got {factor}")
-    acc = Decimal(0)
+    acc = 0
     for rtype, qty in bundle.items:
         if rtype not in prices:
             raise MissingPriceError(rtype)
-        acc += Decimal(qty) * prices[rtype] * f
-    return money(acc)
+        acc += qty * prices[rtype]
+    return acc * factor
 
 
 def expected_unit_price(base: Money, demand: float, capacity: float, sensitivity: float) -> Money:
@@ -74,19 +74,19 @@ def expected_unit_price(base: Money, demand: float, capacity: float, sensitivity
         raise DomainError(f"demand must be >= 0, got {demand}")
     if sensitivity < 0:
         raise DomainError(f"sensitivity must be >= 0, got {sensitivity}")
-    markup = Decimal(str(1.0 + sensitivity * (demand / capacity)))
-    return money(base * markup)
+    markup = Fraction(str(1.0 + sensitivity * (demand / capacity)))
+    return round(base * markup)  # half-even, to the cent: the one rounding in a run
 
 
 def compute_utility(budget: Money, paid: Money, on_time: bool, params: PricingParams) -> float:
     """Consumer satisfaction in [0, 1]: weighted savings share plus timeliness."""
     if budget <= 0:
-        raise DomainError(f"budget must be > 0, got {budget}")
+        raise DomainError(f"budget must be > 0, got {format_money(budget)}")
     if paid < 0:
-        raise DomainError(f"paid must be >= 0, got {paid}")
-    saved = max(Decimal(0), budget - paid)
+        raise DomainError(f"paid must be >= 0, got {format_money(paid)}")
+    saved = max(0, budget - paid)
     weight = params.cost_weight
-    value = weight * float(saved / budget) + (1.0 - weight) * (1.0 if on_time else 0.0)
+    value = weight * float(Decimal(saved) / budget) + (1.0 - weight) * (1.0 if on_time else 0.0)
     return min(1.0, max(0.0, value))
 
 

@@ -25,6 +25,7 @@ from .model import (
     ValidationError,
     broker,
     consumer,
+    format_money,
     money,
     provider,
 )
@@ -113,12 +114,9 @@ def _float_field(data: dict, key: str, where: str) -> float:
 
 def _money(value, where: str) -> Money:
     try:
-        amount = money(value)
+        return money(value)
     except DomainError:
-        amount = None
-    if amount is None or not amount.is_finite():
-        raise ScenarioError(f"{where}: cannot read {value!r} as money")
-    return amount
+        raise ScenarioError(f"{where}: cannot read {value!r} as money") from None
 
 
 def _id_list(
@@ -292,7 +290,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
                 f"{loc}: deadline-before-start: deadline {deadline} must be after earliest start {start}"
             )
         if budget <= 0:  # utility is the share of the budget saved
-            raise ScenarioError(f"{loc}.budget: must be > 0, got {budget}")
+            raise ScenarioError(f"{loc}.budget: must be > 0, got {format_money(budget)}")
         request = Request(
             consumer=consumer(cid),
             earliest_start=start,

@@ -8,7 +8,6 @@ implementation paths they check.
 from __future__ import annotations
 
 import random
-from decimal import Decimal
 
 from fedsim.agents import ReservationStatus, update_contact_list
 from fedsim.migration import NeighborInfo
@@ -19,6 +18,7 @@ from fedsim.model import (
     ResourceBundle,
     broker,
     consumer,
+    format_money,
     money,
     provider,
 )
@@ -85,12 +85,12 @@ def neighbor(
 # --- independent oracles -----------------------------------------------------
 
 
-def straight_loop_cost(bundle: ResourceBundle, prices, factor) -> Decimal:
-    """Reference cost: literal per-item loop, one final rounding."""
-    acc = Decimal(0)
+def straight_loop_cost(bundle: ResourceBundle, prices, factor: int) -> int:
+    """Reference cost in cents: literal per-item loop, exact."""
+    acc = 0
     for rtype, qty in bundle.items:
-        acc += Decimal(qty) * prices[rtype] * Decimal(str(factor))
-    return money(acc)
+        acc += qty * prices[rtype] * factor
+    return acc
 
 
 def oracle_dominates(a, b) -> bool:
@@ -384,10 +384,8 @@ def recovery_scenario(rng: random.Random) -> dict:
     factor = end - start
 
     satisfier_prices = {r: f"{rng.randint(50, 200) / 100:.2f}" for r in chosen}
-    base_cost = sum(
-        quantities[r] * Decimal(satisfier_prices[r]) * factor for r in chosen
-    )
-    budget = money(base_cost + Decimal(rng.randint(0, 50)))
+    base_cost = sum(quantities[r] * money(satisfier_prices[r]) * factor for r in chosen)
+    budget = base_cost + money(rng.randint(0, 50))
 
     lucky_broker = rng.randrange(n_brokers)
     home_broker = rng.randrange(n_brokers)
@@ -445,7 +443,7 @@ def recovery_scenario(rng: random.Random) -> dict:
                 "issue_time": 0,
                 "earliest_start": start,
                 "deadline": end,
-                "budget": f"{budget:.2f}",
+                "budget": format_money(budget),
                 "bundle": quantities,
                 "task_duration": duration,
             }
@@ -466,8 +464,8 @@ def churn_liveness_scenario(rng: random.Random) -> dict:
 
     cheap = {r: "1.00" for r in chosen}
     backup = {r: "2.00" for r in chosen}
-    backup_cost = sum(quantities[r] * Decimal(backup[r]) * factor for r in chosen)
-    budget = money(backup_cost + Decimal(20))
+    backup_cost = sum(quantities[r] * money(backup[r]) * factor for r in chosen)
+    budget = backup_cost + money(20)
 
     leave_time = rng.randint(1, 6)  # inside the first negotiation round-trips
     return {
@@ -487,7 +485,7 @@ def churn_liveness_scenario(rng: random.Random) -> dict:
                 "issue_time": 0,
                 "earliest_start": start,
                 "deadline": end,
-                "budget": f"{budget:.2f}",
+                "budget": format_money(budget),
                 "bundle": quantities,
                 "task_duration": rng.randint(1, 8),
             }

@@ -158,19 +158,22 @@ def test_run_rejects_nan_pricing_with_exit_code_2(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_a_cost_too_large_for_money_exits_2_without_a_traceback(tmp_path, command):
-    # a valid file whose costs need more digits than the decimal context holds:
-    # 2 cpu x 10**25 x 30 time units is 29 digits with its cents
+def test_a_cost_past_28_digits_runs_to_the_cent(tmp_path, command):
+    # 2 cpu x 10**25 x 30 time units is 29 digits with its cents: whole cents hold it
     data = json.loads((SCENARIOS / "minimal.json").read_text())
     data["providers"][0]["base_prices"] = {"cpu": "1" + "0" * 25, "storage": "1" + "0" * 25}
     path = tmp_path / "dear.json"
     path.write_text(json.dumps(data))
+    trace = tmp_path / "trace.log"
     runner = CliRunner()
     assert runner.invoke(main, ["validate", "--scenario", str(path)]).exit_code == 0
-    result = runner.invoke(main, [command, "--scenario", str(path)])
-    assert result.exit_code == 2, result.output
-    assert result.stderr.startswith("error: ") and "money" in result.stderr
-    assert "Traceback" not in result.output
+    options = ["--trace-out", str(trace)] if command == "run" else []
+    result = runner.invoke(main, [command, "--scenario", str(path), *options])
+    assert result.exit_code == 0, result.output
+    if command == "run":
+        assert "cost=600000000000000000000000000.00" in trace.read_text()
+    else:
+        assert "deterministic yes" in result.output
 
 
 def test_run_rejects_a_non_object_broker_with_exit_code_2(tmp_path):

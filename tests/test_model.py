@@ -25,6 +25,7 @@ from fedsim.model import (
     ValidationError,
     broker,
     consumer,
+    format_money,
     money,
     provider,
 )
@@ -197,14 +198,23 @@ def test_no_message_is_built_without_its_checks(monkeypatch):
 
 
 def test_money_rounds_half_even():
-    assert money("2.005") == money("2.00")
-    assert money("2.015") == money("2.02")
-    assert str(money(2)) == "2.00"
+    assert money("2.005") == money("2.00") == 200
+    assert money("2.015") == money("2.02") == 202
+    assert format_money(money(2)) == "2.00"
 
 
 def test_money_holds_every_amount_the_decimal_context_fits():
     # 28 digits, cents included, is the default decimal precision
-    assert str(money("9" * 26)) == "9" * 26 + ".00"
+    assert money("9" * 26) == int("9" * 26) * 100
+    assert format_money(money("9" * 26)) == "9" * 26 + ".00"
+
+
+@pytest.mark.parametrize(
+    "cents, text", [(0, "0.00"), (7, "0.07"), (-5, "-0.05"), (-100, "-1.00"), (-12345, "-123.45")]
+)
+def test_format_money_round_trips_zero_and_negatives(cents, text):
+    assert format_money(cents) == text
+    assert money(text) == cents
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim.engine import _World
-from fedsim.model import ScenarioError, broker, consumer, provider
+from fedsim.model import ScenarioError, broker, consumer, money, provider
 from fedsim.scenario import (
     Scenario,
     load_scenario,
@@ -45,7 +45,7 @@ def test_minimal_scenario_parses():
     scn = parse_scenario(minimal_dict())
     assert len(scn.brokers) == 1
     assert scn.max_migrations == 0
-    assert scn.consumers[0].request.budget == 50
+    assert scn.consumers[0].request.budget == money("50.00")
 
 
 def test_specs_hold_the_agent_ids_and_the_request_the_run_uses():
@@ -405,7 +405,7 @@ def test_a_request_parses_exactly_when_its_fields_are_in_their_domain(start, dea
         return
     assert valid
     assert (request.earliest_start, request.deadline, request.budget, request.bundle.as_dict()) == (
-        start, deadline, budget, {"cpu": qty}
+        start, deadline, cents, {"cpu": qty}
     )
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .migration import DEFAULT_CRITERIA, SelfOrganizeResult, self_organize
+from .migration import SelfOrganizeResult, self_organize
 from .model import (
     AgentId,
     AgentKind,
@@ -36,13 +36,13 @@ from .model import (
     format_money,
 )
 from .pricing import (
-    PricingParams,
     compute_utility,
     expected_unit_price,
     lease_factor,
     total_cost,
     update_grade,
 )
+from .scenario import Scenario
 
 
 def _violation(agent: AgentId, phase, msg: Message) -> ProtocolError:
@@ -77,9 +77,8 @@ class ConsumerState:
     id: AgentId
     request: Request
     conversation: str
-    params: PricingParams
+    scenario: Scenario                   # the run's settings, read only
     task_duration: int                   # run time of the task once confirmed
-    max_rejects: int = 3
     phase: ConsumerPhase = ConsumerPhase.IDLE
     rounds: int = 0                      # REJECT_PROPOSALs sent so far
     accepted_cost: Money | None = None   # quote accepted, pending confirmation
@@ -110,7 +109,7 @@ def _consumer_quote(state: ConsumerState, msg: Message, cost: Money) -> list[Mes
         state.accepted_cost = cost
         state.phase = ConsumerPhase.AWAITING_AGREEMENT
         return [Message(Performative.ACCEPT_PROPOSAL, msg.conversation, state.id, msg.sender)]
-    if state.rounds < state.max_rejects:
+    if state.rounds < state.scenario.max_rejects:
         state.rounds += 1
         state.phase = ConsumerPhase.AWAITING_COST
         return [
@@ -172,7 +171,7 @@ def consumer_complete(state: ConsumerState, on_time: bool) -> list[Message]:
     """Finish the task: grade the outcome and report it to the serving broker."""
     if state.phase is not ConsumerPhase.RUNNING:
         raise ProtocolError(f"{state.id} cannot complete a task in phase {state.phase.value}")
-    utility = compute_utility(state.request.budget, state.paid, on_time, state.params)
+    utility = compute_utility(state.request.budget, state.paid, on_time, state.scenario.pricing)
     state.phase = ConsumerPhase.DONE
     return [
         Message(
@@ -244,9 +243,7 @@ class BrokerState:
     # change installs a new dict, so selection snapshots can share it
     contact_list: dict[AgentId, ContactEntry]
     neighbors: tuple[AgentId, ...]
-    params: PricingParams
-    max_migrations: int
-    criteria: tuple[str, ...] = DEFAULT_CRITERIA
+    scenario: Scenario  # the run's settings, read only
     conversations: dict[str, BrokerConversation] = field(default_factory=dict)
     # last entries of providers a refresh dropped: conversations opened
     # before the refresh keep pricing them until they are removed or purged
@@ -319,7 +316,7 @@ def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
     for rtype, ratio in sorted(ratios):
         if rtype in prices:
             prices[rtype] = expected_unit_price(
-                prices[rtype], ratio, 1.0, state.params.demand_sensitivity
+                prices[rtype], ratio, 1.0, state.scenario.pricing.demand_sensitivity
             )
     _replace_entry(state, entry._replace(prices=prices))
 
@@ -335,10 +332,8 @@ def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> No
     for pid in sorted(conv.attempted):
         entry = state.contact_list.get(pid)
         if entry is not None:
-            _replace_entry(
-                state,
-                entry._replace(grade=update_grade(entry.grade, 0.0, state.params.grade_smoothing)),
-            )
+            grade = update_grade(entry.grade, 0.0, state.scenario.pricing.grade_smoothing)
+            _replace_entry(state, entry._replace(grade=grade))
 
 
 def _advance(
@@ -361,9 +356,9 @@ def _advance(
             conv.request,
             state.id,
             neighbors,
-            state.max_migrations,
+            state.scenario.max_migrations,
             conversation,
-            state.criteria,
+            state.scenario.criteria,
         )
         if result.target is None:
             _record_failure_feedback(state, conv)
@@ -457,9 +452,8 @@ def broker_step(
             feedback: InformPayload = msg.payload
             entry = state.contact_list.get(conv.best)
             if entry is not None and feedback.feedback is not None:
-                graded = entry._replace(
-                    grade=update_grade(entry.grade, feedback.feedback, state.params.grade_smoothing)
-                )
+                smoothing = state.scenario.pricing.grade_smoothing
+                graded = entry._replace(grade=update_grade(entry.grade, feedback.feedback, smoothing))
                 _replace_entry(state, graded)
             del state.conversations[msg.conversation]
             return state, []
@@ -529,7 +523,7 @@ class ProviderState:
     id: AgentId
     capacity: dict[ResourceType, int]
     base_prices: dict[ResourceType, Money]
-    params: PricingParams
+    scenario: Scenario  # the run's settings, read only
     ledger: dict[str, Reservation] = field(default_factory=dict)
     # per resource type, one (end, start, qty, conversation) leg for each
     # held or confirmed reservation in the ledger, sorted
@@ -541,7 +535,7 @@ class ProviderState:
             self.base_prices[rtype],
             self.demand.get(rtype, 0.0),
             float(self.capacity[rtype]),
-            self.params.demand_sensitivity,
+            self.scenario.pricing.demand_sensitivity,
         )
 
     def demand_ratios(self, bundle: ResourceBundle) -> tuple[tuple[ResourceType, float], ...]:

@@ -35,11 +35,12 @@ def validate(scenario_path):
         f"{len(scn.consumers)} consumers, {len(scn.churn)} churn events"
     )
     # a hold must outlive PROPOSE -> AGREEMENT -> AGREE -> CONFIRM, four deliveries
-    if scn.hold_timeout <= 4 * scn.default_delay:
+    longest = max([scn.default_delay, *scn.delays.values()])
+    if scn.hold_timeout <= 4 * longest:
         click.echo(
             f"warning: hold_timeout {scn.hold_timeout} is not longer than the four deliveries "
-            f"from a hold to its CONFIRM at default_delay {scn.default_delay}; "
-            "holds lapse before agreements are confirmed",
+            f"from a hold to its CONFIRM at the longest link delay {longest}; "
+            "holds may lapse before agreements are confirmed",
             err=True,
         )
 

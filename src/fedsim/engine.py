@@ -138,10 +138,9 @@ class _World:
         self.registry: set[AgentId] = set()
         self.providers: dict[AgentId, ProviderState] = {}
         self.visibility: dict[AgentId, set[AgentId]] = {}
-        # per broker: sorted ids of its visible live providers, and the
-        # resource types they price; cleared on every join and leave
-        self._views: dict[AgentId, tuple[tuple[AgentId, ...], frozenset[str]]] = {}
-        self._entries: dict[AgentId, list[ContactEntry]] = {}  # registry views, cleared likewise
+        # per broker: the registry view of its visible live providers, sorted
+        # by id, and the resource types they price; cleared on every join and leave
+        self._views: dict[AgentId, tuple[list[ContactEntry], frozenset[str]]] = {}
 
         self.brokers: dict[AgentId, BrokerState] = {}
         for spec in scenario.brokers:
@@ -149,9 +148,7 @@ class _World:
                 id=spec.id,
                 contact_list={},
                 neighbors=spec.neighbors,
-                params=scenario.pricing,
-                max_migrations=scenario.max_migrations,
-                criteria=scenario.criteria,
+                scenario=scenario,
             )
             self.visibility[spec.id] = set()
 
@@ -168,9 +165,8 @@ class _World:
                 id=cid,
                 request=spec.request,
                 conversation=conversation_id(cid, 0),
-                params=scenario.pricing,
+                scenario=scenario,
                 task_duration=spec.task_duration,
-                max_rejects=scenario.max_rejects,
             )
             self.consumers[cid] = self.unissued[state.conversation] = state
         # each agent's trace text, made once so that every record naming it shares
@@ -198,16 +194,12 @@ class _World:
             id=pid,
             capacity=dict(spec.capacity),
             base_prices=dict(spec.base_prices),
-            params=self.scenario.pricing,
+            scenario=self.scenario,
         )
         self.registry.add(pid)
         for bid in spec.visible_to:
             self.visibility[bid].add(pid)
-        self._clear_views()
-
-    def _clear_views(self) -> None:
         self._views.clear()
-        self._entries.clear()
 
     def delay(self, a: AgentId, b: AgentId) -> int:
         return self.scenario.delays.get((a, b), self.scenario.default_delay)
@@ -223,13 +215,14 @@ class _World:
     def send(self, msg: Message, now: int) -> None:
         self.schedule(now + self.delay(msg.sender, msg.receiver), EventKind.DELIVER, msg)
 
-    def _visible_live(self, bid: AgentId) -> tuple[tuple[AgentId, ...], frozenset[str]]:
-        """Sorted ids of the live providers `bid` sees, and the types they price."""
+    def _visible_live(self, bid: AgentId) -> tuple[list[ContactEntry], frozenset[str]]:
+        """Entries for the live providers `bid` sees, sorted by id, and the types they price."""
         view = self._views.get(bid)
         if view is None:
-            ids = tuple(sorted(self.visibility[bid] & self.registry))
-            types = frozenset().union(*(self.providers[pid].base_prices for pid in ids))
-            view = self._views[bid] = (ids, types)
+            ids = sorted(self.visibility[bid] & self.registry)
+            entries = [ContactEntry(pid, dict(self.providers[pid].base_prices)) for pid in ids]
+            types = frozenset().union(*(entry.prices for entry in entries))
+            view = self._views[bid] = (entries, types)
         return view
 
     def registry_view(self, bid: AgentId) -> list[ContactEntry]:
@@ -237,13 +230,7 @@ class _World:
 
         Entries are immutable, and base prices never change after a provider joins.
         """
-        entries = self._entries.get(bid)
-        if entries is None:
-            entries = self._entries[bid] = [
-                ContactEntry(pid, dict(self.providers[pid].base_prices))
-                for pid in self._visible_live(bid)[0]
-            ]
-        return entries
+        return self._visible_live(bid)[0]
 
     def neighbor_info(self, of: AgentId, nid: AgentId) -> NeighborInfo:
         """Fresh info on broker `nid`, as its next refresh would see it, from `of`.
@@ -252,13 +239,13 @@ class _World:
         providers, and learning never adds or drops a price key, so the
         cached view is what the refresh would give.
         """
-        ids, types = self._visible_live(nid)
+        entries, types = self._visible_live(nid)
         return NeighborInfo(
             broker=nid,
             workload=self.brokers[nid].in_flight,
             delay=self.delay(of, nid),
             provider_types=types,
-            provider_count=len(ids),
+            provider_count=len(entries),
         )
 
     def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
@@ -331,7 +318,7 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
         if pid not in world.registry:
             raise InvariantError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
-        world._clear_views()
+        world._views.clear()
         provider = world.providers[pid]
         for conversation in sorted(provider.ledger):
             release_hold(provider, conversation)  # held reservations die with the membership

@@ -61,7 +61,7 @@ def _criterion_fns(criteria: Sequence[str]) -> list[CriterionFn]:
         raise DomainError(f"unknown criterion {exc.args[0]!r}") from None
 
 
-def criteria_vector(info: NeighborInfo, criteria: Sequence[str] = DEFAULT_CRITERIA) -> tuple[float, ...]:
+def criteria_vector(info: NeighborInfo, criteria: Sequence[str]) -> tuple[float, ...]:
     """Project a neighbor snapshot onto the configured criteria, in order; all minimized."""
     return tuple(fn(info) for fn in _criterion_fns(criteria))
 
@@ -80,7 +80,7 @@ def verify_constraints(req: Request, info: NeighborInfo) -> bool:
 def select_direction(
     req: Request,
     neighbors: Iterable[NeighborInfo],
-    criteria: Sequence[str] = DEFAULT_CRITERIA,
+    criteria: Sequence[str],
 ) -> AgentId | None:
     """Return the migration target, or None to stay and fail.
 
@@ -113,7 +113,7 @@ def self_organize(
     neighbors: Sequence[NeighborInfo],
     max_migrations: int,
     conversation: str,
-    criteria: Sequence[str] = DEFAULT_CRITERIA,
+    criteria: Sequence[str],
 ) -> SelfOrganizeResult:
     """Resolve a local failure situation: migrate the request or give up.
 

@@ -22,6 +22,7 @@ from fedsim.model import (
     money,
     provider,
 )
+from fedsim.scenario import Scenario
 
 TYPE_POOL = ("cpu", "storage", "bandwidth", "gpu")
 
@@ -29,6 +30,11 @@ TYPE_POOL = ("cpu", "storage", "bandwidth", "gpu")
 def trace_text(records) -> str:
     """The text `write_trace` writes for `records`: each line, newline-terminated."""
     return "".join(record.line() + "\n" for record in records)
+
+
+def settings(max_migrations: int = 0, **fields) -> Scenario:
+    """A scenario with no agents, for the run settings an agent state reads."""
+    return Scenario((), (), (), (), {}, max_migrations=max_migrations, **fields)
 
 
 def bundle(**quantities) -> ResourceBundle:
@@ -273,8 +279,8 @@ def fuzz_scenario(
         )
 
     churn = []
-    leavers = rng.sample(range(n_providers), rng.randint(0, max_churn))
-    join_id = 100
+    leavers = rng.sample(range(n_providers), rng.randint(0, min(max_churn, n_providers)))
+    join_id = max(100, n_providers)  # past every declared id; 100 keeps the smaller draws as they were
     for pid in leavers:
         if rng.random() < 0.7:
             churn.append({"time": rng.randint(1, 30), "action": "leave", "provider": pid})

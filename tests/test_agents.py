@@ -40,11 +40,8 @@ from fedsim.model import (
     money,
     provider,
 )
-from fedsim.pricing import PricingParams
 
-from helpers import bundle, entry, neighbor, request, tick_scan_feasible
-
-PARAMS = PricingParams()
+from helpers import bundle, entry, neighbor, request, settings, tick_scan_feasible
 
 
 def make_consumer(cid=0, budget="10.00", max_rejects=3, **quantities):
@@ -53,9 +50,8 @@ def make_consumer(cid=0, budget="10.00", max_rejects=3, **quantities):
         id=consumer(cid),
         request=req,
         conversation=f"consumer:{cid}#0",
-        params=PARAMS,
+        scenario=settings(max_rejects=max_rejects),
         task_duration=2,
-        max_rejects=max_rejects,
     )
 
 
@@ -64,8 +60,7 @@ def make_broker(bid=0, entries=(), neighbors=(), max_migrations=2):
         id=broker(bid),
         contact_list={e.provider: e for e in entries},
         neighbors=tuple(broker(n) for n in neighbors),
-        params=PARAMS,
-        max_migrations=max_migrations,
+        scenario=settings(max_migrations=max_migrations),
     )
 
 
@@ -74,7 +69,7 @@ def make_provider(pid=0, capacity=None, prices=None):
         id=provider(pid),
         capacity=capacity or {"cpu": 4},
         base_prices={r: money(p) for r, p in (prices or {"cpu": "2.00"}).items()},
-        params=PARAMS,
+        scenario=settings(),
     )
 
 

@@ -17,6 +17,7 @@ def test_validate_accepts_bundled_scenarios():
         result = runner.invoke(main, ["validate", "--scenario", str(SCENARIOS / name)])
         assert result.exit_code == 0, result.output
         assert result.output.startswith("ok:")
+        assert result.stderr == ""
 
 
 def test_validate_reports_error_and_exit_code(tmp_path):
@@ -51,9 +52,12 @@ def test_validate_rejects_a_budget_that_run_cannot_grade(tmp_path):
 
 def test_validate_warns_when_holds_lapse_before_the_confirm(tmp_path):
     data = json.loads((SCENARIOS / "minimal.json").read_text())
-    for timeout, warns in ((4, True), (5, False)):
-        path = tmp_path / f"hold-{timeout}.json"
-        path.write_text(json.dumps({**data, "hold_timeout": timeout}))
+    slow = [{"a": "broker:0", "b": "provider:0", "delay": 5}]
+    # a slow link counts: at delay 5 the CONFIRM reaches the hold 12 ticks after it
+    cases = ((4, [], True), (5, [], False), (10, slow, True), (21, slow, False))
+    for i, (timeout, delays, warns) in enumerate(cases):
+        path = tmp_path / f"hold-{i}.json"
+        path.write_text(json.dumps({**data, "hold_timeout": timeout, "delays": delays}))
         result = CliRunner().invoke(main, ["validate", "--scenario", str(path)])
         assert result.exit_code == 0, result.output
         assert result.stdout.startswith("ok:")

@@ -23,10 +23,9 @@ from fedsim.model import (
     money,
     provider,
 )
-from fedsim.pricing import PricingParams
 from fedsim.scenario import parse_scenario
 
-from helpers import long_lease_scenario, request
+from helpers import long_lease_scenario, request, settings
 
 ACTIVE = (ReservationStatus.HELD, ReservationStatus.CONFIRMED)
 
@@ -99,7 +98,7 @@ def test_index_follows_replaced_and_released_entries():
             provider(0),
             {"cpu": 6, "storage": 6},
             {"cpu": money("1.00"), "storage": money("1.00")},
-            PricingParams(),
+            settings(),
         )
         for _ in range(50):
             conv = f"consumer:{rng.randrange(6)}#0"

@@ -189,7 +189,7 @@ def test_configured_criteria_reach_the_brokers():
     assert result.quiescent
     assert result.conversations["consumer:0#0"].consumer.phase is ConsumerPhase.DONE
     for state in result.brokers.values():
-        assert state.criteria == ("workload", "delay", "provider_scarcity")
+        assert state.scenario.criteria == ("workload", "delay", "provider_scarcity")
 
 
 def test_write_trace_round_trips_bytes(tmp_path):

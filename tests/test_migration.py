@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-import fedsim.migration as migration
 from fedsim.migration import (
+    DEFAULT_CRITERIA,
     NeighborInfo,
     criteria_vector,
     select_direction,
@@ -29,8 +29,8 @@ from helpers import (
 
 
 def test_default_criteria_project_workload_then_delay():
-    assert criteria_vector(neighbor(1, workload=3, delay=7)) == (3.0, 7.0)
-    assert criteria_vector(neighbor(1, workload=0, delay=0)) == (0.0, 0.0)
+    assert criteria_vector(neighbor(1, workload=3, delay=7), DEFAULT_CRITERIA) == (3.0, 7.0)
+    assert criteria_vector(neighbor(1, workload=0, delay=0), DEFAULT_CRITERIA) == (0.0, 0.0)
 
 
 def test_third_criterion_shrinks_with_provider_count():
@@ -108,20 +108,20 @@ def test_constraints_accept_live_superset_coverage():
 
 def test_singleton_neighbor_selected():
     req = request(cpu=1)
-    assert select_direction(req, [neighbor(1, types=("cpu",))]) == broker(1)
+    assert select_direction(req, [neighbor(1, types=("cpu",))], DEFAULT_CRITERIA) == broker(1)
 
 
 def test_lexicographic_tiebreak_between_incomparable_vectors():
     req = request(cpu=1)
     a = neighbor(1, workload=1, delay=5, types=("cpu",))
     b = neighbor(2, workload=2, delay=1, types=("cpu",))
-    assert select_direction(req, [b, a]) == broker(1)
+    assert select_direction(req, [b, a], DEFAULT_CRITERIA) == broker(1)
 
 
 def test_exhaustion_means_stay_and_fail():
     req = request(cpu=1, gpu=1)
     neighbors = [neighbor(1, types=("cpu",)), neighbor(2, count=0, types=())]
-    assert select_direction(req, neighbors) is None
+    assert select_direction(req, neighbors, DEFAULT_CRITERIA) is None
 
 
 def _random_instance(rng: random.Random):
@@ -214,7 +214,7 @@ class DirectionOracle:
         self.original = original
         self.seen = Counter()
 
-    def __call__(self, req, neighbors, criteria=migration.DEFAULT_CRITERIA):
+    def __call__(self, req, neighbors, criteria):
         infos = list(neighbors)
         target = self.original(req, infos, criteria)
         expected, rounds = _oracle_pick(req, infos, criteria)
@@ -242,7 +242,8 @@ def test_select_direction_is_deterministic():
 
 def test_hop_limit_forces_failure_message():
     req = request(cid=3, cpu=1, migrations=2)
-    result = self_organize(req, broker(0), [neighbor(1, types=("cpu",))], 2, "consumer:3#0")
+    neighbors = [neighbor(1, types=("cpu",))]
+    result = self_organize(req, broker(0), neighbors, 2, "consumer:3#0", DEFAULT_CRITERIA)
     assert result.target is None
     (msg,) = result.messages
     assert msg.performative is Performative.FAILURE
@@ -252,7 +253,8 @@ def test_hop_limit_forces_failure_message():
 
 def test_migration_carries_hop_and_visited():
     req = request(cid=3, cpu=1)
-    result = self_organize(req, broker(0), [neighbor(1, types=("cpu",))], 3, "consumer:3#0")
+    neighbors = [neighbor(1, types=("cpu",))]
+    result = self_organize(req, broker(0), neighbors, 3, "consumer:3#0", DEFAULT_CRITERIA)
     (msg,) = result.messages
     assert msg.performative is Performative.CFP
     assert msg.receiver == result.target == broker(1)
@@ -263,7 +265,8 @@ def test_migration_carries_hop_and_visited():
 
 def test_no_admissible_neighbor_fails_without_cfp():
     req = request(cid=3, cpu=1, gpu=2)
-    result = self_organize(req, broker(0), [neighbor(1, types=("cpu",))], 3, "consumer:3#0")
+    neighbors = [neighbor(1, types=("cpu",))]
+    result = self_organize(req, broker(0), neighbors, 3, "consumer:3#0", DEFAULT_CRITERIA)
     (msg,) = result.messages
     assert msg.performative is Performative.FAILURE
     assert msg.payload.reason == "no-admissible-broker"

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import re
 import sys
 from decimal import Decimal
@@ -15,6 +16,8 @@ from fedsim.scenario import (
     load_scenario,
     parse_scenario,
 )
+
+from helpers import fuzz_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -74,6 +77,17 @@ def test_specs_hold_the_agent_ids_and_the_request_the_run_uses():
 def test_bundled_scenarios_all_load():
     for name in ("minimal.json", "migration.json", "churn.json"):
         load_scenario(SCENARIOS / name)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 1, 5, 5), (3, 150, 5, 5)],
+    ids=["churn-above-the-provider-count", "more-than-100-providers"],
+)
+def test_the_fuzz_generator_gives_a_valid_scenario_for_any_shape(shape):
+    # churn draws at most every provider once, and joins take ids past every declared one
+    for seed in range(40):
+        parse_scenario(fuzz_scenario(random.Random(seed), *shape))
 
 
 def test_dangling_visibility_reference():

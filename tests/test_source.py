@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import fedsim
+from fedsim.scenario import Scenario
 
 PACKAGE = Path(fedsim.__file__).resolve().parent
 
@@ -185,4 +187,26 @@ def test_only_the_parser_raises_scenario_error():
         and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "ScenarioError"
     ]
+    assert found == []
+
+
+def test_no_agent_state_copies_a_scenario_setting():
+    # an agent reads the run's settings through its one `scenario` reference,
+    # so each setting and its default live once, in `Scenario`
+    settings = {field.name for field in dataclasses.fields(Scenario)}
+    tree = ast.parse((PACKAGE / "agents.py").read_text())
+    states = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name in ("ConsumerState", "BrokerState", "ProviderState")
+    ]
+    found = [
+        f"{cls.name}.{stmt.target.id}"
+        for cls in states
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and (stmt.target.id in settings or "PricingParams" in ast.unparse(stmt.annotation))
+    ]
+    assert len(states) == 3
     assert found == []

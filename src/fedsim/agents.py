@@ -220,7 +220,6 @@ class BrokerConversation:
     # less those removed since; providers joining the federation later are
     # not candidates here
     temporary: set[AgentId]
-    factor: int  # the request's lease factor, fixed for the conversation
     universe: frozenset[AgentId] = frozenset()  # the contact list's ids at open
     # the provider last quoted; from AWAITING_AGREEMENT on, also the one
     # holding the reservation: a conversation has at most one provider
@@ -336,12 +335,7 @@ def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> No
             _replace_entry(state, entry._replace(grade=grade))
 
 
-def _advance(
-    state: BrokerState,
-    conversation: str,
-    conv: BrokerConversation,
-    neighbor_info,
-) -> list[Message]:
+def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, world) -> list[Message]:
     """Quote the next best provider, or fall back to self-organization."""
     # a candidate a refresh dropped from the contact list is priced from its
     # last entry; a purged one has no entry left and drops out here
@@ -349,13 +343,12 @@ def _advance(
     candidates = (
         entry for pid in conv.temporary if (entry := known.get(pid) or dropped.get(pid))
     )
-    best = select_best_provider(candidates, conv.request.bundle, conv.factor, conv.quotes)
+    best = select_best_provider(candidates, conv.request.bundle, lease_factor(conv.request), conv.quotes)
     if best is None:
-        neighbors = list(neighbor_info) if neighbor_info is not None else []
         result: SelfOrganizeResult = self_organize(
             conv.request,
             state.id,
-            neighbors,
+            world.neighbor_snapshot(state.id),
             state.scenario.max_migrations,
             conversation,
             state.scenario.criteria,
@@ -385,18 +378,13 @@ def _advance(
     ]
 
 
-def broker_step(
-    state: BrokerState,
-    msg: Message,
-    registry_view: list[ContactEntry] | None = None,
-    neighbor_info=None,
-) -> tuple[BrokerState, list[Message]]:
+def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, list[Message]]:
     """Apply one message per the broker protocol, including the migration hook.
 
-    `registry_view` is this broker's visibility-filtered snapshot of the
-    provider registry, read only on CFP receipt; `neighbor_info` is an
-    iterable of fresh neighbor snapshots, iterated once and only when
-    self-organization is needed, so it may compute them lazily.
+    The broker reads the kernel's `world` only when it needs it:
+    `world.registry_view(state.id)`, its visibility-filtered view of the
+    provider registry, on each CFP, and `world.neighbor_snapshot(state.id)`,
+    fresh info on each neighbor broker, only when it self-organizes.
     """
     if msg.receiver != state.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {state.id}")
@@ -408,7 +396,7 @@ def broker_step(
             raise ProtocolError(f"{state.id} got a second CFP for {msg.conversation}")
         payload: CallPayload = msg.payload
         req = payload.request
-        refreshed = update_contact_list(state.contact_list, registry_view or [])
+        refreshed = update_contact_list(state.contact_list, world.registry_view(state.id))
         for pid, entry in state.contact_list.items():
             if pid not in refreshed:
                 state.dropped[pid] = entry
@@ -417,11 +405,10 @@ def broker_step(
             request=req,
             phase=BrokerPhase.QUOTING,
             temporary=set(refreshed),
-            factor=lease_factor(req),
             universe=frozenset(refreshed),
         )
         state.conversations[msg.conversation] = conv
-        return state, _advance(state, msg.conversation, conv, neighbor_info)
+        return state, _advance(state, msg.conversation, conv, world)
 
     if conv is None:
         raise ProtocolError(f"{state.id} has no open conversation {msg.conversation}")
@@ -442,7 +429,7 @@ def broker_step(
             # a rejected quote, or a consumer that spent its rejection budget
             # and declines to continue here
             _remove_from_temporary(conv, conv.best, for_cause=False)
-            return state, _advance(state, msg.conversation, conv, neighbor_info)
+            return state, _advance(state, msg.conversation, conv, world)
         if perf is Performative.AGREE and conv.phase is BrokerPhase.AWAITING_AGREEMENT:
             conv.phase = BrokerPhase.AWAITING_FEEDBACK
             return state, [
@@ -492,7 +479,7 @@ def broker_step(
                 # an expected-cost refusal only refreshes prices: the provider stays eligible
                 if payload.reason is not RefuseReason.EXPECTED_COST:
                     _remove_from_temporary(conv, msg.sender, for_cause=True)
-            return state, _advance(state, msg.conversation, conv, neighbor_info)
+            return state, _advance(state, msg.conversation, conv, world)
         raise _violation(state.id, conv.phase, msg)
 
     raise _violation(state.id, conv.phase, msg)

@@ -3,17 +3,45 @@
 from __future__ import annotations
 
 import sys
+from itertools import chain
 
 import click
 
 from .engine import run as run_engine, write_trace
 from .metrics import compute_metrics, emit_report
 from .model import ScenarioError, SimulatorError
-from .scenario import load_scenario
+from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_LIVENESS = 3
+
+
+def _hold_to_confirm(scn: Scenario) -> int | None:
+    """Most ticks from a hold to its CONFIRM, or None when no hold can be made.
+
+    PROPOSE, the agreement, AGREE and CONFIRM cross the provider-broker and
+    broker-consumer links twice each. The provider is any one the broker can
+    ever see, joiners included; the consumer is any one, as a request can
+    migrate to any broker.
+    """
+    seen = {spec.id: set(spec.visible_providers) for spec in scn.brokers}
+    for spec in chain(scn.providers, (change.join for change in scn.churn if change.join)):
+        for bid in spec.visible_to:
+            seen[bid].add(spec.id)
+    consumers = [spec.request.consumer for spec in scn.consumers]
+
+    def delay(a, b):
+        return scn.delays.get((a, b), scn.default_delay)
+
+    return max(
+        (
+            2 * max(delay(pid, bid) for pid in pids) + 2 * max(delay(bid, cid) for cid in consumers)
+            for bid, pids in seen.items()
+            if pids and consumers
+        ),
+        default=None,
+    )
 
 
 @click.group()
@@ -34,12 +62,12 @@ def validate(scenario_path):
         f"ok: {len(scn.brokers)} brokers, {len(scn.providers)} providers, "
         f"{len(scn.consumers)} consumers, {len(scn.churn)} churn events"
     )
-    # a hold must outlive PROPOSE -> AGREEMENT -> AGREE -> CONFIRM, four deliveries
-    longest = max([scn.default_delay, *scn.delays.values()])
-    if scn.hold_timeout <= 4 * longest:
+    # a hold lapses when its expiry comes no later than the CONFIRM
+    confirm = _hold_to_confirm(scn)
+    if confirm is not None and scn.hold_timeout <= confirm:
         click.echo(
-            f"warning: hold_timeout {scn.hold_timeout} is not longer than the four deliveries "
-            f"from a hold to its CONFIRM at the longest link delay {longest}; "
+            f"warning: hold_timeout {scn.hold_timeout} is not longer than the {confirm} ticks "
+            "from a hold to its CONFIRM on the slowest provider-broker-consumer path; "
             "holds may lapse before agreements are confirmed",
             err=True,
         )

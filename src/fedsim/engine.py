@@ -305,12 +305,6 @@ class _World:
             self.workloads[bid].total += level * (self.events - before)
 
 
-def _snapshot_when_read(world: _World, of: AgentId):
-    # a generator runs nothing until iterated: the snapshot is taken only if
-    # the broker falls back to self-organization
-    yield from world.neighbor_snapshot(of)
-
-
 def apply_churn(world: _World, change: ChurnSpec) -> None:
     """Apply one membership change to the registry and affected reservations."""
     pid = change.provider
@@ -400,23 +394,13 @@ def _run_once(world: _World, event_budget: int) -> bool:
 
             elif target.kind is AgentKind.BROKER:
                 broker = world.brokers[target]
-                final_inform = (
-                    msg.performative is Performative.INFORM
-                    and msg.sender.kind is AgentKind.CONSUMER
-                )
-                if final_inform:
-                    conv = broker.conversations.get(msg.conversation)
-                    if conv is not None and conv.snapshot is not None:
-                        world.meta[msg.conversation].snapshot = conv.snapshot
-                _, out = broker_step(
-                    broker,
-                    msg,
-                    registry_view=(
-                        world.registry_view(target) if msg.performative is Performative.CFP else None
-                    ),
-                    neighbor_info=_snapshot_when_read(world, target),
-                )
+                conv = broker.conversations.get(msg.conversation)
+                _, out = broker_step(broker, msg, world)
                 world.sample_workloads(target)
+                if msg.performative is Performative.INFORM:
+                    # only a consumer informs a broker: its feedback closed the
+                    # conversation, whose last selection was the one served
+                    world.meta[msg.conversation].snapshot = conv.snapshot
                 for m in out:
                     if m.performative is Performative.CFP and m.receiver.kind is AgentKind.BROKER:
                         world.meta[m.conversation].migrations = m.payload.request.migrations

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .model import (
     AgentId,
     CallPayload,
-    DomainError,
     FailurePayload,
     Message,
     Performative,
@@ -54,16 +53,12 @@ CRITERIA: dict[str, CriterionFn] = {
 DEFAULT_CRITERIA: tuple[str, ...] = ("workload", "delay")
 
 
-def _criterion_fns(criteria: Sequence[str]) -> list[CriterionFn]:
-    try:
-        return [CRITERIA[name] for name in criteria]
-    except KeyError as exc:
-        raise DomainError(f"unknown criterion {exc.args[0]!r}") from None
-
-
 def criteria_vector(info: NeighborInfo, criteria: Sequence[str]) -> tuple[float, ...]:
-    """Project a neighbor snapshot onto the configured criteria, in order; all minimized."""
-    return tuple(fn(info) for fn in _criterion_fns(criteria))
+    """Project a neighbor snapshot onto the configured criteria, in order; all minimized.
+
+    The names are the parser's, which accepts only keys of `CRITERIA`.
+    """
+    return tuple(CRITERIA[name](info) for name in criteria)
 
 
 def verify_constraints(req: Request, info: NeighborInfo) -> bool:
@@ -89,9 +84,7 @@ def select_direction(
     dominance implies a strictly smaller criteria tuple, so the minimum of
     any set is non-dominated in it, and taking that minimum while dropping
     inadmissible picks reaches the minimum over the admissible neighbors.
-    An unknown criterion raises `DomainError` even with no neighbors.
     """
-    _criterion_fns(criteria)
     best = None
     for info in neighbors:
         if verify_constraints(req, info):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -437,6 +438,27 @@ def test_finish_lease_releases_demand_but_keeps_ledger():
 # --- broker -----------------------------------------------------------------
 
 
+class StubWorld:
+    """Stands in for the kernel's world: the two views a broker reads, with a count of reads.
+
+    With no `neighbors` given, a step that self-organizes fails the test.
+    """
+
+    def __init__(self, view=(), neighbors=None):
+        self.view, self.neighbors = list(view), neighbors
+        self.reads = Counter()
+
+    def registry_view(self, bid):
+        self.reads["registry_view"] += 1
+        return self.view
+
+    def neighbor_snapshot(self, of):
+        if self.neighbors is None:
+            pytest.fail(f"{of} self-organized in a step that must not")
+        self.reads["neighbor_snapshot"] += 1
+        return self.neighbors
+
+
 def consumer_cfp(state_broker, cid=0, req=None):
     req = req or request(cid=cid, cpu=1, end=1, budget="50.00")  # one tick, as above
     return Message(
@@ -451,7 +473,7 @@ def consumer_cfp(state_broker, cid=0, req=None):
 def test_broker_quotes_best_provider_on_cfp():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="1.50")])
     view = [entry(0, cpu="2.00"), entry(1, cpu="1.50")]
-    _, out = broker_step(state, consumer_cfp(state), registry_view=view)
+    _, out = broker_step(state, consumer_cfp(state), StubWorld(view))
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
     assert msg.payload.cost == money("1.50")
@@ -462,27 +484,51 @@ def test_broker_quotes_best_provider_on_cfp():
 
 def test_broker_with_empty_list_self_organizes_no_quote():
     state = make_broker(entries=[], neighbors=(1,))
-    _, out = broker_step(
-        state,
-        consumer_cfp(state),
-        registry_view=[],
-        neighbor_info=[neighbor(1, types=("cpu",))],
-    )
+    world = StubWorld([], neighbors=[neighbor(1, types=("cpu",))])
+    _, out = broker_step(state, consumer_cfp(state), world)
     (msg,) = out
     assert msg.performative is Performative.CFP
     assert msg.receiver == broker(1)
     assert state.in_flight == 0  # conversation migrated away immediately
 
 
+def test_broker_reads_each_view_only_in_the_step_that_uses_it():
+    state = make_broker(neighbors=(1,))
+    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="5.00")], neighbors=[neighbor(1, types=("cpu",))])
+    conv_id = "consumer:0#0"
+
+    def reads(msg):
+        before = Counter(world.reads)
+        _, out = broker_step(state, msg, world)
+        return world.reads - before, out
+
+    def from_provider(pid, performative, payload):
+        return Message(performative, conv_id, provider(pid), state.id, payload)
+
+    accept = Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id)
+    reject = Message(Performative.REJECT_PROPOSAL, conv_id, consumer(0), state.id, RejectPayload(money("1.00")))
+    expected_cost = RefusePayload(reason=RefuseReason.EXPECTED_COST, ratios=(("cpu", 0.0),))
+    hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("5.00"))
+    expired = RefusePayload(reason=RefuseReason.EXPIRED, ratios=(("cpu", 0.0),))
+
+    assert reads(consumer_cfp(state))[0] == {"registry_view": 1}
+    assert reads(accept)[0] == {}
+    assert reads(from_provider(0, Performative.REFUSE, expected_cost))[0] == {}  # provider 0 stays
+    assert reads(reject)[0] == {}  # provider 1 is left
+    assert reads(accept)[0] == {}
+    assert reads(from_provider(1, Performative.PROPOSE, hold))[0] == {}
+    assert reads(Message(Performative.AGREE, conv_id, consumer(0), state.id))[0] == {}
+    got, out = reads(from_provider(1, Performative.REFUSE, expired))  # no provider is left
+    assert got == {"neighbor_snapshot": 1}
+    assert [(m.performative, m.receiver) for m in out] == [(Performative.CFP, broker(1))]
+
+
 def test_broker_refuse_ratio_updates_price_and_requotes():
     # recorded 2.00, ratio 0.5, sensitivity 1 -> 3.00, then a fresh quote
     state = make_broker(entries=[entry(0, cpu="2.00")])
-    view = [entry(0, cpu="2.00")]
-    broker_step(state, consumer_cfp(state), registry_view=view)
-    broker_step(
-        state,
-        Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id),
-    )
+    world = StubWorld([entry(0, cpu="2.00")])
+    broker_step(state, consumer_cfp(state), world)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
         Performative.REFUSE,
         "consumer:0#0",
@@ -490,7 +536,7 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
         state.id,
         RefusePayload(reason=RefuseReason.EXPECTED_COST, ratios=(("cpu", 0.5),)),
     )
-    _, out = broker_step(state, refuse)
+    _, out = broker_step(state, refuse, world)
     assert state.contact_list.get(provider(0)).prices["cpu"] == money("3.00")
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
@@ -499,12 +545,9 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
 
 def test_broker_capacity_refusal_drops_provider_from_temporary():
     state = make_broker(entries=[entry(0, cpu="1.00"), entry(1, cpu="5.00")])
-    view = [entry(0, cpu="1.00"), entry(1, cpu="5.00")]
-    broker_step(state, consumer_cfp(state), registry_view=view)
-    broker_step(
-        state,
-        Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id),
-    )
+    world = StubWorld([entry(0, cpu="1.00"), entry(1, cpu="5.00")])
+    broker_step(state, consumer_cfp(state), world)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
         Performative.REFUSE,
         "consumer:0#0",
@@ -512,7 +555,7 @@ def test_broker_capacity_refusal_drops_provider_from_temporary():
         state.id,
         RefusePayload(reason=RefuseReason.CAPACITY, ratios=(("cpu", 0.0),)),
     )
-    _, out = broker_step(state, refuse)
+    _, out = broker_step(state, refuse, world)
     conv = state.conversations["consumer:0#0"]
     assert provider(0) not in conv.temporary
     assert provider(0) in conv.excluded
@@ -532,8 +575,9 @@ def test_broker_grades_attempted_providers_down_only_when_the_request_fails(
     max_migrations, neighbors, reason, grade
 ):
     state = make_broker(entries=[entry(0, cpu="2.00")], neighbors=(1,), max_migrations=max_migrations)
-    broker_step(state, consumer_cfp(state), registry_view=[entry(0, cpu="2.00")])
-    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id))
+    world = StubWorld([entry(0, cpu="2.00")], neighbors)
+    broker_step(state, consumer_cfp(state), world)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
         Performative.REFUSE,
         "consumer:0#0",
@@ -541,7 +585,7 @@ def test_broker_grades_attempted_providers_down_only_when_the_request_fails(
         state.id,
         RefusePayload(reason=RefuseReason.CAPACITY, ratios=(("cpu", 0.0),)),
     )
-    _, out = broker_step(state, refuse, neighbor_info=neighbors)
+    _, out = broker_step(state, refuse, world)
     (msg,) = out
     if reason is None:
         assert (msg.performative, msg.receiver) == (Performative.CFP, broker(1))
@@ -553,8 +597,8 @@ def test_broker_grades_attempted_providers_down_only_when_the_request_fails(
 
 def test_broker_reject_loop_drains_temporary_then_fails():
     state = make_broker(entries=[entry(0, cpu="4.00"), entry(1, cpu="6.00")], neighbors=())
-    view = [entry(0, cpu="4.00"), entry(1, cpu="6.00")]
-    broker_step(state, consumer_cfp(state), registry_view=view)
+    world = StubWorld([entry(0, cpu="4.00"), entry(1, cpu="6.00")], neighbors=[])
+    broker_step(state, consumer_cfp(state), world)
     reject = Message(
         Performative.REJECT_PROPOSAL,
         "consumer:0#0",
@@ -562,9 +606,9 @@ def test_broker_reject_loop_drains_temporary_then_fails():
         state.id,
         payload=RejectPayload(money("1.00")),
     )
-    _, out = broker_step(state, reject)
+    _, out = broker_step(state, reject, world)
     assert out[0].payload.cost == money("6.00")
-    _, out = broker_step(state, reject)
+    _, out = broker_step(state, reject, world)
     (msg,) = out
     assert msg.performative is Performative.FAILURE
     assert state.in_flight == 0
@@ -572,10 +616,10 @@ def test_broker_reject_loop_drains_temporary_then_fails():
 
 def test_broker_full_happy_path_and_grade_update():
     state = make_broker(entries=[entry(0, grade=0.5, cpu="2.00")])
-    view = [entry(0, cpu="2.00")]
+    world = StubWorld([entry(0, cpu="2.00")])
     conv_id = "consumer:0#0"
-    broker_step(state, consumer_cfp(state), registry_view=view)
-    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id))
+    broker_step(state, consumer_cfp(state), world)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), world)
     _, out = broker_step(
         state,
         Message(
@@ -585,13 +629,15 @@ def test_broker_full_happy_path_and_grade_update():
             state.id,
             ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00")),
         ),
+        world,
     )
     assert out[0].payload.stage is ProposeStage.AGREEMENT
-    _, out = broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id))
+    _, out = broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id), world)
     assert out[0].performative is Performative.CONFIRM
     _, out = broker_step(
         state,
         Message(Performative.INFORM, conv_id, consumer(0), state.id, InformPayload(feedback=1.0)),
+        world,
     )
     assert out == []
     assert state.in_flight == 0
@@ -600,11 +646,9 @@ def test_broker_full_happy_path_and_grade_update():
 
 def test_broker_departed_refusal_purges_provider_everywhere():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
-    view = [entry(0, cpu="2.00"), entry(1, cpu="9.00")]
-    broker_step(state, consumer_cfp(state), registry_view=view)
-    broker_step(
-        state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id)
-    )
+    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="9.00")])
+    broker_step(state, consumer_cfp(state), world)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
         Performative.REFUSE,
         "consumer:0#0",
@@ -612,20 +656,20 @@ def test_broker_departed_refusal_purges_provider_everywhere():
         state.id,
         RefusePayload(reason=RefuseReason.DEPARTED),
     )
-    _, out = broker_step(state, refuse)
+    _, out = broker_step(state, refuse, world)
     assert state.contact_list.get(provider(0)) is None
     assert out[0].payload.cost == money("9.00")
 
 
 def test_broker_expired_refusal_drops_provider_and_requotes():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
-    view = [entry(0, cpu="2.00"), entry(1, cpu="9.00")]
+    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="9.00")])
     conv_id = "consumer:0#0"
-    broker_step(state, consumer_cfp(state), registry_view=view)
-    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id))
+    broker_step(state, consumer_cfp(state), world)
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), world)
     hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00"))
-    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold))
-    broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id))
+    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold), world)
+    broker_step(state, Message(Performative.AGREE, conv_id, consumer(0), state.id), world)
     assert state.conversations[conv_id].phase is BrokerPhase.AWAITING_FEEDBACK
     refuse = Message(
         Performative.REFUSE,
@@ -634,7 +678,7 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
         state.id,
         RefusePayload(reason=RefuseReason.EXPIRED, ratios=(("cpu", 0.0),)),
     )
-    _, out = broker_step(state, refuse)
+    _, out = broker_step(state, refuse, world)
     conv = state.conversations[conv_id]
     assert provider(0) not in conv.temporary
     assert provider(0) in conv.excluded
@@ -645,23 +689,19 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
 
 def test_broker_out_of_phase_message_raises():
     state = make_broker(entries=[entry(0, cpu="2.00")])
-    broker_step(state, consumer_cfp(state), registry_view=[entry(0, cpu="2.00")])
+    world = StubWorld([entry(0, cpu="2.00")])
+    broker_step(state, consumer_cfp(state), world)
     with pytest.raises(ProtocolError):
-        broker_step(
-            state, Message(Performative.AGREE, "consumer:0#0", consumer(0), state.id)
-        )
+        broker_step(state, Message(Performative.AGREE, "consumer:0#0", consumer(0), state.id), world)
     with pytest.raises(ProtocolError):
-        broker_step(
-            state,
-            Message(Performative.AGREE, "consumer:9#0", consumer(9), state.id),
-        )
+        broker_step(state, Message(Performative.AGREE, "consumer:9#0", consumer(9), state.id), world)
     # once the consumer has accepted, the agreement carries the quoted cost,
     # so the consumer never refuses it
     conv_id = "consumer:0#0"
-    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id))
+    broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), world)
     hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00"))
-    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold))
+    broker_step(state, Message(Performative.PROPOSE, conv_id, provider(0), state.id, hold), world)
     assert state.conversations[conv_id].phase is BrokerPhase.AWAITING_AGREEMENT
     refuse = RefusePayload(reason=RefuseReason.OVER_BUDGET)
     with pytest.raises(ProtocolError):
-        broker_step(state, Message(Performative.REFUSE, conv_id, consumer(0), state.id, refuse))
+        broker_step(state, Message(Performative.REFUSE, conv_id, consumer(0), state.id, refuse), world)

@@ -37,7 +37,7 @@ class SelectionOracle:
         return step
 
     def advance(self, original):
-        def advance(state, conversation, conv, neighbor_info):
+        def advance(state, conversation, conv, world):
             self.remember(state)
             # the first _advance of a conversation runs right after it opens
             universe = self.universes.setdefault(
@@ -58,7 +58,7 @@ class SelectionOracle:
                     ranked.append((cost, -entry.grade, pid))
             expected = min(ranked, default=None)
 
-            out = original(state, conversation, conv, neighbor_info)
+            out = original(state, conversation, conv, world)
 
             if expected is None:
                 assert conversation not in state.conversations  # self-organized

@@ -13,8 +13,10 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def test_validate_accepts_bundled_scenarios():
     runner = CliRunner()
-    for name in ("minimal.json", "migration.json", "churn.json"):
-        result = runner.invoke(main, ["validate", "--scenario", str(SCENARIOS / name)])
+    paths = sorted(SCENARIOS.glob("*.json"))
+    assert paths
+    for path in paths:
+        result = runner.invoke(main, ["validate", "--scenario", str(path)])
         assert result.exit_code == 0, result.output
         assert result.output.startswith("ok:")
         assert result.stderr == ""
@@ -51,17 +53,29 @@ def test_validate_rejects_a_budget_that_run_cannot_grade(tmp_path):
 
 
 def test_validate_warns_when_holds_lapse_before_the_confirm(tmp_path):
-    data = json.loads((SCENARIOS / "minimal.json").read_text())
+    minimal = json.loads((SCENARIOS / "minimal.json").read_text())
+    migration = json.loads((SCENARIOS / "migration.json").read_text())
     slow = [{"a": "broker:0", "b": "provider:0", "delay": 5}]
-    # a slow link counts: at delay 5 the CONFIRM reaches the hold 12 ticks after it
-    cases = ((4, [], True), (5, [], False), (10, slow, True), (21, slow, False))
-    for i, (timeout, delays, warns) in enumerate(cases):
+    # a slow provider link counts: at delay 5 the CONFIRM reaches the hold 12 ticks after it
+    cases = [({**minimal, "hold_timeout": timeout, "delays": delays}, warns)
+             for timeout, delays, warns in ((4, [], True), (5, [], False), (10, slow, True),
+                                            (12, slow, True), (13, slow, False), (21, slow, False))]
+    # a slow broker link does not: no PROPOSE, agreement, AGREE or CONFIRM crosses it
+    slow_hop = [{**link, "delay": 13} if (link["a"], link["b"]) == ("broker:0", "broker:1") else link
+                for link in migration["delays"]]
+    cases.append(({**migration, "delays": slow_hop}, False))
+    for i, (data, warns) in enumerate(cases):
         path = tmp_path / f"hold-{i}.json"
-        path.write_text(json.dumps({**data, "hold_timeout": timeout, "delays": delays}))
+        path.write_text(json.dumps(data))
         result = CliRunner().invoke(main, ["validate", "--scenario", str(path)])
         assert result.exit_code == 0, result.output
         assert result.stdout.startswith("ok:")
         assert ("warning: hold_timeout" in result.stderr) is warns
+        # every hold here takes the slowest path to its CONFIRM, so a warning means a lapse
+        trace = tmp_path / f"trace-{i}.log"
+        result = CliRunner().invoke(main, ["run", "--scenario", str(path), "--trace-out", str(trace)])
+        assert result.exit_code == 0, result.output
+        assert ("reason=expired" in trace.read_text()) is warns
 
 
 def test_run_writes_trace_and_report(tmp_path):

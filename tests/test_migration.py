@@ -13,7 +13,6 @@ from fedsim.migration import (
     verify_constraints,
 )
 from fedsim.model import (
-    DomainError,
     Performative,
     broker,
     consumer,
@@ -37,18 +36,6 @@ def test_third_criterion_shrinks_with_provider_count():
     info = neighbor(1, workload=2, delay=3, count=4)
     got = criteria_vector(info, ("workload", "delay", "provider_scarcity"))
     assert got == (2.0, 3.0, pytest.approx(0.2))
-
-
-def test_unknown_criterion_rejected():
-    with pytest.raises(DomainError):
-        criteria_vector(neighbor(1), ("workload", "charisma"))
-
-
-def test_unknown_criterion_rejected_without_neighbors():
-    with pytest.raises(DomainError):
-        select_direction(request(cpu=1), [], ("workload", "charisma"))
-    with pytest.raises(DomainError):  # every neighbor inadmissible
-        select_direction(request(cpu=1), [neighbor(1, count=0, types=())], ("charisma",))
 
 
 def test_dominates_basics():

@@ -285,6 +285,11 @@ HOSTILE = [
     pytest.param(("criteria",), "workload", r"criteria: expected a list", id="criteria-string"),
     pytest.param(("criteria",), [], r"criteria: at least one criterion", id="criteria-empty"),
     pytest.param(
+        ("criteria",), ["workload", "charisma"],
+        r"criteria: unknown criterion 'charisma'",
+        id="criteria-unknown-name",
+    ),
+    pytest.param(
         ("criteria",), [["workload"]],
         r"criteria: unknown criterion",
         id="criteria-unhashable",

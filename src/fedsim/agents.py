@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from heapq import heapify, heappop, heappush
+from typing import Mapping, NamedTuple
 
 from .migration import SelfOrganizeResult, self_organize
 from .model import (
@@ -228,11 +229,13 @@ class BrokerConversation:
     attempted: set[AgentId] = field(default_factory=set)
     excluded: set[AgentId] = field(default_factory=set)
     snapshot: SelectionSnapshot | None = None  # the last selection; its cost is the quote
-    # per candidate: the prices mapping last priced, and its cost for this
-    # request (None when those prices miss a bundle type)
-    quotes: dict[AgentId, tuple[Mapping[ResourceType, Money], Money | None]] = field(
-        default_factory=dict
-    )
+    # heap of (cost, -grade, id, seq, entry), one item per covering candidate
+    # entry priced for this request; seq is -1 at open, then a change-log
+    # position this conversation read, one per item, so no two items tie and
+    # no two entries are compared; items whose entry is no longer current
+    # are dropped when they reach the top
+    ranking: list[tuple[Money, float, AgentId, int, ContactEntry]] = field(default_factory=list)
+    read: int = 0  # the broker's change-log position this conversation has read up to
 
 
 @dataclass
@@ -243,10 +246,17 @@ class BrokerState:
     contact_list: dict[AgentId, ContactEntry]
     neighbors: tuple[AgentId, ...]
     scenario: Scenario  # the run's settings, read only
+    # open conversations, in the order they last read the change log, so the
+    # first has read the least of it
     conversations: dict[str, BrokerConversation] = field(default_factory=dict)
     # last entries of providers a refresh dropped: conversations opened
     # before the refresh keep pricing them until they are removed or purged
     dropped: dict[AgentId, ContactEntry] = field(default_factory=dict)
+    # change log: ids of the providers whose entry changed while a
+    # conversation was open, from position `trimmed` on; what every open
+    # conversation has read is trimmed away, so it is empty while none is open
+    changes: list[AgentId] = field(default_factory=list)
+    trimmed: int = 0
 
     @property
     def in_flight(self) -> int:
@@ -272,39 +282,86 @@ def update_contact_list(
     return kept
 
 
-def select_best_provider(
-    entries: Iterable[ContactEntry],
-    bundle: ResourceBundle,
-    factor,
-    quotes: dict[AgentId, tuple[Mapping[ResourceType, Money], Money | None]],
-) -> AgentId | None:
-    """Cheapest full-coverage provider; grade then id break ties.
+def _changed(state: BrokerState, pid: AgentId) -> None:
+    """Log that `pid`'s entry changed, for each open conversation to rank it again."""
+    if state.conversations:
+        state.changes.append(pid)
 
-    `quotes` holds each provider's cost for this bundle and factor, with the
-    prices mapping it was computed from. Entries are replaced, never edited,
-    so an entry is priced again only when it carries a new prices mapping.
+
+def _trim(state: BrokerState) -> None:
+    """Drop the changes every open conversation has read; the first has read the least."""
+    first = next(iter(state.conversations.values()), None)
+    upto = state.trimmed + len(state.changes) if first is None else first.read
+    del state.changes[: upto - state.trimmed]
+    state.trimmed = upto
+
+
+def _open_conversation(state: BrokerState, conversation: str, request: Request) -> BrokerConversation:
+    """Open a conversation over the current contact list, its covering candidates ranked."""
+    known = state.contact_list
+    bundle, factor = request.bundle, lease_factor(request)
+    ranking = [
+        (total_cost(bundle, e.prices, factor), -e.grade, pid, -1, e)
+        for pid, e in known.items()
+        if e.covers(bundle)
+    ]
+    heapify(ranking)
+    state.conversations[conversation] = BrokerConversation(
+        request=request,
+        phase=BrokerPhase.QUOTING,
+        temporary=set(known),
+        universe=frozenset(known),
+        ranking=ranking,
+        read=state.trimmed + len(state.changes),
+    )
+    return state.conversations[conversation]
+
+
+def _close(state: BrokerState, conversation: str) -> None:
+    del state.conversations[conversation]
+    _trim(state)
+
+
+def select_best_provider(state: BrokerState, conversation: str) -> AgentId | None:
+    """The conversation's cheapest full-coverage candidate; grade then id break ties.
+
+    Only the candidates whose entry changed since the conversation last read
+    the broker's change log are priced again. A candidate a refresh dropped
+    from the contact list is priced from its last entry; a purged one has no
+    entry left and drops out. The choice stays on top of `conv.ranking`.
     """
-    best = None
-    for e in entries:
-        quote = quotes.get(e.provider)
-        if quote is None or quote[0] is not e.prices:
-            cost = total_cost(bundle, e.prices, factor) if e.covers(bundle) else None
-            quote = quotes[e.provider] = (e.prices, cost)
-        if quote[1] is not None:
-            rank = (quote[1], -e.grade, e.provider)
-            if best is None or rank < best:
-                best = rank
-    return None if best is None else best[2]
+    conv = state.conversations[conversation]
+    known, dropped = state.contact_list, state.dropped
+    temporary, ranking = conv.temporary, conv.ranking
+    end = state.trimmed + len(state.changes)
+    if conv.read < end:
+        del state.conversations[conversation]  # it reads the change log now: last in order
+        state.conversations[conversation] = conv
+        bundle, factor = conv.request.bundle, lease_factor(conv.request)
+        # each changed id once, numbered from the positions just read
+        for seq, pid in enumerate(set(state.changes[conv.read - state.trimmed :]), conv.read):
+            if pid in temporary and (e := known.get(pid) or dropped.get(pid)) and e.covers(bundle):
+                heappush(ranking, (total_cost(bundle, e.prices, factor), -e.grade, pid, seq, e))
+        conv.read = end
+        _trim(state)
+    while ranking:
+        _, _, pid, _, e = ranking[0]
+        if pid in temporary and e is (known.get(pid) or dropped.get(pid)):
+            return pid
+        heappop(ranking)
+    return None
 
 
 def _replace_entry(state: BrokerState, new: ContactEntry) -> None:
     state.contact_list = {**state.contact_list, new.provider: new}
+    _changed(state, new.provider)
 
 
 def _purge(state: BrokerState, pid: AgentId) -> None:
     # a departed provider: no open conversation can price it from here on
     state.contact_list = {p: e for p, e in state.contact_list.items() if p != pid}
     state.dropped.pop(pid, None)
+    _changed(state, pid)
 
 
 def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
@@ -337,13 +394,7 @@ def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> No
 
 def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, world) -> list[Message]:
     """Quote the next best provider, or fall back to self-organization."""
-    # a candidate a refresh dropped from the contact list is priced from its
-    # last entry; a purged one has no entry left and drops out here
-    known, dropped = state.contact_list, state.dropped
-    candidates = (
-        entry for pid in conv.temporary if (entry := known.get(pid) or dropped.get(pid))
-    )
-    best = select_best_provider(candidates, conv.request.bundle, lease_factor(conv.request), conv.quotes)
+    best = select_best_provider(state, conversation)
     if best is None:
         result: SelfOrganizeResult = self_organize(
             conv.request,
@@ -355,16 +406,16 @@ def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, wo
         )
         if result.target is None:
             _record_failure_feedback(state, conv)
-        del state.conversations[conversation]  # the request left this broker either way
+        _close(state, conversation)  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
     conv.attempted.add(best)
     conv.snapshot = SelectionSnapshot(
-        contact_list=known,
+        contact_list=state.contact_list,
         universe=conv.universe,
         excluded=frozenset(conv.excluded),
-        cost=conv.quotes[best][1],
+        cost=conv.ranking[0][0],
     )
     conv.phase = BrokerPhase.QUOTING
     return [
@@ -395,19 +446,17 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
         if conv is not None:
             raise ProtocolError(f"{state.id} got a second CFP for {msg.conversation}")
         payload: CallPayload = msg.payload
-        req = payload.request
-        refreshed = update_contact_list(state.contact_list, world.registry_view(state.id))
-        for pid, entry in state.contact_list.items():
-            if pid not in refreshed:
-                state.dropped[pid] = entry
-        state.contact_list = refreshed
-        conv = BrokerConversation(
-            request=req,
-            phase=BrokerPhase.QUOTING,
-            temporary=set(refreshed),
-            universe=frozenset(refreshed),
-        )
-        state.conversations[msg.conversation] = conv
+        old = state.contact_list
+        refreshed = update_contact_list(old, world.registry_view(state.id))
+        if refreshed is not old:
+            for pid, entry in old.items():
+                if pid not in refreshed:
+                    state.dropped[pid] = entry
+            for pid in refreshed:
+                if pid not in old:  # new, or back after a refresh dropped it
+                    _changed(state, pid)
+            state.contact_list = refreshed
+        conv = _open_conversation(state, msg.conversation, payload.request)
         return state, _advance(state, msg.conversation, conv, world)
 
     if conv is None:
@@ -442,7 +491,7 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
                 smoothing = state.scenario.pricing.grade_smoothing
                 graded = entry._replace(grade=update_grade(entry.grade, feedback.feedback, smoothing))
                 _replace_entry(state, graded)
-            del state.conversations[msg.conversation]
+            _close(state, msg.conversation)
             return state, []
         raise _violation(state.id, conv.phase, msg)
 

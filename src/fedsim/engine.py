@@ -31,6 +31,7 @@ from .agents import (
 )
 from .migration import NeighborInfo
 from .model import (
+    ENUM_TEXT,
     AgentId,
     AgentKind,
     ContactEntry,
@@ -82,9 +83,12 @@ class EventRecord(NamedTuple):
         )
 
 
-# each member's text, read once here: `member.value` goes through enum's
-# Python-level descriptor, several times slower than a dict lookup
-_TEXT = {member: member.value for enum_class in (EventKind, Performative) for member in enum_class}
+# each event kind's and performative's text, read once, as `ENUM_TEXT` does
+_TEXT = {**ENUM_TEXT, **{kind: kind.value for kind in EventKind}}
+
+# builds an Event or EventRecord from a tuple of every field, skipping the
+# NamedTuple's Python-level `__new__`
+_new = tuple.__new__
 
 
 def write_trace(records: list[EventRecord], path) -> None:
@@ -204,11 +208,19 @@ class _World:
     def delay(self, a: AgentId, b: AgentId) -> int:
         return self.scenario.delays.get((a, b), self.scenario.default_delay)
 
-    def schedule(self, time: int, kind: EventKind, message: Message | None = None, **kwargs) -> Event:
+    def schedule(
+        self,
+        time: int,
+        kind: EventKind,
+        message: Message | None = None,
+        churn: ChurnSpec | None = None,
+        conversation: str | None = None,
+        provider: AgentId | None = None,
+    ) -> Event:
         if time < self.now:
             raise InvariantError(f"event scheduled in the past: {time} < {self.now}")
         self.seq += 1
-        event = Event(time, self.seq, kind, message, **kwargs)
+        event = _new(Event, (time, self.seq, kind, message, churn, conversation, provider))
         heapq.heappush(self.queue, event)  # ordered by (time, seq), which is unique
         return event
 
@@ -275,14 +287,11 @@ class _World:
             receiver = names[consumer.id]
             conversation = event.conversation
             if event.kind is EventKind.CONSUMER_START:
-                payload = consumer.request.digest()
+                payload = consumer.request.digest
         if payload_suffix:
             payload = payload + payload_suffix if payload != "-" else payload_suffix.lstrip(",")
-        self.trace.append(
-            EventRecord(
-                event.time, event.seq, kind, sender, receiver, performative, conversation, payload
-            )
-        )
+        fields = (event.time, event.seq, kind, sender, receiver, performative, conversation, payload)
+        self.trace.append(_new(EventRecord, fields))
 
     def sample_workloads(self, bid: AgentId) -> None:
         """Account for `bid`'s in-flight count after the current event.
@@ -330,32 +339,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
         world.events += 1
         now = world.now = event.time
 
-        if event.kind is EventKind.CONSUMER_START:
-            consumer = world.unissued.pop(event.conversation)
-            world.meta[event.conversation] = ConversationMeta(
-                consumer=consumer, live_at_issue=tuple(sorted(world.registry))
-            )
-            world.record(event)
-            for msg in consumer_start(consumer):
-                world.send(msg, now)
-
-        elif event.kind is EventKind.CHURN:
-            world.record(event)
-            apply_churn(world, event.churn)
-
-        elif event.kind is EventKind.HOLD_EXPIRY:
-            provider = world.providers[event.provider]
-            released = release_hold(provider, event.conversation)
-            world.record(event, payload_suffix=f"released={'yes' if released else 'no'}")
-
-        elif event.kind is EventKind.TASK_COMPLETE:
-            meta = world.meta[event.conversation]
-            world.record(event, payload_suffix=f"on_time={'yes' if meta.on_time else 'no'}")
-            for msg in consumer_complete(meta.consumer, meta.on_time):
-                world.send(msg, now)
-            finish_lease(world.providers[event.provider], event.conversation)
-
-        elif event.kind is EventKind.DELIVER:
+        if event.kind is EventKind.DELIVER:
             msg = event.message
             target = msg.receiver
 
@@ -418,6 +402,31 @@ def _run_once(world: _World, event_budget: int) -> bool:
 
             for m in out:
                 world.send(m, now)
+
+        elif event.kind is EventKind.CONSUMER_START:
+            consumer = world.unissued.pop(event.conversation)
+            world.meta[event.conversation] = ConversationMeta(
+                consumer=consumer, live_at_issue=tuple(sorted(world.registry))
+            )
+            world.record(event)
+            for msg in consumer_start(consumer):
+                world.send(msg, now)
+
+        elif event.kind is EventKind.CHURN:
+            world.record(event)
+            apply_churn(world, event.churn)
+
+        elif event.kind is EventKind.HOLD_EXPIRY:
+            provider = world.providers[event.provider]
+            released = release_hold(provider, event.conversation)
+            world.record(event, payload_suffix=f"released={'yes' if released else 'no'}")
+
+        elif event.kind is EventKind.TASK_COMPLETE:
+            meta = world.meta[event.conversation]
+            world.record(event, payload_suffix=f"on_time={'yes' if meta.on_time else 'no'}")
+            for msg in consumer_complete(meta.consumer, meta.on_time):
+                world.send(msg, now)
+            finish_lease(world.providers[event.provider], event.conversation)
     return True
 
 

@@ -158,7 +158,9 @@ class Request:
     migrations: int = 0
     visited: frozenset[AgentId] = frozenset()  # the brokers it has left, stamped by each hop
 
+    @cached_property
     def digest(self) -> str:
+        """Trace text, made once: each hop is a new `Request`."""
         return (
             f"bundle={self.bundle.digest()},window=[{self.earliest_start},{self.deadline}),"
             f"budget={format_money(self.budget)},migrations={self.migrations}"
@@ -203,12 +205,19 @@ class RefuseReason(str, enum.Enum):
     DEPARTED = "departed"            # synthesized: the provider left the federation
 
 
+# each member's text, read once here: `member.value` goes through enum's
+# Python-level descriptor, several times slower than a dict lookup
+ENUM_TEXT = {
+    member: member.value for enum_class in (Performative, ProposeStage, RefuseReason) for member in enum_class
+}
+
+
 class CallPayload(NamedTuple):
     request: Request
     cost: Money | None = None  # set on broker -> provider calls only
 
     def digest(self) -> str:
-        base = self.request.digest()
+        base = self.request.digest
         return f"{base},cost={format_money(self.cost)}" if self.cost is not None else base
 
 
@@ -218,7 +227,7 @@ class ProposePayload(NamedTuple):
     provider: AgentId | None = None  # set on agreement proposals
 
     def digest(self) -> str:
-        out = f"stage={self.stage.value},cost={format_money(self.cost)}"
+        out = f"stage={ENUM_TEXT[self.stage]},cost={format_money(self.cost)}"
         if self.provider is not None:
             out += f",provider={self.provider}"
         return out
@@ -237,7 +246,7 @@ class RefusePayload(NamedTuple):
     ratios: tuple[tuple[ResourceType, float], ...] = ()
 
     def digest(self) -> str:
-        out = f"reason={self.reason.value}"
+        out = f"reason={ENUM_TEXT[self.reason]}"
         if self.ratios:
             out += ",ratio=" + "+".join(f"{r}:{v:.4f}" for r, v in self.ratios)
         return out

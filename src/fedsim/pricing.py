@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from typing import Mapping
 
 from .model import (
@@ -66,16 +67,30 @@ def total_cost(bundle: ResourceBundle, prices: PriceTable, factor: int) -> Money
     return acc * factor
 
 
+@cache
+def _exact(markup: float) -> tuple[int, int]:
+    """The float's shortest decimal text as a fraction in lowest terms: (numerator, denominator)."""
+    exact = Fraction(str(markup))
+    return exact.numerator, exact.denominator
+
+
 def expected_unit_price(base: Money, demand: float, capacity: float, sensitivity: float) -> Money:
-    """Demand-adjusted unit price: base x (1 + sensitivity x demand/capacity)."""
+    """Demand-adjusted unit price: base x (1 + sensitivity x demand/capacity).
+
+    The markup is taken exactly as its float's decimal text, and the price
+    rounded half-even to the cent: the one rounding in a run.
+    """
     if capacity <= 0:
         raise DomainError(f"capacity must be > 0, got {capacity}")
     if demand < 0:
         raise DomainError(f"demand must be >= 0, got {demand}")
     if sensitivity < 0:
         raise DomainError(f"sensitivity must be >= 0, got {sensitivity}")
-    markup = Fraction(str(1.0 + sensitivity * (demand / capacity)))
-    return round(base * markup)  # half-even, to the cent: the one rounding in a run
+    num, den = _exact(1.0 + sensitivity * (demand / capacity))
+    price, rest = divmod(base * num, den)
+    if 2 * rest > den or (2 * rest == den and price % 2):
+        price += 1
+    return price
 
 
 def compute_utility(budget: Money, paid: Money, on_time: bool, params: PricingParams) -> float:

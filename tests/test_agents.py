@@ -11,6 +11,7 @@ from fedsim.agents import (
     ConsumerState,
     ProviderState,
     ReservationStatus,
+    _open_conversation,
     allocate,
     broker_step,
     consumer_complete,
@@ -227,13 +228,20 @@ def test_unchanged_registry_keeps_list_identical():
     assert got[provider(0)] is learned  # learned prices and grade survive refresh
 
 
+def opened(entries, b, factor):
+    """A broker holding `entries`, with one conversation open for `b` over `factor` ticks."""
+    state = BrokerState(broker(0), contacts(*entries), (), settings())
+    _open_conversation(state, "consumer:0#0", request(start=0, end=factor, **b.as_dict()))
+    return state, "consumer:0#0"
+
+
 def test_single_qualifying_provider_selected():
-    assert select_best_provider([entry(4, cpu="5.00")], bundle(cpu=1), 1, {}) == provider(4)
+    assert select_best_provider(*opened([entry(4, cpu="5.00")], bundle(cpu=1), 1)) == provider(4)
 
 
 def test_cheaper_provider_wins_on_equal_grades():
     entries = [entry(1, cpu="7.00"), entry(2, cpu="5.00")]
-    assert select_best_provider(entries, bundle(cpu=1), 1, {}) == provider(2)
+    assert select_best_provider(*opened(entries, bundle(cpu=1), 1)) == provider(2)
 
 
 def test_selection_matches_exhaustive_ranking_oracle():
@@ -258,7 +266,7 @@ def test_selection_matches_exhaustive_ranking_oracle():
 
         qualifying = [e for e in entries if e.covers(b)]
         expected = min(qualifying, key=rank).provider if qualifying else None
-        assert select_best_provider(entries, b, factor, {}) == expected
+        assert select_best_provider(*opened(entries, b, factor)) == expected
 
 
 # --- provider ---------------------------------------------------------------
@@ -521,6 +529,55 @@ def test_broker_reads_each_view_only_in_the_step_that_uses_it():
     got, out = reads(from_provider(1, Performative.REFUSE, expired))  # no provider is left
     assert got == {"neighbor_snapshot": 1}
     assert [(m.performative, m.receiver) for m in out] == [(Performative.CFP, broker(1))]
+
+
+def reject_from(state, cid):
+    conv_id = f"consumer:{cid}#0"
+    return Message(Performative.REJECT_PROPOSAL, conv_id, consumer(cid), state.id, RejectPayload(money("1.00")))
+
+
+def test_feedback_lifts_a_candidate_below_the_top_of_another_conversation():
+    # provider 0 alone prices gpu; on cpu all three cost the same and grade decides
+    registry = [entry(0, cpu="5.00", gpu="5.00"), entry(1, cpu="5.00"), entry(2, cpu="5.00")]
+    state = make_broker(
+        entries=[entry(0, 0.5, cpu="5.00", gpu="5.00"), entry(1, 0.6, cpu="5.00"), entry(2, 0.55, cpu="5.00")]
+    )
+    world = StubWorld(registry)
+    served = "consumer:1#0"
+    broker_step(state, consumer_cfp(state, 1, request(cid=1, gpu=1, end=1, budget="50.00")), world)
+    _, out = broker_step(state, consumer_cfp(state, 0), world)
+    assert (out[0].payload.cost, state.conversations["consumer:0#0"].best) == (money("5.00"), provider(1))
+    for msg in (
+        Message(Performative.ACCEPT_PROPOSAL, served, consumer(1), state.id),
+        Message(Performative.PROPOSE, served, provider(0), state.id,
+                ProposePayload(stage=ProposeStage.HOLD, cost=money("5.00"))),
+        Message(Performative.AGREE, served, consumer(1), state.id),
+        Message(Performative.INFORM, served, consumer(1), state.id, InformPayload(feedback=1.0)),
+    ):
+        broker_step(state, msg, world)
+    assert state.contact_list[provider(0)].grade == pytest.approx(0.65)  # now above provider 1's 0.6
+    _, out = broker_step(state, reject_from(state, 0), world)
+    # a heap that only drops stale tops would skip the regraded provider 0 for provider 2
+    assert state.conversations["consumer:0#0"].best == provider(0)
+    assert out[0].payload.cost == money("5.00")
+
+
+def test_refresh_reinstalls_a_dropped_candidate_at_its_base_price():
+    base = [entry(0, cpu="1.00"), entry(1, cpu="5.00"), entry(2, cpu="6.00")]
+    state = make_broker(entries=[entry(0, cpu="9.00"), entry(1, cpu="5.00"), entry(2, cpu="6.00")])
+    world = StubWorld(base)
+    _, out = broker_step(state, consumer_cfp(state, 0), world)  # provider 0's learned 9.00 is kept
+    assert out[0].payload.cost == money("5.00")
+    world.view = base[1:]
+    broker_step(state, consumer_cfp(state, 1), world)  # provider 0 is dropped
+    assert state.dropped[provider(0)].prices["cpu"] == money("9.00")
+    world.view = base
+    _, out = broker_step(state, consumer_cfp(state, 2), world)  # and comes back at base price
+    assert out[0].payload.cost == money("1.00")
+    _, out = broker_step(state, reject_from(state, 0), world)
+    # a heap that only drops stale tops would quote provider 2 at 6.00
+    assert state.conversations["consumer:0#0"].best == provider(0)
+    assert out[0].payload.cost == money("1.00")
 
 
 def test_broker_refuse_ratio_updates_price_and_requotes():

@@ -6,7 +6,10 @@ priced by the straight-loop oracle from its current entry. A provider that
 a refresh dropped from the contact list keeps the last entry the broker
 held for it until it is purged as departed. Every selection snapshot must
 read back the contact list as it stood at that selection, whatever the
-broker learned afterwards.
+broker learned afterwards. After every broker step, the broker's change log
+must start at the least position its open conversations have read up to, so
+it holds nothing that all of them have read, and it must be empty while no
+conversation is open.
 """
 
 from fedsim.model import Performative, RefuseReason
@@ -22,6 +25,15 @@ class SelectionOracle:
         self.universes = {}  # (broker, conversation) -> contact list ids at open
         self.snapshots = []  # (snapshot, contact list entries of its universe at selection)
         self.selections = self.failures = self.stale = 0
+        self.logged = 0  # broker steps that left changes in the log
+
+    def check_log(self, state):
+        reads = [conv.read for conv in state.conversations.values()]
+        if reads:
+            assert state.trimmed == min(reads)
+        else:
+            assert state.changes == []
+        self.logged += bool(state.changes)
 
     def remember(self, state):
         self.last_seen.setdefault(state.id, {}).update(state.contact_list)
@@ -32,7 +44,9 @@ class SelectionOracle:
             reason = getattr(msg.payload, "reason", None)
             if msg.performative is Performative.REFUSE and reason is RefuseReason.DEPARTED:
                 self.purged.setdefault(state.id, set()).add(msg.sender)
-            return original(state, msg, *args, **kwargs)
+            out = original(state, msg, *args, **kwargs)
+            self.check_log(state)
+            return out
 
         return step
 
@@ -78,6 +92,7 @@ def test_selection_matches_a_from_scratch_ranking(fuzz_batch):
     final_snapshots = 0
     for result, _, oracle in fuzz_batch.runs:
         assert result.quiescent
+        assert all(state.changes == [] for state in result.brokers.values())
         for snapshot, at_selection in oracle.snapshots:
             got = snapshot.entries
             assert got == at_selection
@@ -90,5 +105,7 @@ def test_selection_matches_a_from_scratch_ranking(fuzz_batch):
         totals.selections += oracle.selections
         totals.failures += oracle.failures
         totals.stale += oracle.stale
+        totals.logged += oracle.logged
     assert totals.selections > 10_000 and totals.failures > 2_000 and final_snapshots > 1_000
     assert totals.stale > 100  # dropped providers were still priced from their last entry
+    assert totals.logged > 1_000  # the log checks saw changes waiting to be read

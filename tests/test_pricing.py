@@ -1,8 +1,9 @@
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fedsim.model import DomainError, ResourceBundle, format_money, money
 from fedsim.pricing import (
@@ -100,6 +101,36 @@ def test_expected_price_sweep_matches_formula_oracle():
             got = expected_unit_price(money("3.10"), demand, 5.0, sensitivity)
             want = money(Decimal("3.10") * Decimal(str(1.0 + sensitivity * demand / 5.0)))
             assert got == want
+
+
+def fraction_price(base, demand, capacity, sensitivity):
+    """The price as the markup's exact decimal Fraction, rounded half-even by `round`."""
+    return round(base * Fraction(str(1.0 + sensitivity * (demand / capacity))))
+
+
+@given(
+    base=st.integers(-(10**15), 10**15),
+    demand=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    capacity=st.floats(1e-3, 1e6),
+    sensitivity=st.floats(0.0, 10.0),
+)
+@example(base=3, demand=1.0, capacity=2.0, sensitivity=1.0)  # 4.5 cents: rounds down to even
+@example(base=5, demand=1.0, capacity=2.0, sensitivity=1.0)  # 7.5 cents: rounds up to even
+@example(base=-3, demand=1.0, capacity=2.0, sensitivity=1.0)
+@example(base=7, demand=0.0, capacity=4.0, sensitivity=1.0)
+def test_expected_price_equals_the_fraction_formula(base, demand, capacity, sensitivity):
+    got = expected_unit_price(base, demand, capacity, sensitivity)
+    assert got == fraction_price(base, demand, capacity, sensitivity)
+
+
+def test_expected_price_rounds_exact_half_cents_to_even():
+    for base in range(-41, 42):
+        for demand in (1.0, 3.0):  # markups 1.5 and 2.5 over capacity 2: a half cent at every odd base
+            got = expected_unit_price(base, demand, 2.0, 1.0)
+            assert got == fraction_price(base, demand, 2.0, 1.0)
+            if base % 2:  # a half cent: the even neighbour wins
+                assert got % 2 == 0
+    assert [expected_unit_price(b, 1.0, 2.0, 1.0) for b in (1, 3, 5, 7)] == [2, 4, 8, 10]
 
 
 def test_expected_price_monotone_in_demand():

@@ -229,13 +229,13 @@ class BrokerConversation:
     attempted: set[AgentId] = field(default_factory=set)
     excluded: set[AgentId] = field(default_factory=set)
     snapshot: SelectionSnapshot | None = None  # the last selection; its cost is the quote
-    # heap of (cost, -grade, id, seq, entry), one item per covering candidate
-    # entry priced for this request; seq is -1 at open, then a change-log
-    # position this conversation read, one per item, so no two items tie and
-    # no two entries are compared; items whose entry is no longer current
-    # are dropped when they reach the top
+    # heap of (cost, -grade, id, stamp, entry), one item per covering
+    # candidate entry priced for this request; stamp is -1 at open, then the
+    # broker's version of the entry's change, unique per id and change, so no
+    # two items tie and no two entries are compared; items whose entry is no
+    # longer current are dropped when they reach the top
     ranking: list[tuple[Money, float, AgentId, int, ContactEntry]] = field(default_factory=list)
-    read: int = 0  # the broker's change-log position this conversation has read up to
+    read: int = 0  # the broker's version this conversation has read up to
 
 
 @dataclass
@@ -246,17 +246,14 @@ class BrokerState:
     contact_list: dict[AgentId, ContactEntry]
     neighbors: tuple[AgentId, ...]
     scenario: Scenario  # the run's settings, read only
-    # open conversations, in the order they last read the change log, so the
-    # first has read the least of it
-    conversations: dict[str, BrokerConversation] = field(default_factory=dict)
+    conversations: dict[str, BrokerConversation] = field(default_factory=dict)  # open ones
     # last entries of providers a refresh dropped: conversations opened
     # before the refresh keep pricing them until they are removed or purged
     dropped: dict[AgentId, ContactEntry] = field(default_factory=dict)
-    # change log: ids of the providers whose entry changed while a
-    # conversation was open, from position `trimmed` on; what every open
-    # conversation has read is trimmed away, so it is empty while none is open
-    changes: list[AgentId] = field(default_factory=list)
-    trimmed: int = 0
+    # provider id -> the version of its entry's last change, in version
+    # order; `version` counts the changes so far
+    changed: dict[AgentId, int] = field(default_factory=dict)
+    version: int = 0
 
     @property
     def in_flight(self) -> int:
@@ -283,17 +280,10 @@ def update_contact_list(
 
 
 def _changed(state: BrokerState, pid: AgentId) -> None:
-    """Log that `pid`'s entry changed, for each open conversation to rank it again."""
-    if state.conversations:
-        state.changes.append(pid)
-
-
-def _trim(state: BrokerState) -> None:
-    """Drop the changes every open conversation has read; the first has read the least."""
-    first = next(iter(state.conversations.values()), None)
-    upto = state.trimmed + len(state.changes) if first is None else first.read
-    del state.changes[: upto - state.trimmed]
-    state.trimmed = upto
+    """Stamp `pid`'s entry as changed, for each open conversation to rank it again."""
+    state.version += 1
+    state.changed.pop(pid, None)  # re-inserted last, so the dict stays in version order
+    state.changed[pid] = state.version
 
 
 def _open_conversation(state: BrokerState, conversation: str, request: Request) -> BrokerConversation:
@@ -312,38 +302,30 @@ def _open_conversation(state: BrokerState, conversation: str, request: Request) 
         temporary=set(known),
         universe=frozenset(known),
         ranking=ranking,
-        read=state.trimmed + len(state.changes),
+        read=state.version,
     )
     return state.conversations[conversation]
-
-
-def _close(state: BrokerState, conversation: str) -> None:
-    del state.conversations[conversation]
-    _trim(state)
 
 
 def select_best_provider(state: BrokerState, conversation: str) -> AgentId | None:
     """The conversation's cheapest full-coverage candidate; grade then id break ties.
 
     Only the candidates whose entry changed since the conversation last read
-    the broker's change log are priced again. A candidate a refresh dropped
-    from the contact list is priced from its last entry; a purged one has no
-    entry left and drops out. The choice stays on top of `conv.ranking`.
+    the broker's version stamps are priced again. A candidate a refresh
+    dropped from the contact list is priced from its last entry; a purged one
+    has no entry left and drops out. The choice stays on top of `conv.ranking`.
     """
     conv = state.conversations[conversation]
     known, dropped = state.contact_list, state.dropped
     temporary, ranking = conv.temporary, conv.ranking
-    end = state.trimmed + len(state.changes)
-    if conv.read < end:
-        del state.conversations[conversation]  # it reads the change log now: last in order
-        state.conversations[conversation] = conv
+    if conv.read < state.version:
         bundle, factor = conv.request.bundle, lease_factor(conv.request)
-        # each changed id once, numbered from the positions just read
-        for seq, pid in enumerate(set(state.changes[conv.read - state.trimmed :]), conv.read):
+        for pid, stamp in reversed(state.changed.items()):  # newest first
+            if stamp <= conv.read:
+                break
             if pid in temporary and (e := known.get(pid) or dropped.get(pid)) and e.covers(bundle):
-                heappush(ranking, (total_cost(bundle, e.prices, factor), -e.grade, pid, seq, e))
-        conv.read = end
-        _trim(state)
+                heappush(ranking, (total_cost(bundle, e.prices, factor), -e.grade, pid, stamp, e))
+        conv.read = state.version
     while ranking:
         _, _, pid, _, e = ranking[0]
         if pid in temporary and e is (known.get(pid) or dropped.get(pid)):
@@ -406,7 +388,7 @@ def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, wo
         )
         if result.target is None:
             _record_failure_feedback(state, conv)
-        _close(state, conversation)  # the request left this broker either way
+        del state.conversations[conversation]  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
@@ -491,7 +473,7 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
                 smoothing = state.scenario.pricing.grade_smoothing
                 graded = entry._replace(grade=update_grade(entry.grade, feedback.feedback, smoothing))
                 _replace_entry(state, graded)
-            _close(state, msg.conversation)
+            del state.conversations[msg.conversation]
             return state, []
         raise _violation(state.id, conv.phase, msg)
 

@@ -42,8 +42,9 @@ from fedsim.model import (
     money,
     provider,
 )
+from fedsim.pricing import lease_factor
 
-from helpers import bundle, entry, neighbor, request, settings, tick_scan_feasible
+from helpers import bundle, entry, neighbor, request, settings, straight_loop_cost, tick_scan_feasible
 
 
 def make_consumer(cid=0, budget="10.00", max_rejects=3, **quantities):
@@ -578,6 +579,48 @@ def test_refresh_reinstalls_a_dropped_candidate_at_its_base_price():
     # a heap that only drops stale tops would quote provider 2 at 6.00
     assert state.conversations["consumer:0#0"].best == provider(0)
     assert out[0].payload.cost == money("1.00")
+
+
+def test_a_long_open_conversation_does_not_pin_the_change_stamps():
+    state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="3.00")])
+    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="3.00")])
+    held = "consumer:0#0"
+
+    def say(cid, performative, payload=None, sender=None):
+        msg = Message(performative, f"consumer:{cid}#0", sender or consumer(cid), state.id, payload)
+        return broker_step(state, msg, world)[1]
+
+    hold = ProposePayload(stage=ProposeStage.HOLD, cost=money("2.00"))
+    broker_step(state, consumer_cfp(state, 0), world)
+    say(0, Performative.ACCEPT_PROPOSAL)
+    say(0, Performative.PROPOSE, hold, provider(0))
+    say(0, Performative.AGREE)
+    assert state.conversations[held].phase is BrokerPhase.AWAITING_FEEDBACK
+    for cid in range(1, 21):
+        # each request learns a higher price from its provider, then grades it
+        broker_step(state, consumer_cfp(state, cid), world)
+        say(cid, Performative.ACCEPT_PROPOSAL)
+        conv = state.conversations[f"consumer:{cid}#0"]
+        raised = RefusePayload(reason=RefuseReason.EXPECTED_COST, ratios=(("cpu", 0.1),))
+        say(cid, Performative.REFUSE, raised, conv.best)
+        say(cid, Performative.ACCEPT_PROPOSAL)
+        say(cid, Performative.PROPOSE, hold, conv.best)
+        say(cid, Performative.AGREE)
+        say(cid, Performative.INFORM, InformPayload(feedback=0.9))
+    assert state.conversations.keys() == {held}
+    assert len(state.changed) <= 2  # one stamp per provider, however long the lease
+    assert state.contact_list[provider(1)].prices["cpu"] > money("3.00")
+
+    expired = RefusePayload(reason=RefuseReason.EXPIRED, ratios=(("cpu", 0.0),))
+    (msg,) = say(0, Performative.REFUSE, expired, provider(0))
+    conv = state.conversations[held]
+    factor = lease_factor(conv.request)
+    expected = min(
+        (straight_loop_cost(conv.request.bundle, e.prices, factor), -e.grade, pid)
+        for pid, e in state.contact_list.items()
+        if pid in conv.temporary
+    )
+    assert (msg.payload.cost, conv.best) == (expected[0], expected[2])
 
 
 def test_broker_refuse_ratio_updates_price_and_requotes():

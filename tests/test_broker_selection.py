@@ -6,10 +6,12 @@ priced by the straight-loop oracle from its current entry. A provider that
 a refresh dropped from the contact list keeps the last entry the broker
 held for it until it is purged as departed. Every selection snapshot must
 read back the contact list as it stood at that selection, whatever the
-broker learned afterwards. After every broker step, the broker's change log
-must start at the least position its open conversations have read up to, so
-it holds nothing that all of them have read, and it must be empty while no
-conversation is open.
+broker learned afterwards. After every broker step, no open conversation has
+read past the broker's version, the version stamps run strictly upward in
+the order the broker keeps them, and every stamped id is a provider the
+broker has held an entry for. No step leaves a provider both on the contact
+list and among the dropped: visibility only grows and a departed provider
+never rejoins, so a kernel run never reinstalls a dropped provider.
 """
 
 from fedsim.model import Performative, RefuseReason
@@ -25,15 +27,22 @@ class SelectionOracle:
         self.universes = {}  # (broker, conversation) -> contact list ids at open
         self.snapshots = []  # (snapshot, contact list entries of its universe at selection)
         self.selections = self.failures = self.stale = 0
-        self.logged = 0  # broker steps that left changes in the log
+        self.unread = 0  # broker steps that left stamps some open conversation has not read
+        self.steps = self.with_dropped = 0  # broker steps, and those with dropped providers
 
     def check_log(self, state):
         reads = [conv.read for conv in state.conversations.values()]
-        if reads:
-            assert state.trimmed == min(reads)
-        else:
-            assert state.changes == []
-        self.logged += bool(state.changes)
+        assert all(read <= state.version for read in reads)
+        stamps = list(state.changed.values())
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        assert not stamps or stamps[-1] == state.version  # the last change is stamped last
+        assert state.changed.keys() <= self.last_seen[state.id].keys()
+        self.unread += any(read < state.version for read in reads)
+
+    def check_dropped(self, state):
+        assert state.contact_list.keys().isdisjoint(state.dropped)
+        self.steps += 1
+        self.with_dropped += bool(state.dropped)
 
     def remember(self, state):
         self.last_seen.setdefault(state.id, {}).update(state.contact_list)
@@ -45,7 +54,9 @@ class SelectionOracle:
             if msg.performative is Performative.REFUSE and reason is RefuseReason.DEPARTED:
                 self.purged.setdefault(state.id, set()).add(msg.sender)
             out = original(state, msg, *args, **kwargs)
+            self.remember(state)
             self.check_log(state)
+            self.check_dropped(state)
             return out
 
         return step
@@ -92,7 +103,6 @@ def test_selection_matches_a_from_scratch_ranking(fuzz_batch):
     final_snapshots = 0
     for result, _, oracle in fuzz_batch.runs:
         assert result.quiescent
-        assert all(state.changes == [] for state in result.brokers.values())
         for snapshot, at_selection in oracle.snapshots:
             got = snapshot.entries
             assert got == at_selection
@@ -105,7 +115,13 @@ def test_selection_matches_a_from_scratch_ranking(fuzz_batch):
         totals.selections += oracle.selections
         totals.failures += oracle.failures
         totals.stale += oracle.stale
-        totals.logged += oracle.logged
+        totals.unread += oracle.unread
     assert totals.selections > 10_000 and totals.failures > 2_000 and final_snapshots > 1_000
     assert totals.stale > 100  # dropped providers were still priced from their last entry
-    assert totals.logged > 1_000  # the log checks saw changes waiting to be read
+    assert totals.unread > 1_000  # the stamp checks saw changes waiting to be read
+
+
+def test_kernel_runs_never_reinstall_a_dropped_provider(fuzz_batch):
+    steps = sum(oracle.steps for _, _, oracle in fuzz_batch.runs)
+    with_dropped = sum(oracle.with_dropped for _, _, oracle in fuzz_batch.runs)
+    assert steps > 10_000 and with_dropped > 1_000  # every one of them checked

@@ -16,17 +16,34 @@ from typing import Mapping, NamedTuple
 
 from .migration import SelfOrganizeResult, self_organize
 from .model import (
+    ACCEPT_PROPOSAL,
+    AGREE,
+    AGREEMENT,
+    CAPACITY,
+    CFP,
+    CONFIRM,
+    CONSUMER,
+    DEPARTED,
+    EXPECTED_COST,
+    EXPIRED,
+    FAILURE,
+    HOLD,
+    INFORM,
+    OVER_BUDGET,
+    PROPOSE,
+    PROVIDER,
+    QUOTE,
+    REFUSE,
+    REJECT_PROPOSAL,
+    UNAVAILABLE,
     AgentId,
-    AgentKind,
     CallPayload,
     ContactEntry,
     InformPayload,
     InvariantError,
     Message,
     Money,
-    Performative,
     ProposePayload,
-    ProposeStage,
     ProtocolError,
     RefusePayload,
     RefuseReason,
@@ -66,10 +83,20 @@ class ConsumerPhase(str, enum.Enum):
     FAILED = "failed"
 
 
+# bound once, as `model` binds the members it defines
+IDLE = ConsumerPhase.IDLE
+AWAITING_COST = ConsumerPhase.AWAITING_COST
+CONSUMER_AWAITING_AGREEMENT = ConsumerPhase.AWAITING_AGREEMENT  # a broker phase shares the name
+AWAITING_CONFIRM = ConsumerPhase.AWAITING_CONFIRM
+RUNNING = ConsumerPhase.RUNNING
+DONE = ConsumerPhase.DONE
+FAILED = ConsumerPhase.FAILED
+
+
 _NEGOTIATING = (
-    ConsumerPhase.AWAITING_COST,
-    ConsumerPhase.AWAITING_AGREEMENT,
-    ConsumerPhase.AWAITING_CONFIRM,
+    AWAITING_COST,
+    CONSUMER_AWAITING_AGREEMENT,
+    AWAITING_CONFIRM,
 )
 
 
@@ -80,7 +107,7 @@ class ConsumerState:
     conversation: str
     scenario: Scenario                   # the run's settings, read only
     task_duration: int                   # run time of the task once confirmed
-    phase: ConsumerPhase = ConsumerPhase.IDLE
+    phase: ConsumerPhase = IDLE
     rounds: int = 0                      # REJECT_PROPOSALs sent so far
     accepted_cost: Money | None = None   # quote accepted, pending confirmation
     paid: Money | None = None            # fixed once the agreement is confirmed
@@ -89,12 +116,12 @@ class ConsumerState:
 
 def consumer_start(state: ConsumerState) -> list[Message]:
     """Open the conversation by sending the CFP to the request's source broker."""
-    if state.phase is not ConsumerPhase.IDLE:
+    if state.phase is not IDLE:
         raise ProtocolError(f"{state.id} already started its request")
-    state.phase = ConsumerPhase.AWAITING_COST
+    state.phase = AWAITING_COST
     return [
         Message(
-            Performative.CFP,
+            CFP,
             state.conversation,
             sender=state.id,
             receiver=state.request.source,
@@ -108,28 +135,28 @@ def _consumer_quote(state: ConsumerState, msg: Message, cost: Money) -> list[Mes
     # just the reply target, so broker migration stays invisible here.
     if cost <= state.request.budget:
         state.accepted_cost = cost
-        state.phase = ConsumerPhase.AWAITING_AGREEMENT
-        return [Message(Performative.ACCEPT_PROPOSAL, msg.conversation, state.id, msg.sender)]
+        state.phase = CONSUMER_AWAITING_AGREEMENT
+        return [Message(ACCEPT_PROPOSAL, msg.conversation, state.id, msg.sender)]
     if state.rounds < state.scenario.max_rejects:
         state.rounds += 1
-        state.phase = ConsumerPhase.AWAITING_COST
+        state.phase = AWAITING_COST
         return [
             Message(
-                Performative.REJECT_PROPOSAL,
+                REJECT_PROPOSAL,
                 msg.conversation,
                 state.id,
                 msg.sender,
                 payload=RejectPayload(cost_limit=state.request.budget),
             )
         ]
-    state.phase = ConsumerPhase.AWAITING_COST
+    state.phase = AWAITING_COST
     return [
         Message(
-            Performative.REFUSE,
+            REFUSE,
             msg.conversation,
             state.id,
             msg.sender,
-            payload=RefusePayload(reason=RefuseReason.OVER_BUDGET),
+            payload=RefusePayload(reason=OVER_BUDGET),
         )
     ]
 
@@ -139,30 +166,30 @@ def consumer_step(state: ConsumerState, msg: Message) -> tuple[ConsumerState, li
         raise ProtocolError(f"message for {msg.receiver} delivered to {state.id}")
     perf = msg.performative
 
-    if perf is Performative.FAILURE and state.phase in _NEGOTIATING:
-        state.phase = ConsumerPhase.FAILED
+    if perf is FAILURE and state.phase in _NEGOTIATING:
+        state.phase = FAILED
         return state, []
 
-    if perf is Performative.PROPOSE and state.phase in _NEGOTIATING:
+    if perf is PROPOSE and state.phase in _NEGOTIATING:
         payload: ProposePayload = msg.payload
-        if payload.stage is ProposeStage.QUOTE:
+        if payload.stage is QUOTE:
             # a fresh quote also restarts negotiation after a provider fell through
             return state, _consumer_quote(state, msg, payload.cost)
-        if payload.stage is ProposeStage.AGREEMENT and state.phase is ConsumerPhase.AWAITING_AGREEMENT:
+        if payload.stage is AGREEMENT and state.phase is CONSUMER_AWAITING_AGREEMENT:
             if payload.cost != state.accepted_cost:
                 # the broker's CFP, so the hold it relays, carries the accepted quote's cost
                 terms, accepted = format_money(payload.cost), format_money(state.accepted_cost)
                 raise InvariantError(f"{state.id} got terms {terms}, not {accepted}")
             state.serving_broker = msg.sender
-            state.phase = ConsumerPhase.AWAITING_CONFIRM
-            return state, [Message(Performative.AGREE, msg.conversation, state.id, msg.sender)]
+            state.phase = AWAITING_CONFIRM
+            return state, [Message(AGREE, msg.conversation, state.id, msg.sender)]
         raise _violation(state.id, state.phase, msg)
 
-    if perf is Performative.CONFIRM and state.phase is ConsumerPhase.AWAITING_CONFIRM:
+    if perf is CONFIRM and state.phase is AWAITING_CONFIRM:
         state.paid = state.accepted_cost
-        state.phase = ConsumerPhase.RUNNING
+        state.phase = RUNNING
         return state, [
-            Message(Performative.INFORM, msg.conversation, state.id, msg.sender, payload=InformPayload())
+            Message(INFORM, msg.conversation, state.id, msg.sender, payload=InformPayload())
         ]
 
     raise _violation(state.id, state.phase, msg)
@@ -170,13 +197,13 @@ def consumer_step(state: ConsumerState, msg: Message) -> tuple[ConsumerState, li
 
 def consumer_complete(state: ConsumerState, on_time: bool) -> list[Message]:
     """Finish the task: grade the outcome and report it to the serving broker."""
-    if state.phase is not ConsumerPhase.RUNNING:
+    if state.phase is not RUNNING:
         raise ProtocolError(f"{state.id} cannot complete a task in phase {state.phase.value}")
     utility = compute_utility(state.request.budget, state.paid, on_time, state.scenario.pricing)
-    state.phase = ConsumerPhase.DONE
+    state.phase = DONE
     return [
         Message(
-            Performative.INFORM,
+            INFORM,
             state.conversation,
             state.id,
             state.serving_broker,
@@ -193,6 +220,12 @@ class BrokerPhase(str, enum.Enum):
     AWAITING_PROVIDER = "awaiting-provider"
     AWAITING_AGREEMENT = "awaiting-agreement"
     AWAITING_FEEDBACK = "awaiting-feedback"
+
+
+QUOTING = BrokerPhase.QUOTING
+AWAITING_PROVIDER = BrokerPhase.AWAITING_PROVIDER
+BROKER_AWAITING_AGREEMENT = BrokerPhase.AWAITING_AGREEMENT
+AWAITING_FEEDBACK = BrokerPhase.AWAITING_FEEDBACK
 
 
 class SelectionSnapshot(NamedTuple):
@@ -298,7 +331,7 @@ def _open_conversation(state: BrokerState, conversation: str, request: Request) 
     heapify(ranking)
     state.conversations[conversation] = BrokerConversation(
         request=request,
-        phase=BrokerPhase.QUOTING,
+        phase=QUOTING,
         temporary=set(known),
         universe=frozenset(known),
         ranking=ranking,
@@ -399,14 +432,14 @@ def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, wo
         excluded=frozenset(conv.excluded),
         cost=conv.ranking[0][0],
     )
-    conv.phase = BrokerPhase.QUOTING
+    conv.phase = QUOTING
     return [
         Message(
-            Performative.PROPOSE,
+            PROPOSE,
             conversation,
             state.id,
             conv.request.consumer,
-            payload=ProposePayload(stage=ProposeStage.QUOTE, cost=conv.snapshot.cost),
+            payload=ProposePayload(stage=QUOTE, cost=conv.snapshot.cost),
         )
     ]
 
@@ -424,7 +457,7 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
     perf = msg.performative
     conv = state.conversations.get(msg.conversation)
 
-    if perf is Performative.CFP:
+    if perf is CFP:
         if conv is not None:
             raise ProtocolError(f"{state.id} got a second CFP for {msg.conversation}")
         payload: CallPayload = msg.payload
@@ -444,29 +477,29 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
     if conv is None:
         raise ProtocolError(f"{state.id} has no open conversation {msg.conversation}")
 
-    if msg.sender.kind is AgentKind.CONSUMER:
-        if perf is Performative.ACCEPT_PROPOSAL and conv.phase is BrokerPhase.QUOTING:
-            conv.phase = BrokerPhase.AWAITING_PROVIDER
+    if msg.sender.kind is CONSUMER:
+        if perf is ACCEPT_PROPOSAL and conv.phase is QUOTING:
+            conv.phase = AWAITING_PROVIDER
             return state, [
                 Message(
-                    Performative.CFP,
+                    CFP,
                     msg.conversation,
                     state.id,
                     conv.best,
                     payload=CallPayload(request=conv.request, cost=conv.snapshot.cost),
                 )
             ]
-        if perf in (Performative.REJECT_PROPOSAL, Performative.REFUSE) and conv.phase is BrokerPhase.QUOTING:
+        if perf in (REJECT_PROPOSAL, REFUSE) and conv.phase is QUOTING:
             # a rejected quote, or a consumer that spent its rejection budget
             # and declines to continue here
             _remove_from_temporary(conv, conv.best, for_cause=False)
             return state, _advance(state, msg.conversation, conv, world)
-        if perf is Performative.AGREE and conv.phase is BrokerPhase.AWAITING_AGREEMENT:
-            conv.phase = BrokerPhase.AWAITING_FEEDBACK
+        if perf is AGREE and conv.phase is BROKER_AWAITING_AGREEMENT:
+            conv.phase = AWAITING_FEEDBACK
             return state, [
-                Message(Performative.CONFIRM, msg.conversation, state.id, conv.best)
+                Message(CONFIRM, msg.conversation, state.id, conv.best)
             ]
-        if perf is Performative.INFORM and conv.phase is BrokerPhase.AWAITING_FEEDBACK:
+        if perf is INFORM and conv.phase is AWAITING_FEEDBACK:
             feedback: InformPayload = msg.payload
             entry = state.contact_list.get(conv.best)
             if entry is not None and feedback.feedback is not None:
@@ -477,38 +510,38 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
             return state, []
         raise _violation(state.id, conv.phase, msg)
 
-    if msg.sender.kind is AgentKind.PROVIDER:
-        if perf is Performative.PROPOSE and conv.phase is BrokerPhase.AWAITING_PROVIDER:
+    if msg.sender.kind is PROVIDER:
+        if perf is PROPOSE and conv.phase is AWAITING_PROVIDER:
             payload: ProposePayload = msg.payload
-            conv.phase = BrokerPhase.AWAITING_AGREEMENT
+            conv.phase = BROKER_AWAITING_AGREEMENT
             return state, [
                 Message(
-                    Performative.PROPOSE,
+                    PROPOSE,
                     msg.conversation,
                     state.id,
                     conv.request.consumer,
                     payload=ProposePayload(
-                        stage=ProposeStage.AGREEMENT,
+                        stage=AGREEMENT,
                         cost=payload.cost,
                         provider=msg.sender,
                     ),
                 )
             ]
-        if perf is Performative.REFUSE and conv.phase in (
-            BrokerPhase.AWAITING_PROVIDER,
+        if perf is REFUSE and conv.phase in (
+            AWAITING_PROVIDER,
             # a CONFIRM sent to a provider that left bounces back here, and
             # one that reached an expired hold is refused; the agreement
             # collapsed, so fall back into the selection loop
-            BrokerPhase.AWAITING_FEEDBACK,
+            AWAITING_FEEDBACK,
         ):
             payload: RefusePayload = msg.payload
-            if payload.reason is RefuseReason.DEPARTED:
+            if payload.reason is DEPARTED:
                 _purge(state, msg.sender)
                 _remove_from_temporary(conv, msg.sender, for_cause=True)
             else:
                 _apply_price_update(state, msg.sender, payload.ratios)
                 # an expected-cost refusal only refreshes prices: the provider stays eligible
-                if payload.reason is not RefuseReason.EXPECTED_COST:
+                if payload.reason is not EXPECTED_COST:
                     _remove_from_temporary(conv, msg.sender, for_cause=True)
             return state, _advance(state, msg.conversation, conv, world)
         raise _violation(state.id, conv.phase, msg)
@@ -523,6 +556,11 @@ class ReservationStatus(str, enum.Enum):
     HELD = "held"
     CONFIRMED = "confirmed"
     RELEASED = "released"
+
+
+HELD = ReservationStatus.HELD
+CONFIRMED = ReservationStatus.CONFIRMED
+RELEASED = ReservationStatus.RELEASED
 
 
 @dataclass
@@ -624,9 +662,9 @@ def allocate(
     # the entry a repeated CFP replaces was counted in the fit check above,
     # but stops counting once it leaves the ledger
     replaced = state.ledger.get(conversation)
-    if replaced is not None and replaced.status is not ReservationStatus.RELEASED:
+    if replaced is not None and replaced.status is not RELEASED:
         _uncommit(state, replaced)
-    res = Reservation(conversation, bundle, start, end, consumer, ReservationStatus.HELD, cost)
+    res = Reservation(conversation, bundle, start, end, consumer, HELD, cost)
     state.ledger[conversation] = res
     for rtype, leg in _legs(res):
         insort(state.commitments.setdefault(rtype, []), leg)
@@ -643,9 +681,9 @@ def _release_demand(state: ProviderState, bundle: ResourceBundle) -> None:
 def release_hold(state: ProviderState, conversation: str) -> bool:
     """Drop a held reservation (expiry or churn). Idempotent."""
     res = state.ledger.get(conversation)
-    if res is None or res.status is not ReservationStatus.HELD:
+    if res is None or res.status is not HELD:
         return False
-    res.status = ReservationStatus.RELEASED
+    res.status = RELEASED
     _uncommit(state, res)
     _release_demand(state, res.bundle)
     return True
@@ -654,13 +692,13 @@ def release_hold(state: ProviderState, conversation: str) -> bool:
 def finish_lease(state: ProviderState, conversation: str) -> None:
     """Task completed: the commitment stops counting toward demand pressure."""
     res = state.ledger.get(conversation)
-    if res is not None and res.status is ReservationStatus.CONFIRMED:
+    if res is not None and res.status is CONFIRMED:
         _release_demand(state, res.bundle)
 
 
 def _refuse(state: ProviderState, msg: Message, reason: RefuseReason, bundle: ResourceBundle) -> Message:
     payload = RefusePayload(reason=reason, ratios=state.demand_ratios(bundle))
-    return Message(Performative.REFUSE, msg.conversation, state.id, msg.sender, payload)
+    return Message(REFUSE, msg.conversation, state.id, msg.sender, payload)
 
 
 def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, list[Message]]:
@@ -668,46 +706,46 @@ def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, li
         raise ProtocolError(f"message for {msg.receiver} delivered to {state.id}")
     perf = msg.performative
 
-    if perf is Performative.CFP:
+    if perf is CFP:
         payload: CallPayload = msg.payload
         req = payload.request
         known = all(r in state.base_prices and r in state.capacity for r, _ in req.bundle.items)
         if not known:
-            return state, [_refuse(state, msg, RefuseReason.UNAVAILABLE, req.bundle)]
+            return state, [_refuse(state, msg, UNAVAILABLE, req.bundle)]
         factor = lease_factor(req)
         expected_prices = {r: state.expected_price(r) for r, _ in req.bundle.items}
         expected = total_cost(req.bundle, expected_prices, factor)
         if expected > payload.cost:
-            return state, [_refuse(state, msg, RefuseReason.EXPECTED_COST, req.bundle)]
+            return state, [_refuse(state, msg, EXPECTED_COST, req.bundle)]
         res = allocate(
             state, req.bundle, req.earliest_start, req.deadline,
             msg.conversation, req.consumer, payload.cost,
         )
         if res is None:
-            return state, [_refuse(state, msg, RefuseReason.CAPACITY, req.bundle)]
+            return state, [_refuse(state, msg, CAPACITY, req.bundle)]
         return state, [
             Message(
-                Performative.PROPOSE,
+                PROPOSE,
                 msg.conversation,
                 state.id,
                 msg.sender,
-                payload=ProposePayload(stage=ProposeStage.HOLD, cost=payload.cost),
+                payload=ProposePayload(stage=HOLD, cost=payload.cost),
             )
         ]
 
-    if perf is Performative.CONFIRM:
+    if perf is CONFIRM:
         res = state.ledger.get(msg.conversation)
-        if res is not None and res.status is ReservationStatus.RELEASED:
+        if res is not None and res.status is RELEASED:
             # the hold expired before the agreement came back
-            return state, [_refuse(state, msg, RefuseReason.EXPIRED, res.bundle)]
-        if res is None or res.status is not ReservationStatus.HELD:
+            return state, [_refuse(state, msg, EXPIRED, res.bundle)]
+        if res is None or res.status is not HELD:
             raise ProtocolError(
                 f"{state.id} got CONFIRM for {msg.conversation} without a held reservation"
             )
-        res.status = ReservationStatus.CONFIRMED
-        return state, [Message(Performative.CONFIRM, msg.conversation, state.id, res.consumer)]
+        res.status = CONFIRMED
+        return state, [Message(CONFIRM, msg.conversation, state.id, res.consumer)]
 
-    if perf is Performative.INFORM:
+    if perf is INFORM:
         # consumer acknowledgement; the confirmed lease simply stands
         return state, []
 

@@ -10,17 +10,19 @@ byte-identical trace.
 from __future__ import annotations
 
 import enum
+import gc
 import heapq
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 from .agents import (
+    DONE,
+    FAILED,
+    HELD,
     BrokerState,
-    ConsumerPhase,
     ConsumerState,
     ProviderState,
-    ReservationStatus,
     broker_step,
     consumer_complete,
     consumer_start,
@@ -31,18 +33,24 @@ from .agents import (
 )
 from .migration import NeighborInfo
 from .model import (
+    BROKER,
+    CFP,
+    CONFIRM,
+    CONSUMER,
+    DEPARTED,
     ENUM_TEXT,
+    INFORM,
+    PROPOSE,
+    PROVIDER,
+    REFUSE,
     AgentId,
-    AgentKind,
     ContactEntry,
     InvariantError,
     Message,
-    Performative,
     RefusePayload,
-    RefuseReason,
     conversation_id,
 )
-from .scenario import ChurnAction, ChurnSpec, ProviderSpec, Scenario
+from .scenario import LEAVE, ChurnSpec, ProviderSpec, Scenario
 
 
 class EventKind(str, enum.Enum):
@@ -51,6 +59,14 @@ class EventKind(str, enum.Enum):
     CONSUMER_START = "consumer-start"
     HOLD_EXPIRY = "hold-expiry"
     TASK_COMPLETE = "task-complete"
+
+
+# bound once, as `model` binds the members it defines
+DELIVER = EventKind.DELIVER
+CHURN = EventKind.CHURN
+CONSUMER_START = EventKind.CONSUMER_START
+HOLD_EXPIRY = EventKind.HOLD_EXPIRY
+TASK_COMPLETE = EventKind.TASK_COMPLETE
 
 
 class Event(NamedTuple):
@@ -86,8 +102,8 @@ class EventRecord(NamedTuple):
 # each event kind's and performative's text, read once, as `ENUM_TEXT` does
 _TEXT = {**ENUM_TEXT, **{kind: kind.value for kind in EventKind}}
 
-# builds an Event or EventRecord from a tuple of every field, skipping the
-# NamedTuple's Python-level `__new__`
+# builds an Event, EventRecord or NeighborInfo from a tuple of every field,
+# skipping the NamedTuple's Python-level `__new__`
 _new = tuple.__new__
 
 
@@ -225,7 +241,7 @@ class _World:
         return event
 
     def send(self, msg: Message, now: int) -> None:
-        self.schedule(now + self.delay(msg.sender, msg.receiver), EventKind.DELIVER, msg)
+        self.schedule(now + self.delay(msg.sender, msg.receiver), DELIVER, msg)
 
     def _visible_live(self, bid: AgentId) -> tuple[list[ContactEntry], frozenset[str]]:
         """Entries for the live providers `bid` sees, sorted by id, and the types they price."""
@@ -244,25 +260,20 @@ class _World:
         """
         return self._visible_live(bid)[0]
 
-    def neighbor_info(self, of: AgentId, nid: AgentId) -> NeighborInfo:
-        """Fresh info on broker `nid`, as its next refresh would see it, from `of`.
+    def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
+        """Fresh info on each neighbor broker of `of`, as its next refresh would see it.
 
         A refresh leaves a contact list holding exactly the visible live
         providers, and learning never adds or drops a price key, so the
         cached view is what the refresh would give.
         """
-        entries, types = self._visible_live(nid)
-        return NeighborInfo(
-            broker=nid,
-            workload=self.brokers[nid].in_flight,
-            delay=self.delay(of, nid),
-            provider_types=types,
-            provider_count=len(entries),
-        )
-
-    def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
-        """Fresh per-call info for each neighbor of `of`."""
-        return [self.neighbor_info(of, nid) for nid in self.brokers[of].neighbors]
+        brokers, delays, default = self.brokers, self.scenario.delays, self.scenario.default_delay
+        out = []
+        for nid in brokers[of].neighbors:
+            entries, types = self._visible_live(nid)
+            fields = (nid, brokers[nid].in_flight, delays.get((of, nid), default), types, len(entries))
+            out.append(_new(NeighborInfo, fields))
+        return out
 
     # -- trace --------------------------------------------------------------
 
@@ -270,23 +281,23 @@ class _World:
         kind, names = _TEXT[event.kind], self.names
         sender = receiver = performative = conversation = "-"
         payload = "-"
-        if event.kind is EventKind.DELIVER:
+        if event.kind is DELIVER:
             msg = event.message
             sender, receiver = names[msg.sender], names[msg.receiver]
             performative = _TEXT[msg.performative]
             conversation = msg.conversation
             payload = msg.payload_digest()
-        elif event.kind is EventKind.CHURN:
+        elif event.kind is CHURN:
             performative = f"provider-{event.churn.action.value}"
             receiver = names[event.churn.provider]
-        elif event.kind is EventKind.HOLD_EXPIRY:
+        elif event.kind is HOLD_EXPIRY:
             receiver = names[event.provider]
             conversation = event.conversation
         else:  # consumer start or task completion, of a request already issued
             consumer = self.meta[event.conversation].consumer
             receiver = names[consumer.id]
             conversation = event.conversation
-            if event.kind is EventKind.CONSUMER_START:
+            if event.kind is CONSUMER_START:
                 payload = consumer.request.digest
         if payload_suffix:
             payload = payload + payload_suffix if payload != "-" else payload_suffix.lstrip(",")
@@ -317,7 +328,7 @@ class _World:
 def apply_churn(world: _World, change: ChurnSpec) -> None:
     """Apply one membership change to the registry and affected reservations."""
     pid = change.provider
-    if change.action is ChurnAction.LEAVE:
+    if change.action is LEAVE:
         if pid not in world.registry:
             raise InvariantError(f"churn leave targets unknown or departed provider {pid}")
         world.registry.discard(pid)
@@ -339,31 +350,31 @@ def _run_once(world: _World, event_budget: int) -> bool:
         world.events += 1
         now = world.now = event.time
 
-        if event.kind is EventKind.DELIVER:
+        if event.kind is DELIVER:
             msg = event.message
             target = msg.receiver
 
-            if target.kind is AgentKind.PROVIDER and target not in world.registry:
+            if target.kind is PROVIDER and target not in world.registry:
                 # never hand a message to a departed provider; bounce so the
                 # sender re-enters its selection loop on its next event
                 world.record(event, payload_suffix=",bounced")
-                if msg.performative in (Performative.CFP, Performative.CONFIRM):
+                if msg.performative in (CFP, CONFIRM):
                     bounce = Message(
-                        Performative.REFUSE,
+                        REFUSE,
                         msg.conversation,
                         sender=target,
                         receiver=msg.sender,
-                        payload=RefusePayload(reason=RefuseReason.DEPARTED),
+                        payload=RefusePayload(reason=DEPARTED),
                     )
-                    world.schedule(now, kind=EventKind.DELIVER, message=bounce)
+                    world.schedule(now, kind=DELIVER, message=bounce)
                 continue
 
             world.record(event)
             out: list[Message] = []
 
-            if target.kind is AgentKind.CONSUMER:
+            if target.kind is CONSUMER:
                 _, out = consumer_step(world.consumers[target], msg)
-                if msg.performative is Performative.CONFIRM:
+                if msg.performative is CONFIRM:
                     meta = world.meta[msg.conversation]
                     request = meta.consumer.request
                     task_start = max(now, request.earliest_start)
@@ -371,31 +382,31 @@ def _run_once(world: _World, event_budget: int) -> bool:
                     meta.on_time = notional_end <= request.deadline
                     world.schedule(
                         max(now, min(request.deadline, notional_end)),
-                        kind=EventKind.TASK_COMPLETE,
+                        kind=TASK_COMPLETE,
                         conversation=msg.conversation,
                         provider=msg.sender,  # the serving provider sends the CONFIRM
                     )
 
-            elif target.kind is AgentKind.BROKER:
+            elif target.kind is BROKER:
                 broker = world.brokers[target]
                 conv = broker.conversations.get(msg.conversation)
                 _, out = broker_step(broker, msg, world)
                 world.sample_workloads(target)
-                if msg.performative is Performative.INFORM:
+                if msg.performative is INFORM:
                     # only a consumer informs a broker: its feedback closed the
                     # conversation, whose last selection was the one served
                     world.meta[msg.conversation].snapshot = conv.snapshot
                 for m in out:
-                    if m.performative is Performative.CFP and m.receiver.kind is AgentKind.BROKER:
+                    if m.performative is CFP and m.receiver.kind is BROKER:
                         world.meta[m.conversation].migrations = m.payload.request.migrations
 
             else:  # provider
                 _, out = provider_step(world.providers[target], msg)
                 # a provider answers PROPOSE only to a CFP it has just held a reservation for
-                if any(m.performative is Performative.PROPOSE for m in out):
+                if any(m.performative is PROPOSE for m in out):
                     world.schedule(
                         now + world.scenario.hold_timeout,
-                        kind=EventKind.HOLD_EXPIRY,
+                        kind=HOLD_EXPIRY,
                         conversation=msg.conversation,
                         provider=target,
                     )
@@ -403,7 +414,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
             for m in out:
                 world.send(m, now)
 
-        elif event.kind is EventKind.CONSUMER_START:
+        elif event.kind is CONSUMER_START:
             consumer = world.unissued.pop(event.conversation)
             world.meta[event.conversation] = ConversationMeta(
                 consumer=consumer, live_at_issue=tuple(sorted(world.registry))
@@ -412,16 +423,16 @@ def _run_once(world: _World, event_budget: int) -> bool:
             for msg in consumer_start(consumer):
                 world.send(msg, now)
 
-        elif event.kind is EventKind.CHURN:
+        elif event.kind is CHURN:
             world.record(event)
             apply_churn(world, event.churn)
 
-        elif event.kind is EventKind.HOLD_EXPIRY:
+        elif event.kind is HOLD_EXPIRY:
             provider = world.providers[event.provider]
             released = release_hold(provider, event.conversation)
             world.record(event, payload_suffix=f"released={'yes' if released else 'no'}")
 
-        elif event.kind is EventKind.TASK_COMPLETE:
+        elif event.kind is TASK_COMPLETE:
             meta = world.meta[event.conversation]
             world.record(event, payload_suffix=f"on_time={'yes' if meta.on_time else 'no'}")
             for msg in consumer_complete(meta.consumer, meta.on_time):
@@ -437,18 +448,28 @@ def run(scenario: Scenario) -> RunResult:
     for spec in scenario.consumers:
         world.schedule(
             spec.issue_time,
-            kind=EventKind.CONSUMER_START,
+            kind=CONSUMER_START,
             conversation=world.consumers[spec.request.consumer].conversation,
         )
     for change in scenario.churn:
-        world.schedule(change.time, kind=EventKind.CHURN, churn=change)
+        world.schedule(change.time, kind=CHURN, churn=change)
 
-    quiescent = _run_once(world, scenario.event_budget)
+    # The loop makes no reference cycles, yet every event leaves objects that
+    # survive (its trace record among them), so the cyclic collector would scan
+    # the young generation every few hundred events and free nothing. Nothing
+    # is collected by hand: the collector runs again, as it was, after the loop.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        quiescent = _run_once(world, scenario.event_budget)
+    finally:
+        if collecting:
+            gc.enable()
     world.settle_workloads()
     open_conversations = sorted(
         conv
         for conv, meta in world.meta.items()
-        if meta.consumer.phase not in (ConsumerPhase.DONE, ConsumerPhase.FAILED)
+        if meta.consumer.phase not in (DONE, FAILED)
     )
     if quiescent:
         # queue drained: every started conversation must be terminal, every
@@ -460,7 +481,7 @@ def run(scenario: Scenario) -> RunResult:
                 raise InvariantError(f"quiescent run left {broker.id} with open conversations")
         for provider in world.providers.values():
             for res in provider.ledger.values():
-                if res.status is ReservationStatus.HELD:
+                if res.status is HELD:
                     raise InvariantError(
                         f"quiescent run left a held reservation for {res.conversation}"
                     )

@@ -17,15 +17,15 @@ the minimum over the admissible neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import (
+    CFP,
+    FAILURE,
     AgentId,
     CallPayload,
     FailurePayload,
     Message,
-    Performative,
     Request,
     ResourceType,
 )
@@ -94,8 +94,7 @@ def select_direction(
     return None if best is None else best[1]
 
 
-@dataclass(frozen=True)
-class SelfOrganizeResult:
+class SelfOrganizeResult(NamedTuple):
     messages: tuple[Message, ...]
     target: AgentId | None  # the broker the request migrates to; None when it fails here
 
@@ -122,24 +121,30 @@ def self_organize(
         reason = "no-admissible-broker"
     if target is None:
         fail = Message(
-            Performative.FAILURE,
+            FAILURE,
             conversation,
             sender=self_id,
             receiver=req.consumer,
             payload=FailurePayload(reason),
         )
-        return SelfOrganizeResult((fail,), target=None)
+        return SelfOrganizeResult((fail,), None)
 
-    hopped = replace(
-        req,
+    # built field by field: `dataclasses.replace` would find the fields by reflection
+    hopped = Request(
+        consumer=req.consumer,
+        bundle=req.bundle,
+        earliest_start=req.earliest_start,
+        deadline=req.deadline,
+        budget=req.budget,
+        source=req.source,
         migrations=req.migrations + 1,
         visited=req.visited | {self_id},
     )
     cfp = Message(
-        Performative.CFP,
+        CFP,
         conversation,
         sender=self_id,
         receiver=target,
         payload=CallPayload(request=hopped),
     )
-    return SelfOrganizeResult((cfp,), target=target)
+    return SelfOrganizeResult((cfp,), target)

@@ -34,8 +34,9 @@ def money(value) -> Money:
 
 def format_money(value: Money) -> str:
     """Cents as `d.cc`, with a `-` sign for a negative amount."""
-    units, cents = divmod(abs(value), 100)
-    return f"{'-' if value < 0 else ''}{units}.{cents:02d}"
+    if value < 0:
+        return "-" + format_money(-value)
+    return f"{value // 100}.{value % 100:02d}"
 
 
 class SimulatorError(Exception):
@@ -70,6 +71,15 @@ class AgentKind(enum.IntEnum):
     CONSUMER = 0
     BROKER = 1
     PROVIDER = 2
+
+
+# The enum members that per-event code reads, bound once as plain names. On
+# CPython 3.10 and 3.11 the enum metaclass defines `__getattr__`, so a read
+# like `AgentKind.BROKER` in a function body is never specialized and costs
+# about six plain class attribute reads; function bodies read these names.
+CONSUMER = AgentKind.CONSUMER
+BROKER = AgentKind.BROKER
+PROVIDER = AgentKind.PROVIDER
 
 
 class AgentId(tuple):
@@ -113,15 +123,15 @@ _KIND_NAMES = {kind: kind.name.lower() for kind in AgentKind}
 
 
 def consumer(index: int) -> AgentId:
-    return AgentId(AgentKind.CONSUMER, index)
+    return AgentId(CONSUMER, index)
 
 
 def broker(index: int) -> AgentId:
-    return AgentId(AgentKind.BROKER, index)
+    return AgentId(BROKER, index)
 
 
 def provider(index: int) -> AgentId:
-    return AgentId(AgentKind.PROVIDER, index)
+    return AgentId(PROVIDER, index)
 
 
 @dataclass(frozen=True)
@@ -190,10 +200,26 @@ class Performative(str, enum.Enum):
     FAILURE = "FAILURE"
 
 
+CFP = Performative.CFP
+PROPOSE = Performative.PROPOSE
+ACCEPT_PROPOSAL = Performative.ACCEPT_PROPOSAL
+REJECT_PROPOSAL = Performative.REJECT_PROPOSAL
+AGREE = Performative.AGREE
+REFUSE = Performative.REFUSE
+CONFIRM = Performative.CONFIRM
+INFORM = Performative.INFORM
+FAILURE = Performative.FAILURE
+
+
 class ProposeStage(str, enum.Enum):
     QUOTE = "quote"          # broker -> consumer: cost of the bundle
     AGREEMENT = "agreement"  # broker -> consumer: provider found, terms attached
     HOLD = "hold"            # provider -> broker: reservation held at the CFP cost
+
+
+QUOTE = ProposeStage.QUOTE
+AGREEMENT = ProposeStage.AGREEMENT
+HOLD = ProposeStage.HOLD
 
 
 class RefuseReason(str, enum.Enum):
@@ -203,6 +229,14 @@ class RefuseReason(str, enum.Enum):
     UNAVAILABLE = "unavailable"      # provider: unknown or unpriced resource type
     EXPIRED = "expired"              # provider: the hold lapsed before the CONFIRM
     DEPARTED = "departed"            # synthesized: the provider left the federation
+
+
+OVER_BUDGET = RefuseReason.OVER_BUDGET
+EXPECTED_COST = RefuseReason.EXPECTED_COST
+CAPACITY = RefuseReason.CAPACITY
+UNAVAILABLE = RefuseReason.UNAVAILABLE
+EXPIRED = RefuseReason.EXPIRED
+DEPARTED = RefuseReason.DEPARTED
 
 
 # each member's text, read once here: `member.value` goes through enum's
@@ -280,14 +314,14 @@ class Message(_MessageFields):
     __slots__ = ()
 
     def __new__(cls, performative, conversation, sender, receiver, payload=None):
-        if performative is Performative.FAILURE:
-            if sender.kind is not AgentKind.BROKER or receiver.kind is not AgentKind.CONSUMER:
+        if performative is FAILURE:
+            if sender.kind is not BROKER or receiver.kind is not CONSUMER:
                 raise ValidationError("failure-route", "FAILURE is broker -> consumer only")
-        if performative is Performative.REJECT_PROPOSAL and not isinstance(payload, RejectPayload):
+        if performative is REJECT_PROPOSAL and not isinstance(payload, RejectPayload):
             raise ValidationError("missing-cost-limit", "REJECT_PROPOSAL must carry a cost limit")
         if (
-            performative is Performative.REFUSE
-            and sender.kind is AgentKind.PROVIDER
+            performative is REFUSE
+            and sender.kind is PROVIDER
             and not isinstance(payload, RefusePayload)
         ):
             raise ValidationError("missing-ratio", "provider REFUSE must carry a demand/price payload")

@@ -37,6 +37,9 @@ class ChurnAction(str, enum.Enum):
     LEAVE = "leave"
 
 
+LEAVE = ChurnAction.LEAVE  # bound once for the kernel, as `model` binds its members
+
+
 @dataclass(frozen=True)
 class ProviderSpec:
     id: AgentId

@@ -7,6 +7,7 @@ implementation paths they check.
 
 from __future__ import annotations
 
+import gc
 import random
 
 from fedsim.agents import ReservationStatus, update_contact_list
@@ -30,6 +31,11 @@ TYPE_POOL = ("cpu", "storage", "bandwidth", "gpu")
 def trace_text(records) -> str:
     """The text `write_trace` writes for `records`: each line, newline-terminated."""
     return "".join(record.line() + "\n" for record in records)
+
+
+def cycles_collected() -> int:
+    """Objects the cyclic garbage collector has freed in this process so far."""
+    return sum(stat["collected"] for stat in gc.get_stats())
 
 
 def settings(max_migrations: int = 0, **fields) -> Scenario:

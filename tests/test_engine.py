@@ -1,3 +1,4 @@
+import gc
 import heapq
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fedsim.engine as engine
 import fedsim.migration as migration
 from fedsim.agents import ConsumerPhase, ReservationStatus
 from fedsim.engine import (
@@ -16,7 +18,7 @@ from fedsim.engine import (
     run,
     write_trace,
 )
-from fedsim.model import InvariantError, broker, money, provider
+from fedsim.model import InvariantError, ProtocolError, broker, money, provider
 from fedsim.scenario import load_scenario, parse_scenario
 
 from helpers import fuzz_scenario, trace_text
@@ -237,6 +239,41 @@ def test_records_naming_an_agent_share_one_text(scenario):
     kinds = {text.split(":")[0] for text in texts}
     assert kinds == {"consumer", "broker", "provider"}
     assert [text for text, ids in texts.items() if len(ids) > 1] == []
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_run_pauses_the_cyclic_collector_and_leaves_it_as_found(monkeypatch, collecting, fails):
+    during = []
+
+    class Probe(_World):
+        def record(self, event, payload_suffix=""):
+            during.append(gc.isenabled())
+            if fails:
+                raise ProtocolError("stub world refuses its first event")
+            super().record(event, payload_suffix)
+
+    monkeypatch.setattr(engine, "_World", Probe)
+    found = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(ProtocolError, match="stub world"):
+                run(minimal())
+        else:
+            assert run(minimal()).quiescent
+        after = gc.isenabled()
+    finally:
+        (gc.enable if found else gc.disable)()
+    assert after is collecting
+    assert during and not any(during)
+
+
+def test_fuzz_batch_runs_leave_no_cycles_to_collect(fuzz_batch):
+    # the premise of pausing the collector for a run: the run makes no
+    # reference cycles, so a collection just after it, or any during it, frees nothing
+    assert len(fuzz_batch.garbage) == len(fuzz_batch.runs) > 50
+    assert set(fuzz_batch.garbage) == {(0, 0)}
 
 
 def test_scheduling_in_the_past_raises_even_without_asserts():

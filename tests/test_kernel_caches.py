@@ -62,7 +62,8 @@ class CheckedWorld(engine._World):
         if is_migration(msg):
             self.migrations += 1
             source, target, req = self.brokers[msg.sender], msg.receiver, msg.payload.request
-            info = self.neighbor_info(source.id, target)
+            # a target that is not a neighbor has no info here, and fails every check on it
+            info = next((i for i in self.neighbor_snapshot(source.id) if i.broker == target), None)
             arrival, before = self.delivery
             opened = arrival.performative is Performative.CFP  # a +1 at this same event
             left = self.left.setdefault(msg.conversation, [])
@@ -71,8 +72,8 @@ class CheckedWorld(engine._World):
                 "stamped with its path": req.visited == frozenset(left),
                 "counted in hops": req.migrations == len(left),
                 "a neighbor": target in source.neighbors,
-                "non-empty": info.provider_count > 0,
-                "covering": req.bundle.types <= info.provider_types,
+                "non-empty": info is not None and info.provider_count > 0,
+                "covering": info is not None and req.bundle.types <= info.provider_types,
                 "unvisited": target not in req.visited,
                 "-1 at the sender": source.in_flight - before - opened == -1,
             }
@@ -154,7 +155,7 @@ def test_path_checks_catch_a_hop_that_does_not_stamp_the_request(monkeypatch, fi
             m._replace(payload=m.payload._replace(request=replace(m.payload.request, **kept)))
             for m in result.messages
         )
-        return replace(result, messages=unstamped)
+        return result._replace(messages=unstamped)
 
     monkeypatch.setattr(agents, "self_organize", forgetful)
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "migration.json")

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -239,15 +240,18 @@ def test_hop_limit_forces_failure_message():
 
 
 def test_migration_carries_hop_and_visited():
-    req = request(cid=3, cpu=1)
-    neighbors = [neighbor(1, types=("cpu",))]
-    result = self_organize(req, broker(0), neighbors, 3, "consumer:3#0", DEFAULT_CRITERIA)
-    (msg,) = result.messages
-    assert msg.performative is Performative.CFP
-    assert msg.receiver == result.target == broker(1)
-    hopped = msg.payload.request
-    assert hopped.migrations == req.migrations + 1
-    assert broker(0) in hopped.visited
+    for migrations, visited in [(0, ()), (1, (broker(2),))]:  # a first hop, and a second
+        req = request(cid=3, cpu=1, migrations=migrations, visited=visited)
+        assert req.digest.endswith(f",migrations={migrations}")  # made before the hop
+        neighbors = [neighbor(1, types=("cpu",))]
+        result = self_organize(req, broker(0), neighbors, 3, "consumer:3#0", DEFAULT_CRITERIA)
+        (msg,) = result.messages
+        assert msg.performative is Performative.CFP
+        assert msg.receiver == result.target == broker(1)
+        hopped = msg.payload.request
+        # the hop builds its copy field by field; `dataclasses.replace` is the reference
+        assert hopped == replace(req, migrations=migrations + 1, visited=req.visited | {broker(0)})
+        assert hopped.digest == req.digest.replace(f",migrations={migrations}", f",migrations={migrations + 1}")
 
 
 def test_no_admissible_neighbor_fails_without_cfp():

@@ -1,9 +1,10 @@
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fedsim.agents import SelectionSnapshot
 from fedsim.engine import run
@@ -215,6 +216,22 @@ def test_money_holds_every_amount_the_decimal_context_fits():
 def test_format_money_round_trips_zero_and_negatives(cents, text):
     assert format_money(cents) == text
     assert money(text) == cents
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=-(10**60), max_value=-1),
+        st.integers(min_value=0, max_value=99),  # zero and amounts under one unit
+        st.integers(min_value=2**63, max_value=10**60),
+    )
+)
+@example(0)
+@example(-1)
+@example(2**63)
+def test_format_money_matches_a_decimal_reference(cents):
+    with localcontext() as exact:
+        exact.prec = 100  # every amount drawn fits, so scaleb does not round
+        assert format_money(cents) == f"{Decimal(cents).scaleb(-2):f}"
 
 
 @pytest.mark.parametrize(

@@ -89,16 +89,38 @@ def _enum_members(tree):
                             yield node.name, target.id, stmt.lineno
 
 
+def _member_bindings(tree):
+    """The module-level `NAME = Class.MEMBER` statements of `tree`, by their value node."""
+    return {
+        id(stmt.value): stmt.targets[0].id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.Attribute)
+        and isinstance(stmt.value.value, ast.Name)
+    }
+
+
 def test_every_enum_member_is_read_by_the_package():
     # a member the package never names as `Class.MEMBER` is a protocol edge or
-    # state no run can reach; iterating or parsing the enum does not count
+    # state no run can reach; iterating or parsing the enum does not count, and
+    # a module-level name bound to the member counts only where the package reads it
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    read = {
-        (node.value.id, node.attr)
+    names_read = {
+        node.id
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
+    read = set()
+    for tree in trees.values():
+        bindings = _member_bindings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                bound_to = bindings.get(id(node))
+                if bound_to is None or bound_to in names_read:
+                    read.add((node.value.id, node.attr))
     members = [
         (name, cls, member, line)
         for name, tree in trees.items()
@@ -110,6 +132,32 @@ def test_every_enum_member_is_read_by_the_package():
         if (cls, member) not in read
     ]
     assert len(members) > 30
+    assert found == []
+
+
+# the modules whose functions run on every event
+EVENT_PATH = ("agents.py", "engine.py", "model.py", "migration.py")
+
+
+def test_the_event_path_reads_enum_members_through_module_level_names():
+    # on CPython 3.10 and 3.11 the enum metaclass defines `__getattr__`, so a
+    # read like `Performative.CFP` is never specialized: about six times a
+    # plain class attribute read, some 16 times an event. A function body reads
+    # the name its enum's module binds to the member once, at import.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    members = {(cls, member) for tree in trees.values() for cls, member, _ in _enum_members(tree)}
+    found = sorted({
+        f"{name}:{node.lineno} {node.value.id}.{node.attr}"
+        for name in EVENT_PATH
+        for function in ast.walk(trees[name])
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for stmt in ([function.body] if isinstance(function, ast.Lambda) else function.body)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in members
+    })
+    assert len({cls for cls, _ in members}) > 5
     assert found == []
 
 

@@ -35,7 +35,6 @@ from .model import (
     QUOTE,
     REFUSE,
     REJECT_PROPOSAL,
-    UNAVAILABLE,
     AgentId,
     CallPayload,
     ContactEntry,
@@ -238,7 +237,7 @@ class SelectionSnapshot(NamedTuple):
 
     contact_list: Mapping[AgentId, ContactEntry]
     universe: frozenset[AgentId]
-    excluded: frozenset[AgentId]  # removed for cause: capacity, unavailable, expired, departed
+    excluded: frozenset[AgentId]  # removed for cause: capacity, expired, departed
     cost: Money
 
     @property
@@ -464,12 +463,11 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
         old = state.contact_list
         refreshed = update_contact_list(old, world.registry_view(state.id))
         if refreshed is not old:
+            # a provider that leaves never returns, so an id the old list
+            # lacked is new to the broker and no open conversation holds it
             for pid, entry in old.items():
                 if pid not in refreshed:
                     state.dropped[pid] = entry
-            for pid in refreshed:
-                if pid not in old:  # new, or back after a refresh dropped it
-                    _changed(state, pid)
             state.contact_list = refreshed
         conv = _open_conversation(state, msg.conversation, payload.request)
         return state, _advance(state, msg.conversation, conv, world)
@@ -595,11 +593,7 @@ class ProviderState:
         )
 
     def demand_ratios(self, bundle: ResourceBundle) -> tuple[tuple[ResourceType, float], ...]:
-        out = []
-        for rtype, _ in bundle.items:
-            if rtype in self.capacity:
-                out.append((rtype, self.demand.get(rtype, 0.0) / float(self.capacity[rtype])))
-        return tuple(out)
+        return tuple((r, self.demand.get(r, 0.0) / float(self.capacity[r])) for r, _ in bundle.items)
 
 
 def _peak_committed(state: ProviderState, rtype: ResourceType, start: int, end: int) -> int:
@@ -624,10 +618,9 @@ def _peak_committed(state: ProviderState, rtype: ResourceType, start: int, end: 
 
 
 def _legs(res: Reservation):
-    """The reservation's index legs: one per type it holds a positive quantity of."""
-    for rtype, qty in res.bundle.as_dict().items():
-        if qty > 0:
-            yield rtype, (res.end, res.start, qty, res.conversation)
+    """The reservation's index legs: one per type of its bundle."""
+    for rtype, qty in res.bundle.items:
+        yield rtype, (res.end, res.start, qty, res.conversation)
 
 
 def _uncommit(state: ProviderState, res: Reservation) -> None:
@@ -651,12 +644,9 @@ def allocate(
     """Hold [start, end) for the bundle if it fits alongside existing commitments.
 
     Returns the held reservation, or None when the window cannot take the
-    bundle (including unknown resource types). On success the per-type demand
-    counters grow by the held quantities.
+    bundle. On success the per-type demand counters grow by the held quantities.
     """
     for rtype, qty in bundle.items:
-        if rtype not in state.capacity:
-            return None
         if _peak_committed(state, rtype, start, end) + qty > state.capacity[rtype]:
             return None
     # the entry a repeated CFP replaces was counted in the fit check above,
@@ -709,9 +699,6 @@ def provider_step(state: ProviderState, msg: Message) -> tuple[ProviderState, li
     if perf is CFP:
         payload: CallPayload = msg.payload
         req = payload.request
-        known = all(r in state.base_prices and r in state.capacity for r, _ in req.bundle.items)
-        if not known:
-            return state, [_refuse(state, msg, UNAVAILABLE, req.bundle)]
         factor = lease_factor(req)
         expected_prices = {r: state.expected_price(r) for r, _ in req.bundle.items}
         expected = total_cost(req.bundle, expected_prices, factor)

@@ -30,10 +30,7 @@ def _hold_to_confirm(scn: Scenario) -> int | None:
         for bid in spec.visible_to:
             seen[bid].add(spec.id)
     consumers = [spec.request.consumer for spec in scn.consumers]
-
-    def delay(a, b):
-        return scn.delays.get((a, b), scn.default_delay)
-
+    delay = scn.delay
     return max(
         (
             2 * max(delay(pid, bid) for pid in pids) + 2 * max(delay(bid, cid) for cid in consumers)

@@ -221,9 +221,6 @@ class _World:
             self.visibility[bid].add(pid)
         self._views.clear()
 
-    def delay(self, a: AgentId, b: AgentId) -> int:
-        return self.scenario.delays.get((a, b), self.scenario.default_delay)
-
     def schedule(
         self,
         time: int,
@@ -241,7 +238,7 @@ class _World:
         return event
 
     def send(self, msg: Message, now: int) -> None:
-        self.schedule(now + self.delay(msg.sender, msg.receiver), DELIVER, msg)
+        self.schedule(now + self.scenario.delay(msg.sender, msg.receiver), DELIVER, msg)
 
     def _visible_live(self, bid: AgentId) -> tuple[list[ContactEntry], frozenset[str]]:
         """Entries for the live providers `bid` sees, sorted by id, and the types they price."""
@@ -267,11 +264,11 @@ class _World:
         providers, and learning never adds or drops a price key, so the
         cached view is what the refresh would give.
         """
-        brokers, delays, default = self.brokers, self.scenario.delays, self.scenario.default_delay
+        brokers, delay = self.brokers, self.scenario.delay
         out = []
         for nid in brokers[of].neighbors:
             entries, types = self._visible_live(nid)
-            fields = (nid, brokers[nid].in_flight, delays.get((of, nid), default), types, len(entries))
+            fields = (nid, brokers[nid].in_flight, delay(of, nid), types, len(entries))
             out.append(_new(NeighborInfo, fields))
         return out
 

@@ -61,9 +61,7 @@ def cheapest_feasible(result: RunResult, meta) -> Money | None:
     for pid in meta.live_at_issue:
         provider = result.providers[pid]
         ok = all(
-            rtype in provider.base_prices
-            and rtype in provider.capacity
-            and qty <= provider.capacity[rtype]
+            rtype in provider.base_prices and qty <= provider.capacity[rtype]
             for rtype, qty in request.bundle.items
         )
         if not ok:

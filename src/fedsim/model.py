@@ -144,9 +144,6 @@ class ResourceBundle:
     def of(cls, quantities: Mapping[ResourceType, int]) -> "ResourceBundle":
         return cls(tuple(sorted((str(r), int(q)) for r, q in quantities.items())))
 
-    def as_dict(self) -> dict[ResourceType, int]:
-        return dict(self.items)
-
     @cached_property
     def types(self) -> frozenset[ResourceType]:
         return frozenset(r for r, _ in self.items)
@@ -226,7 +223,6 @@ class RefuseReason(str, enum.Enum):
     OVER_BUDGET = "over-budget"      # consumer: rejection budget spent, quote still too high
     EXPECTED_COST = "expected-cost"  # provider: demand-adjusted cost above the CFP cost
     CAPACITY = "capacity"            # provider: bundle does not fit the window
-    UNAVAILABLE = "unavailable"      # provider: unknown or unpriced resource type
     EXPIRED = "expired"              # provider: the hold lapsed before the CONFIRM
     DEPARTED = "departed"            # synthesized: the provider left the federation
 
@@ -234,7 +230,6 @@ class RefuseReason(str, enum.Enum):
 OVER_BUDGET = RefuseReason.OVER_BUDGET
 EXPECTED_COST = RefuseReason.EXPECTED_COST
 CAPACITY = RefuseReason.CAPACITY
-UNAVAILABLE = RefuseReason.UNAVAILABLE
 EXPIRED = RefuseReason.EXPIRED
 DEPARTED = RefuseReason.DEPARTED
 

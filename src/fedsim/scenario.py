@@ -87,6 +87,10 @@ class Scenario:
     event_budget: int = 1_000_000
     default_delay: int = 1
 
+    def delay(self, a: AgentId, b: AgentId) -> int:
+        """Ticks a message takes from `a` to `b`: the given link delay, else `default_delay`."""
+        return self.delays.get((a, b), self.default_delay)
+
 
 def _require(data: dict, key: str, where: str):
     if not isinstance(data, dict):
@@ -166,6 +170,12 @@ def _provider_spec(raw: dict, where: str, types: set[str], broker_ids: set[int])
     prices = _type_map(
         _require(raw, "base_prices", where), f"{where}.base_prices", types, "unit price", _unit_price
     )
+    # a provider sells exactly the types it has both a capacity and a base price for
+    cap_types = {r for r, _ in cap}
+    unmatched = sorted(cap_types ^ {r for r, _ in prices})
+    if unmatched:
+        missing = "base price" if unmatched[0] in cap_types else "capacity"
+        raise ScenarioError(f"{where}: provider {pid} has no {missing} for type {unmatched[0]!r}")
     visible_to = _id_list(raw, "visible_to", where, broker_ids, AgentKind.BROKER)
     return ProviderSpec(id=provider(pid), capacity=cap, base_prices=prices, visible_to=visible_to)
 

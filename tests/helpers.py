@@ -167,7 +167,7 @@ def oracle_neighbor_snapshot(world, of) -> list[NeighborInfo]:
             NeighborInfo(
                 broker=nid,
                 workload=neighbor_state.in_flight,
-                delay=world.delay(of, nid),
+                delay=world.scenario.delay(of, nid),
                 provider_types=frozenset(types),
                 provider_count=len(live),
             )
@@ -183,7 +183,7 @@ def tick_scan_feasible(reservations, new_bundle, start, end, capacity) -> bool:
             return False
         for tick in range(start, end):
             used = sum(
-                r.bundle.as_dict().get(rtype, 0)
+                dict(r.bundle.items).get(rtype, 0)
                 for r in active
                 if r.start <= tick < r.end
             )
@@ -206,7 +206,7 @@ def tick_scan_overcapacity(provider_state) -> list:
     bad = []
     for rtype, cap in provider_state.capacity.items():
         for tick in range(lo, hi):
-            used = sum(r.bundle.as_dict().get(rtype, 0) for r in active if r.start <= tick < r.end)
+            used = sum(dict(r.bundle.items).get(rtype, 0) for r in active if r.start <= tick < r.end)
             if used > cap:
                 bad.append((rtype, tick))
     return bad

@@ -11,7 +11,8 @@ read past the broker's version, the version stamps run strictly upward in
 the order the broker keeps them, and every stamped id is a provider the
 broker has held an entry for. No step leaves a provider both on the contact
 list and among the dropped: visibility only grows and a departed provider
-never rejoins, so a kernel run never reinstalls a dropped provider.
+never rejoins, so a kernel run never reinstalls a dropped provider. The
+CFP refresh rests on that: it stamps none of the ids it adds.
 """
 
 from fedsim.model import Performative, RefuseReason

@@ -52,6 +52,17 @@ def test_validate_rejects_a_budget_that_run_cannot_grade(tmp_path):
         assert "consumers[0].budget: must be > 0" in result.stderr
 
 
+def test_validate_rejects_a_provider_whose_capacity_and_prices_name_different_types(tmp_path):
+    for side, missing in (("base_prices", "base price"), ("capacity", "capacity")):
+        data = json.loads((SCENARIOS / "minimal.json").read_text())
+        del data["providers"][0][side]["storage"]
+        path = tmp_path / f"no-{side}.json"
+        path.write_text(json.dumps(data))
+        result = CliRunner().invoke(main, ["validate", "--scenario", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"invalid: {path}.providers[0]: provider 0 has no {missing} for type 'storage'\n"
+
+
 def test_validate_warns_when_holds_lapse_before_the_confirm(tmp_path):
     minimal = json.loads((SCENARIOS / "minimal.json").read_text())
     migration = json.loads((SCENARIOS / "migration.json").read_text())

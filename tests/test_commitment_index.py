@@ -7,6 +7,10 @@ churn event of the session's shared fuzz batch and of a long-lease run.
 The kernel never sends a conversation's CFP to a provider that already has
 a ledger entry for it, so replacing an entry is driven directly through
 `provider_step` as well.
+
+Each CFP a provider handles in those runs names only types the provider has
+both a capacity and a base price for: `provider_step` and `allocate` rely on
+it and have no branch for an unknown type.
 """
 
 import random
@@ -51,6 +55,10 @@ class IndexChecks:
         self.seen = Counter()
 
     def provider_step(self, state, msg):
+        if msg.performative is Performative.CFP:
+            types = msg.payload.request.bundle.types
+            assert types <= state.capacity.keys() and types <= state.base_prices.keys(), (state.id, types)
+            self.seen["cfp"] += 1
         out = provider_step(state, msg)
         assert_index_matches(state)
         self.seen["delivery"] += 1
@@ -78,6 +86,7 @@ def test_index_matches_the_ledger_over_the_fuzz_batch(fuzz_batch):
     assert all(result.quiescent for result, _, _ in fuzz_batch.runs)
     checks = fuzz_batch.index
     assert checks.seen["delivery"] > 5_000 and checks.seen["release"] > 20
+    assert checks.seen["cfp"] > 3_000
     assert checks.seen["leave"] > 10 and checks.seen["join"] > 10
 
 

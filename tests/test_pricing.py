@@ -57,7 +57,7 @@ def test_cost_is_additive_over_disjoint_bundles():
         split = rng.randint(1, 3)
         left = ResourceBundle.of({r: rng.randint(1, 5) for r in TYPE_POOL[:split]})
         right = ResourceBundle.of({r: rng.randint(1, 5) for r in TYPE_POOL[split:]})
-        both = ResourceBundle.of({**left.as_dict(), **right.as_dict()})
+        both = ResourceBundle.of({**dict(left.items), **dict(right.items)})
         prices = {r: money(f"{rng.randint(1, 500) / 100:.2f}") for r in TYPE_POOL}
         factor = rng.randint(1, 20)
         merged = total_cost(both, prices, factor)

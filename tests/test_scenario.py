@@ -158,6 +158,28 @@ def test_join_reusing_id_rejected():
         parse_scenario(data)
 
 
+@pytest.mark.parametrize("joining", [False, True], ids=["declared", "joining"])
+@pytest.mark.parametrize(
+    "capacity, prices, missing",
+    [
+        ({"cpu": 4, "gpu": 1}, {"cpu": "2.00"}, "base price"),
+        ({"cpu": 4}, {"cpu": "2.00", "gpu": "1.00"}, "capacity"),
+    ],
+    ids=["unpriced-type", "priced-type-without-capacity"],
+)
+def test_a_provider_sells_exactly_the_types_it_has_capacity_and_a_price_for(joining, capacity, prices, missing):
+    data = minimal_dict()
+    data["resource_types"] = ["cpu", "gpu"]
+    spec = {"id": 1, "capacity": capacity, "base_prices": prices}
+    if joining:
+        data["churn"] = [{"time": 1, "action": "join", "provider": spec}]
+    else:
+        data["providers"].append(spec)
+    where = r"churn\[0\]\.provider" if joining else r"providers\[1\]"
+    with pytest.raises(ScenarioError, match=rf"^scenario\.{where}: provider 1 has no {missing} for type 'gpu'$"):
+        parse_scenario(data)
+
+
 def test_unknown_delay_agent_rejected():
     data = minimal_dict()
     data["delays"] = [{"a": "broker:0", "b": "provider:5", "delay": 1}]
@@ -423,7 +445,7 @@ def test_a_request_parses_exactly_when_its_fields_are_in_their_domain(start, dea
         assert not valid
         return
     assert valid
-    assert (request.earliest_start, request.deadline, request.budget, request.bundle.as_dict()) == (
+    assert (request.earliest_start, request.deadline, request.budget, dict(request.bundle.items)) == (
         start, deadline, cents, {"cpu": qty}
     )
 

@@ -108,8 +108,7 @@ class ConsumerState:
     task_duration: int                   # run time of the task once confirmed
     phase: ConsumerPhase = IDLE
     rounds: int = 0                      # REJECT_PROPOSALs sent so far
-    accepted_cost: Money | None = None   # quote accepted, pending confirmation
-    paid: Money | None = None            # fixed once the agreement is confirmed
+    accepted_cost: Money | None = None   # the quote accepted; what is paid once confirmed
     serving_broker: AgentId | None = None
 
 
@@ -185,7 +184,6 @@ def consumer_step(state: ConsumerState, msg: Message) -> tuple[ConsumerState, li
         raise _violation(state.id, state.phase, msg)
 
     if perf is CONFIRM and state.phase is AWAITING_CONFIRM:
-        state.paid = state.accepted_cost
         state.phase = RUNNING
         return state, [
             Message(INFORM, msg.conversation, state.id, msg.sender, payload=InformPayload())
@@ -198,7 +196,7 @@ def consumer_complete(state: ConsumerState, on_time: bool) -> list[Message]:
     """Finish the task: grade the outcome and report it to the serving broker."""
     if state.phase is not RUNNING:
         raise ProtocolError(f"{state.id} cannot complete a task in phase {state.phase.value}")
-    utility = compute_utility(state.request.budget, state.paid, on_time, state.scenario.pricing)
+    utility = compute_utility(state.request.budget, state.accepted_cost, on_time, state.scenario.pricing)
     state.phase = DONE
     return [
         Message(
@@ -381,13 +379,12 @@ def _purge(state: BrokerState, pid: AgentId) -> None:
 def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
     entry = state.contact_list.get(pid)
     if entry is None:
-        return
+        return  # a refresh dropped the provider while its refusal was in flight
     prices = dict(entry.prices)
-    for rtype, ratio in sorted(ratios):
-        if rtype in prices:
-            prices[rtype] = expected_unit_price(
-                prices[rtype], ratio, 1.0, state.scenario.pricing.demand_sensitivity
-            )
+    for rtype, ratio in ratios:  # the refused bundle's types, in order; the entry prices each
+        prices[rtype] = expected_unit_price(
+            prices[rtype], ratio, 1.0, state.scenario.pricing.demand_sensitivity
+        )
     _replace_entry(state, entry._replace(prices=prices))
 
 
@@ -645,15 +642,11 @@ def allocate(
 
     Returns the held reservation, or None when the window cannot take the
     bundle. On success the per-type demand counters grow by the held quantities.
+    A repeated CFP comes after its hold here lapsed: the entry it overwrites commits nothing.
     """
     for rtype, qty in bundle.items:
         if _peak_committed(state, rtype, start, end) + qty > state.capacity[rtype]:
             return None
-    # the entry a repeated CFP replaces was counted in the fit check above,
-    # but stops counting once it leaves the ledger
-    replaced = state.ledger.get(conversation)
-    if replaced is not None and replaced.status is not RELEASED:
-        _uncommit(state, replaced)
     res = Reservation(conversation, bundle, start, end, consumer, HELD, cost)
     state.ledger[conversation] = res
     for rtype, leg in _legs(res):

@@ -100,26 +100,24 @@ def compute_metrics(result: RunResult) -> MetricsReport:
     else:
         std = 0.0
 
-    paid_values = [m.consumer.paid for m in done if m.consumer.paid is not None]
+    paid_values = [m.consumer.accepted_cost for m in done]
     mean_paid = round(Fraction(sum(paid_values), len(paid_values))) if paid_values else 0
 
     violations = 0
     for m in done:
-        paid = m.consumer.paid
-        if m.snapshot is None or paid is None:
+        if m.snapshot is None:  # a run cut at its event budget with the feedback still in flight
             violations += 1
             continue
         minimum = oracle_min_cost(m.snapshot, m.consumer.request)
-        if minimum is None or paid != minimum:
+        if minimum is None or m.consumer.accepted_cost != minimum:
             violations += 1
 
     gaps = []
     for m in done:
-        paid = m.consumer.paid
         cheapest = cheapest_feasible(result, m)
-        if cheapest is None or cheapest <= 0 or paid is None:
+        if cheapest is None or cheapest <= 0:
             continue
-        gaps.append(float(Decimal(paid - cheapest) / cheapest))
+        gaps.append(float(Decimal(m.consumer.accepted_cost - cheapest) / cheapest))
     gap = sum(gaps) / len(gaps) if gaps else 0.0
 
     counts: dict[str, int] = {}

@@ -109,8 +109,8 @@ def self_organize(
 ) -> SelfOrganizeResult:
     """Resolve a local failure situation: migrate the request or give up.
 
-    Within the hop budget, delegates to the selected neighbor with the hop
-    count bumped and this broker recorded as visited; otherwise reports
+    Within the hop budget, delegates to the selected neighbor with this
+    broker recorded as visited, which counts the hop; otherwise reports
     FAILURE to the consumer. Either way the conversation leaves this broker.
     """
     target = None
@@ -137,7 +137,6 @@ def self_organize(
         deadline=req.deadline,
         budget=req.budget,
         source=req.source,
-        migrations=req.migrations + 1,
         visited=req.visited | {self_id},
     )
     cfp = Message(

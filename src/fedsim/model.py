@@ -162,8 +162,12 @@ class Request:
     deadline: int
     budget: Money
     source: AgentId
-    migrations: int = 0
     visited: frozenset[AgentId] = frozenset()  # the brokers it has left, stamped by each hop
+
+    @property
+    def migrations(self) -> int:
+        """Hops so far: each adds the broker it leaves, and none returns to a visited one."""
+        return len(self.visited)
 
     @cached_property
     def digest(self) -> str:

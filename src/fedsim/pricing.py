@@ -1,4 +1,7 @@
-"""Cost arithmetic, demand-driven pricing, consumer utility, and provider grading."""
+"""Cost arithmetic, demand-driven pricing, consumer utility, and provider grading.
+
+Arguments are not checked again here: the parser checks each scenario fact once.
+"""
 
 from __future__ import annotations
 
@@ -16,18 +19,9 @@ from .model import (
     Request,
     ResourceBundle,
     ResourceType,
-    format_money,
 )
 
 PriceTable = Mapping[ResourceType, Money]
-
-
-class MissingPriceError(DomainError):
-    """A bundle names a resource type absent from the price table."""
-
-    def __init__(self, rtype: ResourceType):
-        super().__init__(f"no unit price for resource type {rtype!r}")
-        self.rtype = rtype
 
 
 @dataclass(frozen=True)
@@ -57,12 +51,8 @@ def lease_factor(req: Request) -> int:
 
 def total_cost(bundle: ResourceBundle, prices: PriceTable, factor: int) -> Money:
     """Sum of quantity x unit cost over the bundle, times the factor: exact, in cents."""
-    if factor <= 0:
-        raise DomainError(f"cost factor must be > 0, got {factor}")
     acc = 0
     for rtype, qty in bundle.items:
-        if rtype not in prices:
-            raise MissingPriceError(rtype)
         acc += qty * prices[rtype]
     return acc * factor
 
@@ -80,12 +70,6 @@ def expected_unit_price(base: Money, demand: float, capacity: float, sensitivity
     The markup is taken exactly as its float's decimal text, and the price
     rounded half-even to the cent: the one rounding in a run.
     """
-    if capacity <= 0:
-        raise DomainError(f"capacity must be > 0, got {capacity}")
-    if demand < 0:
-        raise DomainError(f"demand must be >= 0, got {demand}")
-    if sensitivity < 0:
-        raise DomainError(f"sensitivity must be >= 0, got {sensitivity}")
     num, den = _exact(1.0 + sensitivity * (demand / capacity))
     price, rest = divmod(base * num, den)
     if 2 * rest > den or (2 * rest == den and price % 2):
@@ -95,10 +79,6 @@ def expected_unit_price(base: Money, demand: float, capacity: float, sensitivity
 
 def compute_utility(budget: Money, paid: Money, on_time: bool, params: PricingParams) -> float:
     """Consumer satisfaction in [0, 1]: weighted savings share plus timeliness."""
-    if budget <= 0:
-        raise DomainError(f"budget must be > 0, got {format_money(budget)}")
-    if paid < 0:
-        raise DomainError(f"paid must be >= 0, got {format_money(paid)}")
     saved = max(0, budget - paid)
     weight = params.cost_weight
     value = weight * float(Decimal(saved) / budget) + (1.0 - weight) * (1.0 if on_time else 0.0)
@@ -107,12 +87,6 @@ def compute_utility(budget: Money, paid: Money, on_time: bool, params: PricingPa
 
 def update_grade(old: float, feedback: float, smoothing: float) -> float:
     """Blend fresh feedback into a provider grade: (1-s) x old + s x feedback."""
-    if not 0 <= old <= 1:
-        raise DomainError(f"grade must be in [0, 1], got {old}")
-    if not 0 <= feedback <= 1:
-        raise DomainError(f"feedback must be in [0, 1], got {feedback}")
-    if not 0 < smoothing <= 1:
-        raise DomainError(f"smoothing must be in (0, 1], got {smoothing}")
     new = (1.0 - smoothing) * old + smoothing * feedback
     if not 0.0 <= new <= 1.0:  # a convex combination: clamping is never needed
         raise InvariantError(f"grade update left [0, 1]: {new}")

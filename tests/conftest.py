@@ -20,6 +20,7 @@ from test_broker_selection import SelectionOracle
 from test_commitment_index import IndexChecks
 from test_kernel_caches import checked_run
 from test_migration import DirectionOracle
+from test_pricing import PricingPremises
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +31,9 @@ def fuzz_batch():
     and what every collection from just before the run to then freed.
     """
     directions = DirectionOracle(migration.select_direction)
-    batch = SimpleNamespace(runs=[], index=IndexChecks(), directions=directions, garbage=[])
+    batch = SimpleNamespace(
+        runs=[], index=IndexChecks(), pricing=PricingPremises(), directions=directions, garbage=[]
+    )
     started = time.monotonic()
     try:
         for i, data in enumerate(fuzz_batch_scenarios()):
@@ -41,6 +44,7 @@ def fuzz_batch():
             collected = cycles_collected()
             with pytest.MonkeyPatch.context() as patch:
                 batch.index.attach(patch)
+                batch.pricing.attach(patch)
                 patch.setattr(migration, "select_direction", batch.directions)
                 patch.setattr(agents, "_advance", selection.advance(agents._advance))
                 patch.setattr(engine, "broker_step", selection.broker_step(agents.broker_step))

@@ -54,7 +54,6 @@ def request(
     start: int = 0,
     end: int = 10,
     budget="100.00",
-    migrations: int = 0,
     visited=(),
     **quantities,
 ) -> Request:
@@ -65,7 +64,6 @@ def request(
         deadline=end,
         budget=money(budget),
         source=broker(src),
-        migrations=migrations,
         visited=frozenset(visited),
     )
 

@@ -155,7 +155,7 @@ def test_criterion_7_local_cost_optimality(fuzz_batch):
         gaps.append(report.global_optimality_gap)
         for meta in result.conversations.values():
             if meta.consumer.phase is ConsumerPhase.DONE:
-                assert meta.consumer.paid == oracle_min_cost(meta.snapshot, meta.consumer.request)
+                assert meta.consumer.accepted_cost == oracle_min_cost(meta.snapshot, meta.consumer.request)
     mean_gap = sum(gaps) / len(gaps)
     print(
         "\nPASS criterion 7: local cost optimality exact on "

@@ -133,7 +133,7 @@ def test_consumer_agrees_to_matching_agreement_then_confirms():
     assert ack.performative is Performative.INFORM
     assert ack.receiver == provider(1)
     assert state.phase is ConsumerPhase.RUNNING
-    assert state.paid == money("9.00")
+    assert state.accepted_cost == money("9.00")
 
 
 def test_consumer_refuses_mismatched_agreement_terms():
@@ -380,9 +380,10 @@ def test_allocate_simple_fit_and_overflow():
 def test_allocate_matches_tick_scan_oracle():
     # every allocation, not just a final probe, is checked against the
     # per-tick scan of the ledger as it stood before the call, so capacity
-    # that a release or a replacement should have freed shows up as a refusal
+    # that a release should have freed shows up as a refusal; as in a run,
+    # a conversation is allocated again only after its entry was released
     rng = random.Random(99)
-    replaced = {"active": 0, "released": 0}
+    replaced = 0
     for _ in range(150):
         state = make_provider(capacity={"cpu": rng.randint(2, 6), "storage": rng.randint(2, 6)})
         state.base_prices["storage"] = money("1.00")
@@ -396,7 +397,8 @@ def test_allocate_matches_tick_scan_oracle():
             b = ResourceBundle.of(
                 {r: rng.randint(1, 3) for r in rng.sample(("cpu", "storage"), rng.randint(1, 2))}
             )
-            conv = f"c:{rng.randrange(i)}" if i and rng.random() < 0.3 else f"c:{i}"
+            released = [c for c, r in state.ledger.items() if r.status is ReservationStatus.RELEASED]
+            conv = rng.choice(released) if released and rng.random() < 0.3 else f"c:{i}"
             before = state.ledger.get(conv)
             ledger = list(state.ledger.values())
             expected = tick_scan_feasible(ledger, b, start, end, state.capacity)
@@ -405,27 +407,13 @@ def test_allocate_matches_tick_scan_oracle():
             if res is None:
                 assert state.ledger.get(conv) is before
                 continue
-            if before is not None:
-                released = before.status is ReservationStatus.RELEASED
-                replaced["released" if released else "active"] += 1
+            replaced += before is not None
             roll = rng.random()
             if roll < 0.3:
                 release_hold(state, conv)
             elif roll < 0.6:
                 res.status = ReservationStatus.CONFIRMED
-    assert replaced["active"] > 50 and replaced["released"] > 20
-
-
-def test_allocate_replacing_an_active_entry_frees_its_window():
-    state = make_provider(capacity={"cpu": 4})
-    first = allocate(state, bundle(cpu=4), 0, 10, "c:a", consumer(0), money("1.00"))
-    # the entry being replaced still counts while the new window is checked
-    assert allocate(state, bundle(cpu=1), 5, 15, "c:a", consumer(0), money("1.00")) is None
-    assert state.ledger["c:a"] is first
-    assert allocate(state, bundle(cpu=4), 10, 20, "c:a", consumer(0), money("1.00")) is not None
-    # once replaced it no longer holds [0, 10)
-    assert allocate(state, bundle(cpu=4), 0, 10, "c:b", consumer(1), money("1.00")) is not None
-    assert allocate(state, bundle(cpu=1), 9, 11, "c:c", consumer(2), money("1.00")) is None
+    assert replaced > 50
 
 
 def test_finish_lease_releases_demand_but_keeps_ledger():

@@ -4,9 +4,14 @@ The index must hold, per resource type and in sorted order, exactly one
 (end, start, qty, conversation) leg for every held or confirmed reservation
 in the ledger. It is checked after every provider delivery, hold expiry and
 churn event of the session's shared fuzz batch and of a long-lease run.
-The kernel never sends a conversation's CFP to a provider that already has
-a ledger entry for it, so replacing an entry is driven directly through
-`provider_step` as well.
+A conversation's CFP reaches a provider again only after its hold there
+lapsed (its broker's CONFIRM came too late, and the request migrated to a
+broker that sees the same provider), so the entry the CFP overwrites is
+always released. A two-broker run shows that overwrite, and replacing
+released entries is also driven directly through `provider_step`.
+
+The same wrappers check the parser's churn rules as the kernel applies
+them: a leave names a live provider, and a join a new id.
 
 Each CFP a provider handles in those runs names only types the provider has
 both a capacity and a base price for: `provider_step` and `allocate` rely on
@@ -15,6 +20,8 @@ it and have no branch for an unknown type.
 
 import random
 from collections import Counter
+
+import pytest
 
 import fedsim.engine as engine
 from fedsim.agents import ProviderState, ReservationStatus, provider_step, release_hold
@@ -27,7 +34,7 @@ from fedsim.model import (
     money,
     provider,
 )
-from fedsim.scenario import parse_scenario
+from fedsim.scenario import LEAVE, ChurnAction, ChurnSpec, parse_scenario
 
 from helpers import long_lease_scenario, request, settings
 
@@ -58,7 +65,10 @@ class IndexChecks:
         if msg.performative is Performative.CFP:
             types = msg.payload.request.bundle.types
             assert types <= state.capacity.keys() and types <= state.base_prices.keys(), (state.id, types)
+            found = state.ledger.get(msg.conversation)
+            assert found is None or found.status is ReservationStatus.RELEASED, (state.id, found)
             self.seen["cfp"] += 1
+            self.seen["cfp_after_lapse"] += found is not None
         out = provider_step(state, msg)
         assert_index_matches(state)
         self.seen["delivery"] += 1
@@ -71,6 +81,10 @@ class IndexChecks:
         return released
 
     def apply_churn(self, world, event):
+        if event.action is LEAVE:
+            assert event.provider in world.registry, event
+        else:
+            assert event.provider not in world.providers, event
         apply_churn(world, event)
         for state in world.providers.values():
             assert_index_matches(state)
@@ -99,9 +113,72 @@ def test_index_matches_the_ledger_over_a_long_lease_run(monkeypatch):
     assert max(len(p.ledger) for p in result.providers.values()) > 80
 
 
+# Broker 0 holds provider 0, but its CONFIRM comes back four default delays
+# later, after the two-tick hold lapsed; the request then migrates to broker 1,
+# which sees the same provider.
+EXPIRED_HOLD = {
+    "resource_types": ["cpu"],
+    "hold_timeout": 2,
+    "brokers": [
+        {"id": 0, "neighbors": [1], "visible_providers": [0]},
+        {"id": 1, "neighbors": [0], "visible_providers": [0]},
+    ],
+    "providers": [{"id": 0, "capacity": {"cpu": 4}, "base_prices": {"cpu": "1.00"}}],
+    "consumers": [
+        {"id": 0, "broker": 0, "issue_time": 0, "earliest_start": 0, "deadline": 10,
+         "budget": "50.00", "bundle": {"cpu": 1}, "task_duration": 2}
+    ],
+}
+
+
+def test_a_cfp_after_a_lapsed_hold_overwrites_the_released_entry(monkeypatch):
+    checks = IndexChecks()
+    checks.attach(monkeypatch)
+    result = run(parse_scenario(EXPIRED_HOLD))
+    assert result.quiescent and result.events_processed == 22
+    cfps = [r.sender for r in result.trace if r.performative == "CFP" and r.receiver == "provider:0"]
+    assert cfps == ["broker:0", "broker:1"]
+    # broker 1's CFP found broker 0's released hold; the index matched after the overwrite
+    assert checks.seen["cfp"] == 2 and checks.seen["cfp_after_lapse"] == 1
+    assert [r.payload for r in result.trace if r.kind == "hold-expiry"] == ["released=yes"] * 2
+
+
+@pytest.mark.parametrize("confirmed", [False, True], ids=["held", "confirmed"])
+def test_index_checks_catch_a_cfp_that_finds_an_active_entry(monkeypatch, confirmed):
+    checks = IndexChecks()
+    checks.attach(monkeypatch)
+    state = ProviderState(provider(0), {"cpu": 4}, {"cpu": money("1.00")}, settings())
+    conv = "consumer:0#0"
+    call = CallPayload(request=request(cpu=1), cost=money(10**6))
+    cfp = Message(Performative.CFP, conv, broker(0), state.id, call)
+    engine.provider_step(state, cfp)
+    if confirmed:
+        engine.provider_step(state, Message(Performative.CONFIRM, conv, broker(0), state.id))
+    with pytest.raises(AssertionError):
+        engine.provider_step(state, cfp._replace(sender=broker(1)))
+    assert checks.seen["cfp"] == 1 and checks.seen["cfp_after_lapse"] == 0
+
+
+@pytest.mark.parametrize(
+    "action", [ChurnAction.LEAVE, ChurnAction.JOIN], ids=["leave of a departed provider", "join of a known id"]
+)
+def test_index_checks_catch_churn_that_breaks_the_parsers_rules(monkeypatch, action):
+    checks = IndexChecks()
+    checks.attach(monkeypatch)
+    scenario = parse_scenario(EXPIRED_HOLD)
+    world = engine._World(scenario)
+    spec = scenario.providers[0]
+    if action is ChurnAction.LEAVE:
+        engine.apply_churn(world, ChurnSpec(time=0, action=action, provider=spec.id))
+    with pytest.raises(AssertionError):
+        engine.apply_churn(world, ChurnSpec(time=1, action=action, provider=spec.id, join=spec))
+    assert checks.seen[action.value] == (action is ChurnAction.LEAVE)
+
+
 def test_index_follows_replaced_and_released_entries():
+    # as in a run, a CFP finds no entry for its conversation or a released one
     rng = random.Random(5)
-    replaced = Counter()
+    replaced = 0
     for _ in range(60):
         state = ProviderState(
             provider(0),
@@ -113,18 +190,17 @@ def test_index_follows_replaced_and_released_entries():
             conv = f"consumer:{rng.randrange(6)}#0"
             before = state.ledger.get(conv)
             roll = rng.random()
-            if roll < 0.6:
+            if roll < 0.6 and (before is None or before.status is ReservationStatus.RELEASED):
                 start = rng.randint(0, 30)
                 types = rng.sample(("cpu", "storage"), rng.randint(1, 2))
                 quantities = {r: rng.randint(1, 3) for r in types}
                 req = request(start=start, end=start + rng.randint(1, 12), **quantities)
                 call = CallPayload(request=req, cost=money(10**6))
                 provider_step(state, Message(Performative.CFP, conv, broker(0), state.id, call))
-                if before is not None and state.ledger[conv] is not before:
-                    replaced[before.status] += 1
+                replaced += before is not None and state.ledger[conv] is not before
             elif roll < 0.75 or roll >= 0.9:
                 release_hold(state, conv)  # a hold expiry or a departure
             elif before is not None and before.status is ReservationStatus.HELD:
                 provider_step(state, Message(Performative.CONFIRM, conv, broker(0), state.id))
             assert_index_matches(state)
-    assert all(replaced[status] > 20 for status in ReservationStatus)
+    assert replaced > 20

@@ -80,7 +80,7 @@ def test_single_path_negotiation_chain():
     ]
     meta = result.conversations["consumer:0#0"]
     assert meta.consumer.phase is ConsumerPhase.DONE
-    assert meta.consumer.paid == money("120.00")
+    assert meta.consumer.accepted_cost == money("120.00")
 
 
 def test_trace_times_and_seqs_strictly_increase():
@@ -102,19 +102,24 @@ def test_migration_scenario_recovers_through_neighbor(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "pick, reason", [(min, "unvisited"), (lambda visited: broker(2), "non-empty")], ids=["sender", "empty"]
+    "pick, reason, ends",
+    [(min, "unvisited", False), (lambda visited: broker(2), "non-empty", True)],
+    ids=["sender", "empty"],
 )
-def test_migration_checks_catch_a_planted_bad_target(monkeypatch, pick, reason):
+def test_migration_checks_catch_a_planted_bad_target(monkeypatch, pick, reason, ends):
     # picked at broker 0, the request's source and so the least broker of its
     # path is broker 0 itself: visited once it hops, and not its own neighbor;
-    # broker 2 is a neighbor that sees no provider
+    # broker 2 is a neighbor that sees no provider. A hop counts the brokers
+    # on the path, so hops back onto it never reach the hop limit: that run
+    # ends at its event budget
     monkeypatch.setattr(
         migration,
         "select_direction",
         lambda req, infos, criteria: pick(req.visited | {req.source}),
     )
-    result, world = checked_run(monkeypatch, load_scenario(SCENARIOS / "migration.json"))
-    assert result.quiescent and world.migrations > 0
+    scenario = replace(load_scenario(SCENARIOS / "migration.json"), event_budget=500)
+    result, world = checked_run(monkeypatch, scenario)
+    assert result.quiescent is ends and world.migrations > 0
     assert len(world.incoherent) >= world.migrations and reason in world.incoherent[0]
 
 

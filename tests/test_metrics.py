@@ -137,6 +137,6 @@ def test_local_optimality_oracle_agrees_on_done_conversations():
     for meta in result.conversations.values():
         if meta.consumer.phase is ConsumerPhase.DONE:
             assert meta.snapshot is not None
-            assert oracle_min_cost(meta.snapshot, meta.consumer.request) == meta.consumer.paid
+            assert oracle_min_cost(meta.snapshot, meta.consumer.request) == meta.consumer.accepted_cost
             cheapest = cheapest_feasible(result, meta)
-            assert cheapest is not None and cheapest <= meta.consumer.paid
+            assert cheapest is not None and cheapest <= meta.consumer.accepted_cost

@@ -229,7 +229,7 @@ def test_select_direction_is_deterministic():
 
 
 def test_hop_limit_forces_failure_message():
-    req = request(cid=3, cpu=1, migrations=2)
+    req = request(cid=3, cpu=1, visited=(broker(2), broker(4)))  # two hops: the limit
     neighbors = [neighbor(1, types=("cpu",))]
     result = self_organize(req, broker(0), neighbors, 2, "consumer:3#0", DEFAULT_CRITERIA)
     assert result.target is None
@@ -240,8 +240,9 @@ def test_hop_limit_forces_failure_message():
 
 
 def test_migration_carries_hop_and_visited():
-    for migrations, visited in [(0, ()), (1, (broker(2),))]:  # a first hop, and a second
-        req = request(cid=3, cpu=1, migrations=migrations, visited=visited)
+    for visited in [(), (broker(2),)]:  # a first hop, and a second
+        req = request(cid=3, cpu=1, visited=visited)
+        migrations = len(visited)
         assert req.digest.endswith(f",migrations={migrations}")  # made before the hop
         neighbors = [neighbor(1, types=("cpu",))]
         result = self_organize(req, broker(0), neighbors, 3, "consumer:3#0", DEFAULT_CRITERIA)
@@ -250,7 +251,7 @@ def test_migration_carries_hop_and_visited():
         assert msg.receiver == result.target == broker(1)
         hopped = msg.payload.request
         # the hop builds its copy field by field; `dataclasses.replace` is the reference
-        assert hopped == replace(req, migrations=migrations + 1, visited=req.visited | {broker(0)})
+        assert hopped == replace(req, visited=req.visited | {broker(0)})
         assert hopped.digest == req.digest.replace(f",migrations={migrations}", f",migrations={migrations + 1}")
 
 

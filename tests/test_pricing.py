@@ -1,13 +1,23 @@
+"""Pricing arithmetic against its oracles, and the argument domains it relies on.
+
+The pricing functions do not check their arguments: the parser checks each
+scenario fact once, and the agents keep to the rest. `PricingPremises`
+wraps every pricing call of `agents` in the session's fuzz batch and
+asserts the domains there.
+"""
+
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fedsim.model import DomainError, ResourceBundle, format_money, money
+import fedsim.agents as agents
+from fedsim.agents import BrokerState, _apply_price_update
+from fedsim.model import DomainError, ResourceBundle, broker, format_money, money, provider
 from fedsim.pricing import (
-    MissingPriceError,
     PricingParams,
     compute_utility,
     expected_unit_price,
@@ -16,7 +26,7 @@ from fedsim.pricing import (
     update_grade,
 )
 
-from helpers import bundle, request, straight_loop_cost, TYPE_POOL
+from helpers import bundle, entry, request, settings, straight_loop_cost, TYPE_POOL
 
 HALF = PricingParams()  # defaults: 0.5 / 0.5 weights, smoothing 0.3
 
@@ -28,17 +38,6 @@ def test_empty_bundle_costs_nothing():
 def test_two_item_bundle_direct_arithmetic():
     prices = {"cpu": money("2.00"), "storage": money("1.50")}
     assert total_cost(bundle(cpu=3, storage=2), prices, 1) == money("9.00")
-
-
-def test_missing_price_names_the_type():
-    with pytest.raises(MissingPriceError) as err:
-        total_cost(bundle(gpu=1), {"cpu": money("2.00")}, 1)
-    assert err.value.rtype == "gpu"
-
-
-def test_non_positive_factor_rejected():
-    with pytest.raises(DomainError):
-        total_cost(bundle(cpu=1), {"cpu": money("2.00")}, 0)
 
 
 def test_random_bundles_match_straight_loop_oracle():
@@ -84,13 +83,6 @@ def test_expected_price_zero_demand_is_identity():
 
 def test_expected_price_at_full_demand_doubles():
     assert expected_unit_price(money("2.00"), 4.0, 4.0, 1.0) == money("4.00")
-
-
-def test_expected_price_rejects_bad_domain():
-    with pytest.raises(DomainError):
-        expected_unit_price(money("2.00"), 1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        expected_unit_price(money("2.00"), -1.0, 4.0, 1.0)
 
 
 def test_expected_price_sweep_matches_formula_oracle():
@@ -167,11 +159,6 @@ def test_a_cost_past_28_digits_is_exact():
     assert format_money(cost) == "51" + "0" * 24 + "10.50"
 
 
-def test_utility_rejects_non_positive_budget():
-    with pytest.raises(DomainError):
-        compute_utility(money("0.00"), money("0.00"), True, HALF)
-
-
 def test_grade_update_direct_arithmetic():
     assert update_grade(0.5, 1.0, 0.3) == pytest.approx(0.65)
 
@@ -201,15 +188,6 @@ def test_grade_stays_in_unit_interval(old, feedback, smoothing):
     assert 0.0 <= update_grade(old, feedback, smoothing) <= 1.0
 
 
-def test_grade_update_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        update_grade(1.2, 0.5, 0.3)
-    with pytest.raises(DomainError):
-        update_grade(0.5, -0.1, 0.3)
-    with pytest.raises(DomainError):
-        update_grade(0.5, 0.5, 0.0)
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
         PricingParams(demand_sensitivity=-0.1)
@@ -225,3 +203,93 @@ def test_params_validation():
 def test_params_reject_non_finite(field, value):
     with pytest.raises(DomainError, match=field):
         PricingParams(**{field: value})
+
+
+class PricingPremises:
+    """Wrappers for the pricing calls of `agents` that assert each call's domain and count it."""
+
+    def __init__(self):
+        self.seen = Counter()
+
+    def total_cost(self, bundle, prices, factor):
+        assert factor > 0 and bundle.types <= prices.keys(), (bundle, prices, factor)
+        self.seen["total_cost"] += 1
+        return total_cost(bundle, prices, factor)
+
+    def expected_unit_price(self, base, demand, capacity, sensitivity):
+        assert capacity > 0 and demand >= 0 and sensitivity >= 0, (demand, capacity, sensitivity)
+        self.seen["expected_unit_price"] += 1
+        return expected_unit_price(base, demand, capacity, sensitivity)
+
+    def compute_utility(self, budget, paid, on_time, params):
+        assert budget > 0 and paid >= 0, (budget, paid)
+        self.seen["compute_utility"] += 1
+        return compute_utility(budget, paid, on_time, params)
+
+    def update_grade(self, old, feedback, smoothing):
+        assert 0 <= old <= 1 and 0 <= feedback <= 1 and 0 < smoothing <= 1, (old, feedback, smoothing)
+        self.seen["update_grade"] += 1
+        return update_grade(old, feedback, smoothing)
+
+    def apply_price_update(self, state, pid, ratios):
+        # a provider's refusal lists its bundle's types in order, and the
+        # broker's entry, when a refresh has not dropped it, prices each
+        assert list(ratios) == sorted(ratios), ratios
+        entry = state.contact_list.get(pid)
+        if entry is not None:
+            assert {rtype for rtype, _ in ratios} <= entry.prices.keys(), (ratios, entry)
+            self.seen["ratio_types"] += len(ratios)
+        return _apply_price_update(state, pid, ratios)
+
+    def attach(self, patch):
+        for name in ("total_cost", "expected_unit_price", "compute_utility", "update_grade"):
+            patch.setattr(agents, name, getattr(self, name))
+        patch.setattr(agents, "_apply_price_update", self.apply_price_update)
+
+
+def test_pricing_arguments_stay_in_domain_over_the_fuzz_batch(fuzz_batch):
+    seen = fuzz_batch.pricing.seen
+    assert seen["total_cost"] > 14_000 and seen["expected_unit_price"] > 8_000
+    assert seen["compute_utility"] > 1_000 and seen["update_grade"] > 2_000
+    assert seen["ratio_types"] > 3_000
+
+
+def _priced_broker():
+    contacts = {e.provider: e for e in [entry(0, cpu="2.00", storage="1.00")]}
+    return BrokerState(id=broker(0), contact_list=contacts, neighbors=(), scenario=settings())
+
+
+# the domains the pricing functions no longer check, one case each; the
+# premises must catch every one of them before the call
+OUT_OF_DOMAIN = {
+    "factor": lambda p: p.total_cost(bundle(cpu=1), {"cpu": money("2.00")}, 0),
+    "unpriced bundle type": lambda p: p.total_cost(bundle(gpu=1), {"cpu": money("2.00")}, 1),
+    "capacity": lambda p: p.expected_unit_price(money("2.00"), 1.0, 0.0, 1.0),
+    "demand": lambda p: p.expected_unit_price(money("2.00"), -1.0, 4.0, 1.0),
+    "sensitivity": lambda p: p.expected_unit_price(money("2.00"), 1.0, 4.0, -0.1),
+    "budget": lambda p: p.compute_utility(money("0.00"), money("0.00"), True, HALF),
+    "paid": lambda p: p.compute_utility(money("1.00"), money("-0.01"), True, HALF),
+    "grade": lambda p: p.update_grade(1.2, 0.5, 0.3),
+    "feedback": lambda p: p.update_grade(0.5, -0.1, 0.3),
+    "smoothing": lambda p: p.update_grade(0.5, 0.5, 0.0),
+    "unsorted ratios": lambda p: p.apply_price_update(
+        _priced_broker(), provider(0), (("storage", 0.5), ("cpu", 0.5))
+    ),
+    "unpriced ratio type": lambda p: p.apply_price_update(_priced_broker(), provider(0), (("gpu", 0.5),)),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
+def test_pricing_premises_catch_an_out_of_domain_call(call):
+    premises = PricingPremises()
+    with pytest.raises(AssertionError):
+        call(premises)
+    assert not premises.seen
+
+
+def test_pricing_premises_pass_a_refusal_for_a_dropped_provider():
+    # `_apply_price_update` returns early when a refresh dropped the provider
+    premises = PricingPremises()
+    state = _priced_broker()
+    premises.apply_price_update(state, provider(1), (("gpu", 0.5),))
+    assert list(state.contact_list) == [provider(0)] and not premises.seen

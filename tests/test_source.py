@@ -224,8 +224,8 @@ def test_every_record_field_is_read_by_the_package():
 
 
 def test_only_the_parser_raises_scenario_error():
-    # a ScenarioError says the input file is at fault; past the parser, a broken
-    # scenario fact is a simulator bug and any other bad argument a DomainError
+    # a ScenarioError says the input file is at fault, and the parser checks each
+    # scenario fact once; past it, code trusts those facts and checks none again
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))

@@ -673,10 +673,15 @@ def release_hold(state: ProviderState, conversation: str) -> bool:
 
 
 def finish_lease(state: ProviderState, conversation: str) -> None:
-    """Task completed: the commitment stops counting toward demand pressure."""
+    """Task completed: the commitment stops counting toward demand pressure.
+
+    The kernel schedules the completion only from the provider's CONFIRM, and
+    nothing releases or replaces a confirmed entry after it.
+    """
     res = state.ledger.get(conversation)
-    if res is not None and res.status is CONFIRMED:
-        _release_demand(state, res.bundle)
+    if res is None or res.status is not CONFIRMED:
+        raise InvariantError(f"{state.id} has no confirmed reservation for {conversation} to finish")
+    _release_demand(state, res.bundle)
 
 
 def _refuse(state: ProviderState, msg: Message, reason: RefuseReason, bundle: ResourceBundle) -> Message:

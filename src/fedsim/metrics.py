@@ -48,25 +48,25 @@ def oracle_min_cost(snapshot, request) -> Money | None:
     return min(costs) if costs else None
 
 
-def cheapest_feasible(result: RunResult, meta) -> Money | None:
-    """Federation-wide cheapest provider for the request at issue time.
+def cheapest_base_cost(result: RunResult, bundle, live_at_issue) -> Money | None:
+    """Federation-wide cheapest cost of `bundle`, at lease factor 1, among `live_at_issue`.
 
     Feasible means: live at issue, prices every bundle type, and the bundle
-    fits the provider's raw capacity. Base prices are used, so this is the
-    frictionless lower bound the gap is measured against.
+    fits the provider's raw capacity. Base prices are used, so this times a
+    request's lease factor is the frictionless lower bound the gap is
+    measured against: every cost is an integer sum times the factor, which
+    is at least 1, so the cheapest sum gives the cheapest cost.
     """
-    request = meta.consumer.request
-    factor = lease_factor(request)
     best: Money | None = None
-    for pid in meta.live_at_issue:
+    for pid in live_at_issue:
         provider = result.providers[pid]
         ok = all(
             rtype in provider.base_prices and qty <= provider.capacity[rtype]
-            for rtype, qty in request.bundle.items
+            for rtype, qty in bundle.items
         )
         if not ok:
             continue
-        cost = total_cost(request.bundle, provider.base_prices, factor)
+        cost = total_cost(bundle, provider.base_prices, 1)
         if best is None or cost < best:
             best = cost
     return best
@@ -113,10 +113,16 @@ def compute_metrics(result: RunResult) -> MetricsReport:
             violations += 1
 
     gaps = []
+    cheapest_base = {}  # (bundle, live_at_issue) -> cheapest_base_cost, found once per key
     for m in done:
-        cheapest = cheapest_feasible(result, m)
-        if cheapest is None or cheapest <= 0:
+        request = m.consumer.request
+        key = (request.bundle, m.live_at_issue)
+        if key not in cheapest_base:
+            cheapest_base[key] = cheapest_base_cost(result, *key)
+        base = cheapest_base[key]
+        if base is None or base <= 0:
             continue
+        cheapest = base * lease_factor(request)
         gaps.append(float(Decimal(m.consumer.accepted_cost - cheapest) / cheapest))
     gap = sum(gaps) / len(gaps) if gaps else 0.0
 

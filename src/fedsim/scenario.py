@@ -277,40 +277,78 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
                 edge = f"{spec.id.index} -> {nid.index}"
                 raise ScenarioError(f"{where}.brokers: neighbor edge {edge} is not symmetric")
 
-    # consumers
+    # consumers, the bulk of a large file: each field gets one inline test that
+    # every plain valid value passes. A value that fails it goes to the field's
+    # general reader, which raises its first error (or returns a value only
+    # that reader accepts), so location text is formatted only on that path.
+    # Equal bundles share one ResourceBundle; a source is its broker spec's id.
     raw_consumers = data.get("consumers", [])
     if not isinstance(raw_consumers, list):
         raise ScenarioError(f"{where}.consumers: expected a list")
     consumers: list[ConsumerSpec] = []
     consumer_ids: set[int] = set()
+    sources = {bid.index: bid for bid in brokers}
+    bundles: dict[tuple[tuple[str, int], ...], ResourceBundle] = {}
+    at = f"{where}.consumers"
     for i, raw in enumerate(raw_consumers):
-        loc = f"{where}.consumers[{i}]"
-        cid = _int_field(raw, "id", loc, minimum=0)
+        if not isinstance(raw, dict):
+            _require(raw, "id", f"{at}[{i}]")  # raises: an entry is an object
+        cid = raw.get("id")
+        if type(cid) is not int or cid < 0:
+            cid = _int_field(raw, "id", f"{at}[{i}]", minimum=0)
         if cid in consumer_ids:
-            raise ScenarioError(f"{loc}: duplicate consumer id {cid}")
+            raise ScenarioError(f"{at}[{i}]: duplicate consumer id {cid}")
         consumer_ids.add(cid)
-        home = _int_field(raw, "broker", loc)
-        if home not in broker_ids:
-            raise ScenarioError(f"{loc}.broker: broker {home!r} is not declared")
-        issue_time = _int_field(raw, "issue_time", loc, minimum=0)
-        start = _int_field(raw, "earliest_start", loc, minimum=0)
-        deadline = _int_field(raw, "deadline", loc, minimum=0)
-        budget = _money(_require(raw, "budget", loc), f"{loc}.budget")
-        bundle = _type_map(_require(raw, "bundle", loc), f"{loc}.bundle", type_set, "quantity", _quantity)
-        task_duration = _int_field(raw, "task_duration", loc, minimum=1)
+        home = raw.get("broker")
+        if type(home) is not int:
+            home = _int_field(raw, "broker", f"{at}[{i}]")
+        source = sources.get(home)
+        if source is None:
+            raise ScenarioError(f"{at}[{i}].broker: broker {home!r} is not declared")
+        issue_time = raw.get("issue_time")
+        if type(issue_time) is not int or issue_time < 0:
+            issue_time = _int_field(raw, "issue_time", f"{at}[{i}]", minimum=0)
+        start = raw.get("earliest_start")
+        if type(start) is not int or start < 0:
+            start = _int_field(raw, "earliest_start", f"{at}[{i}]", minimum=0)
+        deadline = raw.get("deadline")
+        if type(deadline) is not int or deadline < 0:
+            deadline = _int_field(raw, "deadline", f"{at}[{i}]", minimum=0)
+        try:
+            budget = money(raw.get("budget"))
+        except DomainError:  # money(None) fails too, so a missing budget lands here
+            budget = _money(_require(raw, "budget", f"{at}[{i}]"), f"{at}[{i}].budget")
+        quantities = raw.get("bundle")
+        items = None
+        if type(quantities) is dict and quantities and quantities.keys() <= type_set:
+            items = tuple(sorted(quantities.items()))
+            for _, qty in items:
+                if type(qty) is not int or qty <= 0:
+                    items = None
+                    break
+        if items is None:
+            items = _type_map(
+                _require(raw, "bundle", f"{at}[{i}]"), f"{at}[{i}].bundle", type_set, "quantity", _quantity
+            )
+        bundle = bundles.get(items)
+        if bundle is None:
+            bundle = bundles[items] = ResourceBundle(items)
+        task_duration = raw.get("task_duration")
+        if type(task_duration) is not int or task_duration < 1:
+            task_duration = _int_field(raw, "task_duration", f"{at}[{i}]", minimum=1)
         if deadline <= start:
             raise ScenarioError(
-                f"{loc}: deadline-before-start: deadline {deadline} must be after earliest start {start}"
+                f"{at}[{i}]: deadline-before-start: deadline {deadline} must be after earliest start {start}"
             )
         if budget <= 0:  # utility is the share of the budget saved
-            raise ScenarioError(f"{loc}.budget: must be > 0, got {format_money(budget)}")
+            raise ScenarioError(f"{at}[{i}].budget: must be > 0, got {format_money(budget)}")
         request = Request(
             consumer=consumer(cid),
             earliest_start=start,
             deadline=deadline,
             budget=budget,
-            bundle=ResourceBundle(bundle),
-            source=broker(home),
+            bundle=bundle,
+            source=source,
         )
         consumers.append(ConsumerSpec(request, issue_time, task_duration))
 
@@ -351,11 +389,12 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
     raw_delays = data.get("delays", [])
     if not isinstance(raw_delays, list):
         raise ScenarioError(f"{where}.delays: expected a list")
-    known_agents = (
-        {broker(b) for b in broker_ids}
-        | {provider(p) for p in all_provider_ids}
-        | {consumer(c) for c in consumer_ids}
-    )
+    # each endpoint is checked against the declared indices of its kind
+    declared = {
+        AgentKind.BROKER: broker_ids,
+        AgentKind.PROVIDER: all_provider_ids,
+        AgentKind.CONSUMER: consumer_ids,
+    }
     delays: dict[tuple[AgentId, AgentId], int] = {}
     given: dict[frozenset[AgentId], int] = {}  # each pair, either way round, to its entry
     for i, raw in enumerate(raw_delays):
@@ -365,9 +404,9 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             b = AgentId.parse(str(_require(raw, "b", loc)))
         except ValidationError as exc:
             raise ScenarioError(f"{loc}: {exc}") from None
-        if a not in known_agents or b not in known_agents:
-            missing = a if a not in known_agents else b
-            raise ScenarioError(f"{loc}: agent {missing} is not declared")
+        for end in (a, b):
+            if end.index not in declared[end.kind]:
+                raise ScenarioError(f"{loc}: agent {end} is not declared")
         first = given.setdefault(frozenset((a, b)), i)
         if first != i:
             raise ScenarioError(f"{loc}: pair {a}, {b} already given in delays[{first}]")

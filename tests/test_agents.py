@@ -425,6 +425,15 @@ def test_finish_lease_releases_demand_but_keeps_ledger():
     assert state.ledger["consumer:0#0"].status is ReservationStatus.CONFIRMED
 
 
+def test_finishing_a_lease_without_a_confirmed_reservation_is_an_invariant_error():
+    state = make_provider()
+    with pytest.raises(InvariantError, match="no confirmed reservation for consumer:0#0"):
+        finish_lease(state, "consumer:0#0")  # no ledger entry
+    provider_step(state, cfp_to_provider("4.00"))  # held, not confirmed
+    with pytest.raises(InvariantError, match="no confirmed reservation for consumer:0#0"):
+        finish_lease(state, "consumer:0#0")
+
+
 # --- broker -----------------------------------------------------------------
 
 

@@ -11,7 +11,9 @@ always released. A two-broker run shows that overwrite, and replacing
 released entries is also driven directly through `provider_step`.
 
 The same wrappers check the parser's churn rules as the kernel applies
-them: a leave names a live provider, and a join a new id.
+them: a leave names a live provider, and a join a new id. They also check
+that each task completion finds its reservation confirmed, which
+`finish_lease` requires.
 
 Each CFP a provider handles in those runs names only types the provider has
 both a capacity and a base price for: `provider_step` and `allocate` rely on
@@ -24,7 +26,7 @@ from collections import Counter
 import pytest
 
 import fedsim.engine as engine
-from fedsim.agents import ProviderState, ReservationStatus, provider_step, release_hold
+from fedsim.agents import ProviderState, ReservationStatus, finish_lease, provider_step, release_hold
 from fedsim.engine import apply_churn, run
 from fedsim.model import (
     CallPayload,
@@ -90,10 +92,17 @@ class IndexChecks:
             assert_index_matches(state)
         self.seen[event.action.value] += 1
 
+    def finish_lease(self, state, conversation):
+        found = state.ledger.get(conversation)
+        assert found is not None and found.status is ReservationStatus.CONFIRMED, (state.id, found)
+        finish_lease(state, conversation)
+        self.seen["finish_lease"] += 1
+
     def attach(self, patch):
         patch.setattr(engine, "provider_step", self.provider_step)
         patch.setattr(engine, "release_hold", self.release_hold)
         patch.setattr(engine, "apply_churn", self.apply_churn)
+        patch.setattr(engine, "finish_lease", self.finish_lease)
 
 
 def test_index_matches_the_ledger_over_the_fuzz_batch(fuzz_batch):
@@ -102,6 +111,7 @@ def test_index_matches_the_ledger_over_the_fuzz_batch(fuzz_batch):
     assert checks.seen["delivery"] > 5_000 and checks.seen["release"] > 20
     assert checks.seen["cfp"] > 3_000
     assert checks.seen["leave"] > 10 and checks.seen["join"] > 10
+    assert checks.seen["finish_lease"] > 1_900  # each found its entry confirmed
 
 
 def test_index_matches_the_ledger_over_a_long_lease_run(monkeypatch):

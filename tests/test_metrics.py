@@ -5,7 +5,7 @@ import pytest
 from fedsim.agents import ConsumerPhase
 from fedsim.engine import run
 from fedsim.metrics import (
-    cheapest_feasible,
+    cheapest_base_cost,
     compute_metrics,
     emit_report,
     oracle_min_cost,
@@ -14,6 +14,7 @@ from fedsim.metrics import (
     render_tabular,
 )
 from fedsim.model import DomainError, money
+from fedsim.pricing import lease_factor
 from fedsim.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -138,5 +139,6 @@ def test_local_optimality_oracle_agrees_on_done_conversations():
         if meta.consumer.phase is ConsumerPhase.DONE:
             assert meta.snapshot is not None
             assert oracle_min_cost(meta.snapshot, meta.consumer.request) == meta.consumer.accepted_cost
-            cheapest = cheapest_feasible(result, meta)
-            assert cheapest is not None and cheapest <= meta.consumer.accepted_cost
+            request = meta.consumer.request
+            cheapest = cheapest_base_cost(result, request.bundle, meta.live_at_issue)
+            assert cheapest is not None and cheapest * lease_factor(request) <= meta.consumer.accepted_cost

@@ -74,6 +74,23 @@ def test_specs_hold_the_agent_ids_and_the_request_the_run_uses():
             assert world.consumers[spec.request.consumer].request is spec.request
 
 
+def test_equal_bundles_and_home_brokers_are_shared_objects():
+    data = fuzz_scenario(random.Random(7), 5, 15, 30, 5)
+    one, two = sorted(data["resource_types"])[:2]
+    for entry in data["consumers"][::2]:  # one bundle, written in either key order
+        entry["bundle"] = {two: 2, one: 1} if entry["id"] % 4 else {one: 1, two: 2}
+    scn = parse_scenario(data)
+    first = {}  # each distinct bundle to the first object that holds it
+    for spec in scn.consumers:
+        bundle = spec.request.bundle
+        assert first.setdefault(bundle.items, bundle) is bundle
+    shared = first[(one, 1), (two, 2)]
+    assert sum(spec.request.bundle is shared for spec in scn.consumers) >= 15
+    own_id = {spec.id: spec.id for spec in scn.brokers}
+    for spec in scn.consumers:
+        assert spec.request.source is own_id[spec.request.source]
+
+
 def test_bundled_scenarios_all_load():
     for name in ("minimal.json", "migration.json", "churn.json"):
         load_scenario(SCENARIOS / name)
@@ -272,14 +289,55 @@ def test_an_invalid_optional_integer_is_a_scenario_error_naming_it(key, value, m
         parse_scenario({**minimal_dict(), key: value})
 
 
+DELETE = object()  # a HOSTILE value that removes the field instead
+
+
 def _set(data, path, value):
     for key in path[:-1]:
         data = data[key]
-    data[path[-1]] = value
+    if value is DELETE:
+        del data[path[-1]]
+    else:
+        data[path[-1]] = value
+
+
+def _consumer_error(field, value, message, id):
+    """A HOSTILE row for one field of consumers[0]; `message` follows `scenario.consumers[0]`."""
+    return pytest.param(("consumers", 0, field), value, rf"^scenario\.consumers\[0\]{message}$", id=id)
 
 
 # (path into minimal_dict(), value put there, pattern the error must match)
 HOSTILE = [
+    # every check of a consumer entry, in the order the parser makes them
+    _consumer_error("id", DELETE, r": missing required field 'id'", "consumer-id-missing"),
+    _consumer_error("id", True, r"\.id: expected an integer, got True", "consumer-id-bool"),
+    _consumer_error("id", -1, r"\.id: must be >= 0, got -1", "consumer-id-negative"),
+    pytest.param(
+        ("consumers",), minimal_dict()["consumers"] * 2,
+        r"^scenario\.consumers\[1\]: duplicate consumer id 0$",
+        id="consumer-id-duplicate",
+    ),
+    _consumer_error("broker", DELETE, r": missing required field 'broker'", "consumer-broker-missing"),
+    _consumer_error("broker", 7, r"\.broker: broker 7 is not declared", "consumer-broker-undeclared"),
+    _consumer_error("broker", "0", r"\.broker: expected an integer, got '0'", "consumer-broker-string"),
+    _consumer_error("issue_time", -1, r"\.issue_time: must be >= 0, got -1", "consumer-issue-negative"),
+    _consumer_error(
+        "earliest_start", "3", r"\.earliest_start: expected an integer, got '3'", "consumer-start-string"
+    ),
+    _consumer_error("deadline", DELETE, r": missing required field 'deadline'", "consumer-deadline-missing"),
+    _consumer_error("task_duration", 0, r"\.task_duration: must be >= 1, got 0", "consumer-duration-zero"),
+    _consumer_error("budget", DELETE, r": missing required field 'budget'", "consumer-budget-missing"),
+    _consumer_error(
+        "bundle", [1], r"\.bundle: expected a non-empty mapping of resource type to quantity",
+        "consumer-bundle-list",
+    ),
+    _consumer_error(
+        "bundle", {"gpu": 1}, r"\.bundle: resource type 'gpu' is not declared", "consumer-bundle-undeclared"
+    ),
+    _consumer_error(
+        "bundle", {"cpu": True}, r"\.bundle\.cpu: quantity must be a positive integer, got True",
+        "consumer-bundle-bool-quantity",
+    ),
     pytest.param(("brokers",), [5], r"brokers\[0\]: expected an object", id="broker-not-object"),
     pytest.param(
         ("providers",), ["p"],

@@ -9,7 +9,7 @@ accept raises ProtocolError.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Mapping, NamedTuple
@@ -576,10 +576,14 @@ class ProviderState:
     base_prices: dict[ResourceType, Money]
     scenario: Scenario  # the run's settings, read only
     ledger: dict[str, Reservation] = field(default_factory=dict)
-    # per resource type, one (end, start, qty, conversation) leg for each
-    # held or confirmed reservation in the ledger, sorted
-    commitments: dict[ResourceType, list[tuple[int, int, int, str]]] = field(default_factory=dict)
+    # per resource type, the level profile of the held and confirmed
+    # reservations in the ledger: breakpoint times, ascending from 0, and the
+    # quantity committed from each breakpoint until the next
+    profile: dict[ResourceType, tuple[list[int], list[int]]] = field(init=False)
     demand: dict[ResourceType, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.profile = {rtype: ([0], [0]) for rtype in self.capacity}
 
     def expected_price(self, rtype: ResourceType) -> Money:
         return expected_unit_price(
@@ -593,40 +597,24 @@ class ProviderState:
         return tuple((r, self.demand.get(r, 0.0) / float(self.capacity[r])) for r, _ in bundle.items)
 
 
-def _peak_committed(state: ProviderState, rtype: ResourceType, start: int, end: int) -> int:
-    """Max committed quantity of one type anywhere in [start, end), by sweep.
-
-    Legs are sorted by end, so those that end at or before `start` are
-    skipped by bisection and only the ones still open at `start` are read.
-    """
-    legs = state.commitments.get(rtype, ())
-    deltas: list[tuple[int, int]] = []
-    for leg_end, leg_start, qty, _ in legs[bisect_left(legs, (start + 1,)) :]:
-        lo = max(leg_start, start)
-        hi = min(leg_end, end)
-        if lo < hi:
-            deltas.append((lo, qty))
-            deltas.append((hi, -qty))
-    peak = level = 0
-    for _, delta in sorted(deltas):  # at equal times the -q leg sorts first
-        level += delta
-        peak = max(peak, level)
-    return peak
+def _breakpoint(times: list[int], levels: list[int], at: int) -> int:
+    """Index of the breakpoint at time `at`, made with the level it splits if missing."""
+    i = bisect_left(times, at)
+    if i == len(times) or times[i] != at:
+        times.insert(i, at)
+        levels.insert(i, levels[i - 1])  # times start at 0 and windows never before it
+    return i
 
 
-def _legs(res: Reservation):
-    """The reservation's index legs: one per type of its bundle."""
+def _commit(state: ProviderState, res: Reservation, sign: int) -> None:
+    """Add (sign 1) or take away (sign -1) the reservation's quantities across its window."""
     for rtype, qty in res.bundle.items:
-        yield rtype, (res.end, res.start, qty, res.conversation)
-
-
-def _uncommit(state: ProviderState, res: Reservation) -> None:
-    for rtype, leg in _legs(res):
-        legs = state.commitments.get(rtype, [])
-        i = bisect_left(legs, leg)
-        if i == len(legs) or legs[i] != leg:
-            raise InvariantError(f"{state.id} has no commitment for {res.conversation} to drop")
-        del legs[i]
+        times, levels = state.profile[rtype]
+        lo = _breakpoint(times, levels, res.start)
+        hi = _breakpoint(times, levels, res.end)
+        if sign < 0 and min(levels[lo:hi]) < qty:
+            raise InvariantError(f"{state.id} has less {rtype} committed than {res.conversation} releases")
+        levels[lo:hi] = [level + sign * qty for level in levels[lo:hi]]
 
 
 def allocate(
@@ -644,13 +632,17 @@ def allocate(
     bundle. On success the per-type demand counters grow by the held quantities.
     A repeated CFP comes after its hold here lapsed: the entry it overwrites commits nothing.
     """
+    profile, capacity = state.profile, state.capacity
     for rtype, qty in bundle.items:
-        if _peak_committed(state, rtype, start, end) + qty > state.capacity[rtype]:
+        times, levels = profile[rtype]
+        # the levels of the segments the window meets: from the one holding `start`
+        # to the last that begins before `end`
+        peak = max(levels[bisect_right(times, start) - 1 : bisect_left(times, end)])
+        if peak + qty > capacity[rtype]:
             return None
     res = Reservation(conversation, bundle, start, end, consumer, HELD, cost)
     state.ledger[conversation] = res
-    for rtype, leg in _legs(res):
-        insort(state.commitments.setdefault(rtype, []), leg)
+    _commit(state, res, 1)
     for rtype, qty in bundle.items:
         state.demand[rtype] = state.demand.get(rtype, 0.0) + qty
     return res
@@ -667,7 +659,7 @@ def release_hold(state: ProviderState, conversation: str) -> bool:
     if res is None or res.status is not HELD:
         return False
     res.status = RELEASED
-    _uncommit(state, res)
+    _commit(state, res, -1)
     _release_demand(state, res.bundle)
     return True
 

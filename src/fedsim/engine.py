@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 import gc
 import heapq
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -80,7 +82,7 @@ class Event(NamedTuple):
 
 
 class EventRecord(NamedTuple):
-    """One trace line; fields appear in this fixed order."""
+    """One trace line; fields appear in this fixed order, and none holds a space but the payload."""
 
     time: int
     seq: int
@@ -98,6 +100,13 @@ class EventRecord(NamedTuple):
             f"payload={self.payload}"
         )
 
+    @classmethod
+    def parse(cls, line: str) -> EventRecord:
+        """The record whose `line()` is `line`, which may end in its line feed."""
+        t, seq, kind, sender, receiver, perf, conv, payload = line.removesuffix("\n").split(" ", 7)
+        fields = (int(t[2:]), int(seq[4:]), kind[5:], sender[5:], receiver[3:], perf[5:], conv[5:], payload[8:])
+        return _new(cls, fields)
+
 
 # each event kind's and performative's text, read once, as `ENUM_TEXT` does
 _TEXT = {**ENUM_TEXT, **{kind: kind.value for kind in EventKind}}
@@ -106,15 +115,57 @@ _TEXT = {**ENUM_TEXT, **{kind: kind.value for kind in EventKind}}
 # skipping the NamedTuple's Python-level `__new__`
 _new = tuple.__new__
 
+# lines per chunk of a run's trace text: about 260 KB on the benchmark workloads
+_CHUNK_LINES = 2048
 
-def write_trace(records: list[EventRecord], path) -> None:
-    """Write one line per record, each ending in a bare line feed on every platform.
 
-    Lines go out one at a time, so the whole text never exists in memory.
+class Trace(Sequence[EventRecord]):
+    """A run's trace, held as its text: each line ends in a line feed, and
+    `chunks` joins them `_CHUNK_LINES` to a string, the last chunk holding the rest.
+
+    Records are parsed from the text each time they are read. Two traces are
+    equal when their texts are.
+    """
+
+    __slots__ = ("chunks", "_len")
+
+    def __init__(self, chunks: list[str]):
+        self.chunks = tuple(chunks)
+        self._len = (len(chunks) - 1) * _CHUNK_LINES + chunks[-1].count("\n") if chunks else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> EventRecord:
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace index out of range")
+        chunk, k = divmod(i, _CHUNK_LINES)
+        return EventRecord.parse(self.chunks[chunk].split("\n", k + 1)[k])
+
+    def __iter__(self):
+        parse = EventRecord.parse
+        for chunk in self.chunks:
+            lines = chunk.split("\n")
+            lines.pop()  # the empty text after the last line feed
+            for line in lines:
+                yield parse(line)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return self.chunks == other.chunks
+        return NotImplemented
+
+
+def write_trace(trace: Trace, path) -> None:
+    """Write the trace's text, each line ending in a bare line feed on every platform.
+
+    Chunks go out one at a time, as they are stored, so the whole text is never joined.
     """
     with open(path, "w", encoding="ascii", newline="\n") as out:
-        for record in records:
-            out.write(record.line() + "\n")
+        out.writelines(trace.chunks)
 
 
 @dataclass
@@ -140,7 +191,8 @@ class WorkloadStat:
 
 @dataclass
 class RunResult:
-    trace: list[EventRecord]
+    trace: Trace
+    message_counts: dict[str, int]  # deliveries by performative text, bounced ones included
     consumers: dict[AgentId, ConsumerState]
     brokers: dict[AgentId, BrokerState]
     providers: dict[AgentId, ProviderState]
@@ -189,8 +241,8 @@ class _World:
                 task_duration=spec.task_duration,
             )
             self.consumers[cid] = self.unissued[state.conversation] = state
-        # each agent's trace text, made once so that every record naming it shares
-        # one string; a joining provider is named by its CHURN record before it joins
+        # each agent's trace text, made once; a joining provider is named by its
+        # CHURN record before it joins
         agents = chain(self.brokers, self.providers, self.consumers, (c.provider for c in scenario.churn))
         self.names: dict[AgentId, str] = {aid: str(aid) for aid in agents}
 
@@ -198,7 +250,10 @@ class _World:
         self.seq = 0
         self.now = 0
         self.events = 0  # events processed; each is one workload sample
-        self.trace: list[EventRecord] = []
+        # the trace text: full chunks of `_CHUNK_LINES` lines, and the lines since
+        self.chunks: list[str] = []
+        self.lines: list[str] = []
+        self.delivered: dict[str, int] = {}  # deliveries by performative text
         self.meta: dict[str, ConversationMeta] = {}
         self.workloads: dict[AgentId, WorkloadStat] = {
             bid: WorkloadStat() for bid in self.brokers
@@ -284,6 +339,7 @@ class _World:
             performative = _TEXT[msg.performative]
             conversation = msg.conversation
             payload = msg.payload_digest()
+            self.delivered[performative] = self.delivered.get(performative, 0) + 1
         elif event.kind is CHURN:
             performative = f"provider-{event.churn.action.value}"
             receiver = names[event.churn.provider]
@@ -298,8 +354,14 @@ class _World:
                 payload = consumer.request.digest
         if payload_suffix:
             payload = payload + payload_suffix if payload != "-" else payload_suffix.lstrip(",")
-        fields = (event.time, event.seq, kind, sender, receiver, performative, conversation, payload)
-        self.trace.append(_new(EventRecord, fields))
+        lines = self.lines
+        lines.append(  # the text of `EventRecord.line()`, and its line feed
+            f"t={event.time} seq={event.seq} kind={kind} from={sender} to={receiver} "
+            f"perf={performative} conv={conversation} payload={payload}\n"
+        )
+        if len(lines) == _CHUNK_LINES:
+            self.chunks.append("".join(lines))
+            lines.clear()
 
     def sample_workloads(self, bid: AgentId) -> None:
         """Account for `bid`'s in-flight count after the current event.
@@ -436,28 +498,35 @@ def _run_once(world: _World, event_budget: int) -> bool:
 
 def run(scenario: Scenario) -> RunResult:
     """Simulate one scenario to quiescence (or its event budget) and trace it."""
-    world = _World(scenario)
-
-    for spec in scenario.consumers:
-        world.schedule(
-            spec.issue_time,
-            kind=CONSUMER_START,
-            conversation=world.consumers[spec.request.consumer].conversation,
-        )
-    for change in scenario.churn:
-        world.schedule(change.time, kind=CHURN, churn=change)
-
-    # The loop makes no reference cycles, yet every event leaves objects that
-    # survive (its trace record among them), so the cyclic collector would scan
-    # the young generation every few hundred events and free nothing. Nothing
-    # is collected by hand: the collector runs again, as it was, after the loop.
+    # The run makes no reference cycles, yet its set-up and every event leave
+    # objects that survive, so the cyclic collector would scan the young
+    # generation every few hundred allocations and free nothing. Nothing is
+    # collected by hand: the collector runs again, as it was, after the loop.
+    # Freezing and unfreezing moves the run's survivors to the oldest
+    # generation without a scan, so the young count the run ran up starts no
+    # collection; it would also unfreeze what a caller froze, so it is skipped
+    # while anything is frozen.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        world = _World(scenario)
+        for spec in scenario.consumers:
+            world.schedule(
+                spec.issue_time,
+                kind=CONSUMER_START,
+                conversation=world.consumers[spec.request.consumer].conversation,
+            )
+        for change in scenario.churn:
+            world.schedule(change.time, kind=CHURN, churn=change)
         quiescent = _run_once(world, scenario.event_budget)
     finally:
         if collecting:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
+    if world.lines:
+        world.chunks.append("".join(world.lines))
     world.settle_workloads()
     open_conversations = sorted(
         conv
@@ -480,7 +549,8 @@ def run(scenario: Scenario) -> RunResult:
                     )
 
     return RunResult(
-        trace=world.trace,
+        trace=Trace(world.chunks),
+        message_counts=world.delivered,
         consumers=world.consumers,
         brokers=world.brokers,
         providers=world.providers,

@@ -126,11 +126,6 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         gaps.append(float(Decimal(m.consumer.accepted_cost - cheapest) / cheapest))
     gap = sum(gaps) / len(gaps) if gaps else 0.0
 
-    counts: dict[str, int] = {}
-    for record in result.trace:
-        if record.kind == "deliver":
-            counts[record.performative] = counts.get(record.performative, 0) + 1
-
     return MetricsReport(
         requests_total=total,
         done=len(done),
@@ -144,7 +139,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         mean_paid=mean_paid,
         local_optimality_violations=violations,
         global_optimality_gap=round(gap, 4),
-        message_counts=tuple(sorted(counts.items())),
+        message_counts=tuple(sorted(result.message_counts.items())),
     )
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import gc
 import random
 
+import fedsim.engine as engine
 from fedsim.agents import ReservationStatus, update_contact_list
+from fedsim.engine import Trace
 from fedsim.migration import NeighborInfo
 from fedsim.model import (
     AgentId,
@@ -31,6 +33,13 @@ TYPE_POOL = ("cpu", "storage", "bandwidth", "gpu")
 def trace_text(records) -> str:
     """The text `write_trace` writes for `records`: each line, newline-terminated."""
     return "".join(record.line() + "\n" for record in records)
+
+
+def trace_of(records) -> Trace:
+    """A `Trace` of `records`, chunked as a run chunks its trace."""
+    lines = [record.line() + "\n" for record in records]
+    size = engine._CHUNK_LINES
+    return Trace(["".join(lines[i : i + size]) for i in range(0, len(lines), size)])
 
 
 def cycles_collected() -> int:

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 import fedsim.cli
 from fedsim.cli import main
-from fedsim.engine import run
+from fedsim.engine import Trace, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -152,8 +152,8 @@ def test_sweep_reports_a_trace_that_differs_in_one_record(monkeypatch):
     def run_with_one_record_changed_the_second_time(scn):
         result = run(scn)
         if results:
-            last = result.trace[-1]
-            result.trace[-1] = last._replace(payload=last.payload + ",changed")
+            *chunks, last = result.trace.chunks
+            result.trace = Trace([*chunks, last.removesuffix("\n") + ",changed\n"])
         results.append(result)
         return result
 

@@ -1,9 +1,11 @@
-"""Each provider's commitment index against the ledger it summarizes.
+"""Each provider's level profile, its commitment index, against the ledger it summarizes.
 
-The index must hold, per resource type and in sorted order, exactly one
-(end, start, qty, conversation) leg for every held or confirmed reservation
-in the ledger. It is checked after every provider delivery, hold expiry and
-churn event of the session's shared fuzz batch and of a long-lease run.
+Per resource type, the profile must give, at every time, the quantity of
+that type committed by the held and confirmed reservations in the ledger.
+It is checked against a profile rebuilt from the ledger after every provider
+delivery, hold expiry and churn event of the session's shared fuzz batch and
+of a long-lease run, and against a per-tick oracle over random allocate and
+release sequences.
 A conversation's CFP reaches a provider again only after its hold there
 lapsed (its broker's CONFIRM came too late, and the request migrated to a
 broker that sees the same provider), so the entry the CFP overwrites is
@@ -21,40 +23,68 @@ it and have no branch for an unknown type.
 """
 
 import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
+import hypothesis
 import pytest
+from hypothesis import given, strategies as st
 
 import fedsim.engine as engine
-from fedsim.agents import ProviderState, ReservationStatus, finish_lease, provider_step, release_hold
+from fedsim.agents import (
+    ProviderState,
+    ReservationStatus,
+    allocate,
+    finish_lease,
+    provider_step,
+    release_hold,
+)
 from fedsim.engine import apply_churn, run
 from fedsim.model import (
     CallPayload,
+    InvariantError,
     Message,
     Performative,
     broker,
+    consumer,
     money,
     provider,
 )
 from fedsim.scenario import LEAVE, ChurnAction, ChurnSpec, parse_scenario
 
-from helpers import long_lease_scenario, request, settings
+from helpers import bundle, long_lease_scenario, request, settings
 
 ACTIVE = (ReservationStatus.HELD, ReservationStatus.CONFIRMED)
 
 
-def ledger_legs(state: ProviderState) -> dict:
-    legs: dict = {}
+def steps(times, levels) -> list[tuple[int, int]]:
+    """(time, level) at each time the level changes, from time 0."""
+    out = []
+    for time, level in zip(times, levels):
+        if not out or level != out[-1][1]:
+            out.append((time, level))
+    return out
+
+
+def ledger_steps(state: ProviderState) -> dict:
+    """Per type, the steps of the held and confirmed reservations, rebuilt from the ledger."""
+    deltas = {rtype: Counter({0: 0}) for rtype in state.capacity}
     for res in state.ledger.values():
         if res.status in ACTIVE:
             for rtype, qty in res.bundle.items:
-                legs.setdefault(rtype, []).append((res.end, res.start, qty, res.conversation))
-    return {rtype: sorted(found) for rtype, found in legs.items()}
+                deltas[rtype][res.start] += qty
+                deltas[rtype][res.end] -= qty
+    out = {}
+    for rtype, delta in deltas.items():
+        times = sorted(delta)
+        out[rtype] = steps(times, accumulate(delta[time] for time in times))
+    return out
 
 
 def assert_index_matches(state: ProviderState) -> None:
-    index = {rtype: legs for rtype, legs in state.commitments.items() if legs}
-    assert index == ledger_legs(state), state.id
+    profile = {rtype: steps(*found) for rtype, found in state.profile.items()}
+    assert profile == ledger_steps(state), state.id
 
 
 class IndexChecks:
@@ -214,3 +244,65 @@ def test_index_follows_replaced_and_released_entries():
                 provider_step(state, Message(Performative.CONFIRM, conv, broker(0), state.id))
             assert_index_matches(state)
     assert replaced > 20
+
+
+# one step: (release?, conversation, window start or None for where the last
+# window ended, window length, cpu, storage)
+STEPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 5),
+        st.none() | st.integers(0, 20),
+        st.integers(1, 8),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@given(STEPS)
+def test_allocate_and_release_match_a_per_tick_oracle(steps):
+    capacity = {"cpu": 4, "storage": 3}
+    state = ProviderState(provider(0), capacity, {"cpu": money("1.00"), "storage": money("1.00")}, settings())
+    ticks = {rtype: Counter() for rtype in capacity}  # committed quantity per tick
+    held = {}  # conversation -> (start, end, quantities)
+
+    def commit(start, end, quantities, sign):
+        for rtype, qty in quantities.items():
+            for tick in range(start, end):
+                ticks[rtype][tick] += sign * qty
+
+    last_end = 0
+    for release, k, start, length, cpu, storage in steps:
+        conv = f"consumer:{k}#0"
+        if release:
+            assert release_hold(state, conv) is (conv in held)
+            if conv in held:
+                commit(*held.pop(conv), -1)
+        elif conv not in held:  # as in a run, a CFP finds no active entry
+            start = last_end if start is None else start
+            end = last_end = start + length
+            quantities = {r: q for r, q in (("cpu", cpu), ("storage", storage)) if q} or {"cpu": 1}
+            fits = all(
+                ticks[r][tick] + q <= capacity[r] for r, q in quantities.items() for tick in range(start, end)
+            )
+            res = allocate(state, bundle(**quantities), start, end, conv, consumer(0), 0)
+            assert (res is not None) is fits
+            if fits:
+                held[conv] = (start, end, quantities)
+                commit(start, end, quantities, 1)
+        for rtype, (times, levels) in state.profile.items():
+            horizon = range(max(times) + 2)
+            assert [levels[bisect_right(times, tick) - 1] for tick in horizon] == [ticks[rtype][t] for t in horizon]
+
+
+def test_a_release_below_zero_raises_even_without_asserts():
+    state = ProviderState(provider(0), {"cpu": 4}, {"cpu": money("1.00")}, settings())
+    conv = "consumer:0#0"
+    assert allocate(state, bundle(cpu=2), 0, 5, conv, consumer(0), 0) is not None
+    assert release_hold(state, conv)
+    state.ledger[conv].status = ReservationStatus.HELD  # so that the same hold is released twice
+    with pytest.raises(InvariantError, match="less cpu committed"):
+        release_hold(state, conv)

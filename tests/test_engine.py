@@ -21,10 +21,11 @@ from fedsim.engine import (
 from fedsim.model import InvariantError, ProtocolError, broker, money, provider
 from fedsim.scenario import load_scenario, parse_scenario
 
-from helpers import fuzz_scenario, trace_text
+from helpers import fuzz_scenario, trace_of, trace_text
 from test_kernel_caches import checked_run
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def minimal():
@@ -45,7 +46,7 @@ def empty_scenario():
 def test_empty_scenario_reaches_immediate_quiescence():
     result = run(empty_scenario())
     assert result.quiescent
-    assert result.trace == []
+    assert len(result.trace) == 0 and list(result.trace) == []
     assert result.events_processed == 0
 
 
@@ -214,10 +215,11 @@ def test_write_trace_streams_lines_without_holding_the_whole_text(tmp_path):
         )
         for i in range(50_000)
     ]
+    trace = trace_of(records)
     out = tmp_path / "trace.log"
     tracemalloc.start()
     try:
-        write_trace(records, out)
+        write_trace(trace, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,21 +237,65 @@ def test_write_trace_streams_lines_without_holding_the_whole_text(tmp_path):
     ],
     ids=["churn.json", "tier-S"],
 )
-def test_records_naming_an_agent_share_one_text(scenario):
-    texts: dict[str, set[int]] = {}
-    for record in run(scenario()).trace:
-        for text in (record.sender, record.receiver):
-            if text != "-":
-                texts.setdefault(text, set()).add(id(text))
-    kinds = {text.split(":")[0] for text in texts}
-    assert kinds == {"consumer", "broker", "provider"}
-    assert [text for text, ids in texts.items() if len(ids) > 1] == []
+def test_a_run_trace_holds_little_beyond_its_text(scenario):
+    # what dropping the trace frees: its text, a string header per chunk and the Trace itself
+    scn = scenario()
+    tracemalloc.start()
+    try:
+        result = run(scn)
+        held = tracemalloc.get_traced_memory()[0]
+        text = sum(len(chunk) for chunk in result.trace.chunks)
+        chunks = len(result.trace.chunks)
+        result.trace = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert text == len(trace_text(run(scn).trace))
+    assert text <= freed <= text + 64 * chunks + 256, (freed, text, chunks)
+
+
+def test_each_line_parses_to_the_record_that_formats_it(fuzz_batch, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from generate import generate
+
+    workloads = [run(parse_scenario(generate(name, 1))) for name in ("tier-m", "scarce-hops", "long-leases")]
+    lines = 0
+    for result in [result for result, _, _ in fuzz_batch.runs] + workloads:
+        sizes = [chunk.count("\n") for chunk in result.trace.chunks]
+        assert all(size == engine._CHUNK_LINES for size in sizes[:-1])
+        assert len(result.trace) == sum(sizes) == result.events_processed
+        for chunk in result.trace.chunks:
+            for line in chunk.splitlines(keepends=True):
+                assert EventRecord.parse(line).line() + "\n" == line
+                lines += 1
+    assert lines > 150_000
+
+
+def test_a_trace_reads_as_a_sequence_of_records():
+    records = [
+        EventRecord(i, i + 1, "hold-expiry", "-", f"provider:{i % 3}", "-", f"consumer:{i}#0", "released=no")
+        for i in range(2 * engine._CHUNK_LINES + 5)
+    ]
+    trace = trace_of(records)
+    assert len(trace.chunks) == 3 and len(trace) == len(records)
+    assert list(trace) == records
+    for i in (0, 1, engine._CHUNK_LINES - 1, engine._CHUNK_LINES, len(records) - 1, -1, -engine._CHUNK_LINES - 6):
+        assert trace[i] == records[i]
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    assert trace == trace_of(records) and trace != trace_of(records[:-1])
+    changed = records[-1]._replace(payload="released=yes")
+    assert trace != trace_of(records[:-1] + [changed])
+    assert trace != records  # a trace equals only a trace of the same text
+    assert len(trace_of([])) == 0 and trace_of([]) == run(empty_scenario()).trace
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
 def test_run_pauses_the_cyclic_collector_and_leaves_it_as_found(monkeypatch, collecting, fails):
     during = []
+    collections = []
 
     class Probe(_World):
         def record(self, event, payload_suffix=""):
@@ -258,20 +304,29 @@ def test_run_pauses_the_cyclic_collector_and_leaves_it_as_found(monkeypatch, col
                 raise ProtocolError("stub world refuses its first event")
             super().record(event, payload_suffix)
 
+    def note(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
     monkeypatch.setattr(engine, "_World", Probe)
+    # tier S allocates enough that a young collection is due when the run re-enables the collector
+    scenario = parse_scenario(fuzz_scenario(random.Random(7), 5, 15, 30, 5))
     found = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
+    gc.callbacks.append(note)
     try:
         if fails:
             with pytest.raises(ProtocolError, match="stub world"):
-                run(minimal())
+                run(scenario)
         else:
-            assert run(minimal()).quiescent
+            assert run(scenario).quiescent
         after = gc.isenabled()
     finally:
+        gc.callbacks.remove(note)
         (gc.enable if found else gc.disable)()
     assert after is collecting
     assert during and not any(during)
+    assert collections == []
 
 
 def test_fuzz_batch_runs_leave_no_cycles_to_collect(fuzz_batch):

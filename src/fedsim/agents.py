@@ -256,7 +256,6 @@ class BrokerConversation:
     # holding the reservation: a conversation has at most one provider
     # request outstanding, the CFP to `best`, so the hold is `best`'s
     best: AgentId | None = None
-    attempted: set[AgentId] = field(default_factory=set)
     excluded: set[AgentId] = field(default_factory=set)
     snapshot: SelectionSnapshot | None = None  # the last selection; its cost is the quote
     # heap of (cost, -grade, id, stamp, entry), one item per covering
@@ -271,8 +270,8 @@ class BrokerConversation:
 @dataclass
 class BrokerState:
     id: AgentId
-    # provider id -> entry, in the order the providers became known; every
-    # change installs a new dict, so selection snapshots can share it
+    # provider id -> entry, in id order after a refresh (no reader depends on
+    # the order); every change installs a new dict, so selection snapshots can share it
     contact_list: dict[AgentId, ContactEntry]
     neighbors: tuple[AgentId, ...]
     scenario: Scenario  # the run's settings, read only
@@ -294,19 +293,15 @@ class BrokerState:
 def update_contact_list(
     current: dict[AgentId, ContactEntry], registry_view: list[ContactEntry]
 ) -> dict[AgentId, ContactEntry]:
-    """Sync with the registry: drop departed providers, append newly visible ones.
+    """Sync with the registry: drop departed providers, add newly visible ones.
 
     Surviving entries keep their learned prices and grades; new entries come
-    in as the registry advertises them (default grade). Order is preserved.
+    in as the registry advertises them (default grade), in the view's order.
     `current` is never edited; it is returned as is when nothing changed.
     """
-    visible = {entry.provider for entry in registry_view}
-    if current.keys() == visible:
+    if current.keys() == {entry.provider for entry in registry_view}:
         return current
-    kept = {pid: entry for pid, entry in current.items() if pid in visible}
-    for entry in registry_view:
-        kept.setdefault(entry.provider, entry)
-    return kept
+    return {e.provider: current.get(e.provider, e) for e in registry_view}
 
 
 def _changed(state: BrokerState, pid: AgentId) -> None:
@@ -394,13 +389,11 @@ def _remove_from_temporary(conv: BrokerConversation, pid: AgentId, for_cause: bo
         conv.excluded.add(pid)
 
 
-def _record_failure_feedback(state: BrokerState, conv: BrokerConversation) -> None:
-    # every provider attempted for this request is graded down once
-    for pid in sorted(conv.attempted):
-        entry = state.contact_list.get(pid)
-        if entry is not None:
-            grade = update_grade(entry.grade, 0.0, state.scenario.pricing.grade_smoothing)
-            _replace_entry(state, entry._replace(grade=grade))
+def _grade(state: BrokerState, pid: AgentId, feedback: float) -> None:
+    entry = state.contact_list.get(pid)
+    if entry is not None:  # a refresh or a departure may have dropped it since
+        grade = update_grade(entry.grade, feedback, state.scenario.pricing.grade_smoothing)
+        _replace_entry(state, entry._replace(grade=grade))
 
 
 def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, world) -> list[Message]:
@@ -416,12 +409,14 @@ def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, wo
             state.scenario.criteria,
         )
         if result.target is None:
-            _record_failure_feedback(state, conv)
+            # the request failed: each provider it was quoted from is graded down once;
+            # only a quoted provider leaves `temporary`
+            for pid in sorted(conv.universe - conv.temporary):
+                _grade(state, pid, 0.0)
         del state.conversations[conversation]  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
-    conv.attempted.add(best)
     conv.snapshot = SelectionSnapshot(
         contact_list=state.contact_list,
         universe=conv.universe,
@@ -495,12 +490,9 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
                 Message(CONFIRM, msg.conversation, state.id, conv.best)
             ]
         if perf is INFORM and conv.phase is AWAITING_FEEDBACK:
-            feedback: InformPayload = msg.payload
-            entry = state.contact_list.get(conv.best)
-            if entry is not None and feedback.feedback is not None:
-                smoothing = state.scenario.pricing.grade_smoothing
-                graded = entry._replace(grade=update_grade(entry.grade, feedback.feedback, smoothing))
-                _replace_entry(state, graded)
+            # the task's completion report; the consumer's plain acknowledgement
+            # of a CONFIRM goes to the provider
+            _grade(state, conv.best, msg.payload.feedback)
             del state.conversations[msg.conversation]
             return state, []
         raise _violation(state.id, conv.phase, msg)
@@ -580,21 +572,23 @@ class ProviderState:
     # reservations in the ledger: breakpoint times, ascending from 0, and the
     # quantity committed from each breakpoint until the next
     profile: dict[ResourceType, tuple[list[int], list[int]]] = field(init=False)
-    demand: dict[ResourceType, float] = field(default_factory=dict)
+    # per resource type, the quantity held or confirmed and not yet finished
+    demand: dict[ResourceType, int] = field(init=False)
 
     def __post_init__(self):
         self.profile = {rtype: ([0], [0]) for rtype in self.capacity}
+        self.demand = dict.fromkeys(self.capacity, 0)
 
     def expected_price(self, rtype: ResourceType) -> Money:
         return expected_unit_price(
             self.base_prices[rtype],
-            self.demand.get(rtype, 0.0),
-            float(self.capacity[rtype]),
+            self.demand[rtype],
+            self.capacity[rtype],
             self.scenario.pricing.demand_sensitivity,
         )
 
     def demand_ratios(self, bundle: ResourceBundle) -> tuple[tuple[ResourceType, float], ...]:
-        return tuple((r, self.demand.get(r, 0.0) / float(self.capacity[r])) for r, _ in bundle.items)
+        return tuple((r, self.demand[r] / self.capacity[r]) for r, _ in bundle.items)
 
 
 def _breakpoint(times: list[int], levels: list[int], at: int) -> int:
@@ -644,13 +638,13 @@ def allocate(
     state.ledger[conversation] = res
     _commit(state, res, 1)
     for rtype, qty in bundle.items:
-        state.demand[rtype] = state.demand.get(rtype, 0.0) + qty
+        state.demand[rtype] += qty
     return res
 
 
 def _release_demand(state: ProviderState, bundle: ResourceBundle) -> None:
     for rtype, qty in bundle.items:
-        state.demand[rtype] = max(0.0, state.demand.get(rtype, 0.0) - qty)
+        state.demand[rtype] -= qty
 
 
 def release_hold(state: ProviderState, conversation: str) -> bool:

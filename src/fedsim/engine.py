@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 import gc
 import heapq
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -94,11 +92,7 @@ class EventRecord(NamedTuple):
     payload: str
 
     def line(self) -> str:
-        return (
-            f"t={self.time} seq={self.seq} kind={self.kind} from={self.sender} "
-            f"to={self.receiver} perf={self.performative} conv={self.conversation} "
-            f"payload={self.payload}"
-        )
+        return _line(*self)
 
     @classmethod
     def parse(cls, line: str) -> EventRecord:
@@ -106,6 +100,14 @@ class EventRecord(NamedTuple):
         t, seq, kind, sender, receiver, perf, conv, payload = line.removesuffix("\n").split(" ", 7)
         fields = (int(t[2:]), int(seq[4:]), kind[5:], sender[5:], receiver[3:], perf[5:], conv[5:], payload[8:])
         return _new(cls, fields)
+
+
+def _line(time, seq, kind, sender, receiver, performative, conversation, payload) -> str:
+    """The trace line of one record's fields, without its line feed."""
+    return (
+        f"t={time} seq={seq} kind={kind} from={sender} to={receiver} "
+        f"perf={performative} conv={conversation} payload={payload}"
+    )
 
 
 # each event kind's and performative's text, read once, as `ENUM_TEXT` does
@@ -119,31 +121,21 @@ _new = tuple.__new__
 _CHUNK_LINES = 2048
 
 
-class Trace(Sequence[EventRecord]):
+class Trace:
     """A run's trace, held as its text: each line ends in a line feed, and
     `chunks` joins them `_CHUNK_LINES` to a string, the last chunk holding the rest.
 
-    Records are parsed from the text each time they are read. Two traces are
-    equal when their texts are.
+    Iteration parses the records from the text each time. The length is the
+    number of lines. Two traces are equal when their texts are.
     """
 
-    __slots__ = ("chunks", "_len")
+    __slots__ = ("chunks",)
 
     def __init__(self, chunks: list[str]):
         self.chunks = tuple(chunks)
-        self._len = (len(chunks) - 1) * _CHUNK_LINES + chunks[-1].count("\n") if chunks else 0
 
     def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index: int) -> EventRecord:
-        i = operator.index(index)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("trace index out of range")
-        chunk, k = divmod(i, _CHUNK_LINES)
-        return EventRecord.parse(self.chunks[chunk].split("\n", k + 1)[k])
+        return sum(chunk.count("\n") for chunk in self.chunks)
 
     def __iter__(self):
         parse = EventRecord.parse
@@ -250,7 +242,8 @@ class _World:
         self.seq = 0
         self.now = 0
         self.events = 0  # events processed; each is one workload sample
-        # the trace text: full chunks of `_CHUNK_LINES` lines, and the lines since
+        # the trace text: full chunks of `_CHUNK_LINES` lines, and the lines since,
+        # each without its line feed
         self.chunks: list[str] = []
         self.lines: list[str] = []
         self.delivered: dict[str, int] = {}  # deliveries by performative text
@@ -300,7 +293,7 @@ class _World:
         view = self._views.get(bid)
         if view is None:
             ids = sorted(self.visibility[bid] & self.registry)
-            entries = [ContactEntry(pid, dict(self.providers[pid].base_prices)) for pid in ids]
+            entries = [ContactEntry(pid, self.providers[pid].base_prices) for pid in ids]
             types = frozenset().union(*(entry.prices for entry in entries))
             view = self._views[bid] = (entries, types)
         return view
@@ -308,7 +301,8 @@ class _World:
     def registry_view(self, bid: AgentId) -> list[ContactEntry]:
         """Entries for `bid`'s visible live providers, shared until a join or leave; do not edit.
 
-        Entries are immutable, and base prices never change after a provider joins.
+        Entries are immutable and price from their provider's own base-price
+        dict, which never changes after the provider joins.
         """
         return self._visible_live(bid)[0]
 
@@ -355,13 +349,16 @@ class _World:
         if payload_suffix:
             payload = payload + payload_suffix if payload != "-" else payload_suffix.lstrip(",")
         lines = self.lines
-        lines.append(  # the text of `EventRecord.line()`, and its line feed
-            f"t={event.time} seq={event.seq} kind={kind} from={sender} to={receiver} "
-            f"perf={performative} conv={conversation} payload={payload}\n"
-        )
+        lines.append(_line(event.time, event.seq, kind, sender, receiver, performative, conversation, payload))
         if len(lines) == _CHUNK_LINES:
-            self.chunks.append("".join(lines))
-            lines.clear()
+            self.end_chunk()
+
+    def end_chunk(self) -> None:
+        """Join the open lines into one chunk, each ending in its line feed."""
+        lines = self.lines
+        lines.append("")  # the last line's feed, with no copy of the joined text
+        self.chunks.append("\n".join(lines))
+        lines.clear()
 
     def sample_workloads(self, bid: AgentId) -> None:
         """Account for `bid`'s in-flight count after the current event.
@@ -391,8 +388,10 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
         world.registry.discard(pid)
         world._views.clear()
         provider = world.providers[pid]
-        for conversation in sorted(provider.ledger):
-            release_hold(provider, conversation)  # held reservations die with the membership
+        # held reservations die with the membership; release_hold sends nothing,
+        # so the ledger's order serves
+        for conversation in provider.ledger:
+            release_hold(provider, conversation)
     else:
         world._add_provider(change.join)
 
@@ -526,7 +525,7 @@ def run(scenario: Scenario) -> RunResult:
                 gc.unfreeze()
             gc.enable()
     if world.lines:
-        world.chunks.append("".join(world.lines))
+        world.end_chunk()
     world.settle_workloads()
     open_conversations = sorted(
         conv

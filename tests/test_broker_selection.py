@@ -13,6 +13,14 @@ broker has held an entry for. No step leaves a provider both on the contact
 list and among the dropped: visibility only grows and a departed provider
 never rejoins, so a kernel run never reinstalls a dropped provider. The
 CFP refresh rests on that: it stamps none of the ids it adds.
+
+When a broker runs out of candidates for a request, whether it then
+migrates or fails, the request's universe less its temporary set holds every
+provider the broker quoted it, which a failure grades down: only a quoted
+provider leaves `temporary`. A quoted provider may stay in `temporary` after
+an expected-cost refusal and then be purged as departed by another
+conversation; it has no entry left to grade. Every INFORM a broker receives is a
+task's completion report and carries the consumer's feedback.
 """
 
 from fedsim.model import Performative, RefuseReason
@@ -30,6 +38,9 @@ class SelectionOracle:
         self.selections = self.failures = self.stale = 0
         self.unread = 0  # broker steps that left stamps some open conversation has not read
         self.steps = self.with_dropped = 0  # broker steps, and those with dropped providers
+        self.quoted = {}  # (broker, conversation) -> providers quoted since the CFP that opened it
+        self.informs = 0  # INFORMs delivered to a broker, each with its feedback
+        self.purged_quoted = 0  # quoted providers still in `temporary` when candidates ran out
 
     def check_log(self, state):
         reads = [conv.read for conv in state.conversations.values()]
@@ -54,6 +65,11 @@ class SelectionOracle:
             reason = getattr(msg.payload, "reason", None)
             if msg.performative is Performative.REFUSE and reason is RefuseReason.DEPARTED:
                 self.purged.setdefault(state.id, set()).add(msg.sender)
+            elif msg.performative is Performative.CFP:
+                self.quoted[(state.id, msg.conversation)] = set()
+            elif msg.performative is Performative.INFORM:
+                assert msg.payload.feedback is not None, msg
+                self.informs += 1
             out = original(state, msg, *args, **kwargs)
             self.remember(state)
             self.check_log(state)
@@ -86,11 +102,18 @@ class SelectionOracle:
 
             out = original(state, conversation, conv, world)
 
+            quoted = self.quoted[(state.id, conversation)]
             if expected is None:
                 assert conversation not in state.conversations  # self-organized
+                left = conv.universe - conv.temporary
+                assert left <= quoted
+                for pid in quoted - left:
+                    assert pid in purged and pid not in state.contact_list and pid not in state.dropped
+                    self.purged_quoted += 1
                 self.failures += 1
             else:
                 assert (conv.best, conv.snapshot.cost) == (expected[2], expected[0])
+                quoted.add(conv.best)
                 at_selection = tuple(e for pid, e in state.contact_list.items() if pid in universe)
                 self.snapshots.append((conv.snapshot, at_selection))
                 self.selections += 1
@@ -120,6 +143,15 @@ def test_selection_matches_a_from_scratch_ranking(fuzz_batch):
     assert totals.selections > 10_000 and totals.failures > 2_000 and final_snapshots > 1_000
     assert totals.stale > 100  # dropped providers were still priced from their last entry
     assert totals.unread > 1_000  # the stamp checks saw changes waiting to be read
+
+
+def test_a_failure_grades_the_quoted_providers_and_every_inform_carries_feedback(fuzz_batch):
+    failures = sum(oracle.failures for _, _, oracle in fuzz_batch.runs)
+    informs = sum(oracle.informs for _, _, oracle in fuzz_batch.runs)
+    purged_quoted = sum(oracle.purged_quoted for _, _, oracle in fuzz_batch.runs)
+    assert failures > 2_000  # each held its quoted providers outside `temporary`
+    assert purged_quoted > 0  # each had no entry left to grade
+    assert informs > 1_900  # each carried its feedback
 
 
 def test_kernel_runs_never_reinstall_a_dropped_provider(fuzz_batch):

@@ -15,7 +15,9 @@ released entries is also driven directly through `provider_step`.
 The same wrappers check the parser's churn rules as the kernel applies
 them: a leave names a live provider, and a join a new id. They also check
 that each task completion finds its reservation confirmed, which
-`finish_lease` requires.
+`finish_lease` requires, and that after each of those calls every provider's
+integer demand, per type, is the quantity its held reservations and its
+confirmed, unfinished ones take, so it never goes below 0.
 
 Each CFP a provider handles in those runs names only types the provider has
 both a capacity and a base price for: `provider_step` and `allocate` rely on
@@ -87,11 +89,25 @@ def assert_index_matches(state: ProviderState) -> None:
     assert profile == ledger_steps(state), state.id
 
 
+def assert_demand_matches(state: ProviderState, finished: set) -> None:
+    """`finished` holds (id(state), conversation) for each lease finished so far."""
+    expected = dict.fromkeys(state.capacity, 0)
+    for conv, res in state.ledger.items():
+        if res.status is ReservationStatus.HELD or (
+            res.status is ReservationStatus.CONFIRMED and (id(state), conv) not in finished
+        ):
+            for rtype, qty in res.bundle.items:
+                expected[rtype] += qty
+    assert state.demand == expected, state.id
+    assert all(type(qty) is int and qty >= 0 for qty in state.demand.values()), state.id
+
+
 class IndexChecks:
     """Wrappers for the kernel's provider-facing calls that check after each."""
 
     def __init__(self):
         self.seen = Counter()
+        self.finished = set()  # (id(state), conversation) of each finished lease
 
     def provider_step(self, state, msg):
         if msg.performative is Performative.CFP:
@@ -103,12 +119,14 @@ class IndexChecks:
             self.seen["cfp_after_lapse"] += found is not None
         out = provider_step(state, msg)
         assert_index_matches(state)
+        assert_demand_matches(state, self.finished)
         self.seen["delivery"] += 1
         return out
 
     def release_hold(self, state, conversation):
         released = release_hold(state, conversation)
         assert_index_matches(state)
+        assert_demand_matches(state, self.finished)
         self.seen["release"] += released
         return released
 
@@ -120,12 +138,15 @@ class IndexChecks:
         apply_churn(world, event)
         for state in world.providers.values():
             assert_index_matches(state)
+            assert_demand_matches(state, self.finished)
         self.seen[event.action.value] += 1
 
     def finish_lease(self, state, conversation):
         found = state.ledger.get(conversation)
         assert found is not None and found.status is ReservationStatus.CONFIRMED, (state.id, found)
         finish_lease(state, conversation)
+        self.finished.add((id(state), conversation))
+        assert_demand_matches(state, self.finished)
         self.seen["finish_lease"] += 1
 
     def attach(self, patch):

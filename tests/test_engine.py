@@ -279,11 +279,6 @@ def test_a_trace_reads_as_a_sequence_of_records():
     trace = trace_of(records)
     assert len(trace.chunks) == 3 and len(trace) == len(records)
     assert list(trace) == records
-    for i in (0, 1, engine._CHUNK_LINES - 1, engine._CHUNK_LINES, len(records) - 1, -1, -engine._CHUNK_LINES - 6):
-        assert trace[i] == records[i]
-    for i in (len(records), -len(records) - 1):
-        with pytest.raises(IndexError):
-            trace[i]
     assert trace == trace_of(records) and trace != trace_of(records[:-1])
     changed = records[-1]._replace(payload="released=yes")
     assert trace != trace_of(records[:-1] + [changed])

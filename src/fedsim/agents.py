@@ -225,6 +225,9 @@ BROKER_AWAITING_AGREEMENT = BrokerPhase.AWAITING_AGREEMENT
 AWAITING_FEEDBACK = BrokerPhase.AWAITING_FEEDBACK
 
 
+_NONE_EXCLUDED: frozenset[AgentId] = frozenset()  # shared by every snapshot that excludes no provider
+
+
 class SelectionSnapshot(NamedTuple):
     """Contact list as priced at one selection, kept for post-hoc cost audits.
 
@@ -314,6 +317,10 @@ def _changed(state: BrokerState, pid: AgentId) -> None:
 def _open_conversation(state: BrokerState, conversation: str, request: Request) -> BrokerConversation:
     """Open a conversation over the current contact list, its covering candidates ranked."""
     known = state.contact_list
+    # the newest open conversation's universe, when the ids have not changed since:
+    # a request's final snapshot keeps it for the whole run
+    last = next(reversed(state.conversations.values()), None)
+    universe = last.universe if last is not None and last.universe == known.keys() else frozenset(known)
     bundle, factor = request.bundle, lease_factor(request)
     ranking = [
         (total_cost(bundle, e.prices, factor), -e.grade, pid, -1, e)
@@ -325,7 +332,7 @@ def _open_conversation(state: BrokerState, conversation: str, request: Request) 
         request=request,
         phase=QUOTING,
         temporary=set(known),
-        universe=frozenset(known),
+        universe=universe,
         ranking=ranking,
         read=state.version,
     )
@@ -420,7 +427,7 @@ def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, wo
     conv.snapshot = SelectionSnapshot(
         contact_list=state.contact_list,
         universe=conv.universe,
-        excluded=frozenset(conv.excluded),
+        excluded=frozenset(conv.excluded) if conv.excluded else _NONE_EXCLUDED,
         cost=conv.ranking[0][0],
     )
     conv.phase = QUOTING

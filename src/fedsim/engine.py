@@ -1,10 +1,11 @@
 """Deterministic discrete-event kernel.
 
-Events are processed in strict (time, seq) order from one heap; seq is a
-monotone counter assigned at scheduling time, so simultaneous events run in
-causal scheduling order. All state lives in the World; agent step functions
-are invoked sequentially, never concurrently. The same scenario produces a
-byte-identical trace.
+Events are processed in strict (time, seq) order: a heap holds the distinct
+pending times, and each time holds its events in one list, in scheduling
+order. seq is a monotone counter assigned at scheduling time, so
+simultaneous events run in causal scheduling order. All state lives in the
+World; agent step functions are invoked sequentially, never concurrently.
+The same scenario produces a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import enum
 import gc
 import heapq
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -122,42 +126,64 @@ _CHUNK_LINES = 2048
 
 
 class Trace:
-    """A run's trace, held as its text: each line ends in a line feed, and
-    `chunks` joins them `_CHUNK_LINES` to a string, the last chunk holding the rest.
+    """A run's trace, held as its ASCII text in an unlinked temporary file.
 
-    Iteration parses the records from the text each time. The length is the
-    number of lines. Two traces are equal when their texts are.
+    Each line ends in a line feed; the kernel writes the lines in chunks of
+    `_CHUNK_LINES`, the last chunk holding the rest, and the trace keeps each
+    chunk's byte length and the line count. Iteration reads each chunk back
+    at its own offset, so iterators never share a file position, and parses
+    its records. Two traces are equal when their texts are. The file closes
+    when the trace is dropped.
     """
 
-    __slots__ = ("chunks",)
+    __slots__ = ("_fd", "_sizes", "_lines", "__weakref__")
 
-    def __init__(self, chunks: list[str]):
-        self.chunks = tuple(chunks)
+    def __init__(self):
+        # a descriptor of its own, so no file object lives as long as the trace
+        with tempfile.TemporaryFile(buffering=0) as file:
+            self._fd = os.dup(file.fileno())
+        weakref.finalize(self, os.close, self._fd)
+        self._sizes: list[int] = []  # each chunk's byte length, in file order
+        self._lines = 0
+
+    def _append(self, chunk: bytes, lines: int) -> None:
+        view = memoryview(chunk)
+        while view:
+            view = view[os.write(self._fd, view) :]
+        self._sizes.append(len(chunk))
+        self._lines += lines
+
+    def _chunks(self):
+        """Each chunk's bytes, in file order."""
+        fd, offset = self._fd, 0
+        for size in self._sizes:
+            yield os.pread(fd, size, offset)
+            offset += size
 
     def __len__(self) -> int:
-        return sum(chunk.count("\n") for chunk in self.chunks)
+        return self._lines
 
     def __iter__(self):
         parse = EventRecord.parse
-        for chunk in self.chunks:
-            lines = chunk.split("\n")
+        for chunk in self._chunks():
+            lines = chunk.decode("ascii").split("\n")
             lines.pop()  # the empty text after the last line feed
             for line in lines:
                 yield parse(line)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Trace):
-            return self.chunks == other.chunks
+            return self._sizes == other._sizes and all(map(bytes.__eq__, self._chunks(), other._chunks()))
         return NotImplemented
 
 
 def write_trace(trace: Trace, path) -> None:
     """Write the trace's text, each line ending in a bare line feed on every platform.
 
-    Chunks go out one at a time, as they are stored, so the whole text is never joined.
+    Chunks are copied out one at a time, so the whole text is never in memory.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as out:
-        out.writelines(trace.chunks)
+    with open(path, "wb") as out:
+        out.writelines(trace._chunks())
 
 
 @dataclass
@@ -238,13 +264,16 @@ class _World:
         agents = chain(self.brokers, self.providers, self.consumers, (c.provider for c in scenario.churn))
         self.names: dict[AgentId, str] = {aid: str(aid) for aid in agents}
 
-        self.queue: list[Event] = []
+        # the distinct times with pending events, a heap, and each time's events
+        # in scheduling order; the list of the time being run grows as it runs
+        self.times: list[int] = []
+        self.pending: dict[int, list[Event]] = {}
         self.seq = 0
         self.now = 0
         self.events = 0  # events processed; each is one workload sample
-        # the trace text: full chunks of `_CHUNK_LINES` lines, and the lines since,
-        # each without its line feed
-        self.chunks: list[str] = []
+        # the trace: its file takes each full chunk of `_CHUNK_LINES` lines;
+        # `lines` holds those since, each without its line feed
+        self.trace = Trace()
         self.lines: list[str] = []
         self.delivered: dict[str, int] = {}  # deliveries by performative text
         self.meta: dict[str, ConversationMeta] = {}
@@ -269,6 +298,16 @@ class _World:
             self.visibility[bid].add(pid)
         self._views.clear()
 
+    def sorted_registry(self) -> tuple[AgentId, ...]:
+        """The live providers sorted by id: the last issued request's tuple while the registry is the same."""
+        registry = self.registry
+        last = next(reversed(self.meta.values()), None)
+        if last is not None:
+            held = last.live_at_issue
+            if len(held) == len(registry) and registry.issuperset(held):
+                return held
+        return tuple(sorted(registry))
+
     def schedule(
         self,
         time: int,
@@ -282,8 +321,25 @@ class _World:
             raise InvariantError(f"event scheduled in the past: {time} < {self.now}")
         self.seq += 1
         event = _new(Event, (time, self.seq, kind, message, churn, conversation, provider))
-        heapq.heappush(self.queue, event)  # ordered by (time, seq), which is unique
+        tick = self.pending.get(time)
+        if tick is None:
+            self.pending[time] = [event]
+            heapq.heappush(self.times, time)
+        else:
+            tick.append(event)  # after every event scheduled earlier, which has a lower seq
         return event
+
+    def drain(self):
+        """The pending events in (time, seq) order, those scheduled meanwhile included.
+
+        `now` is each event's time as it is yielded.
+        """
+        times, pending = self.times, self.pending
+        while times:
+            now = self.now = times[0]
+            yield from pending[now]  # the list iterator also reaches events appended to it
+            heapq.heappop(times)
+            del pending[now]
 
     def send(self, msg: Message, now: int) -> None:
         self.schedule(now + self.scenario.delay(msg.sender, msg.receiver), DELIVER, msg)
@@ -354,10 +410,10 @@ class _World:
             self.end_chunk()
 
     def end_chunk(self) -> None:
-        """Join the open lines into one chunk, each ending in its line feed."""
+        """Write the open lines to the trace's file as one chunk, each ending in its line feed."""
         lines = self.lines
         lines.append("")  # the last line's feed, with no copy of the joined text
-        self.chunks.append("\n".join(lines))
+        self.trace._append("\n".join(lines).encode("ascii"), len(lines) - 1)
         lines.clear()
 
     def sample_workloads(self, bid: AgentId) -> None:
@@ -397,12 +453,11 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
 
 
 def _run_once(world: _World, event_budget: int) -> bool:
-    while world.queue:
+    for event in world.drain():
         if world.events >= event_budget:
             return False
-        event = heapq.heappop(world.queue)
         world.events += 1
-        now = world.now = event.time
+        now = event.time
 
         if event.kind is DELIVER:
             msg = event.message
@@ -470,9 +525,8 @@ def _run_once(world: _World, event_budget: int) -> bool:
 
         elif event.kind is CONSUMER_START:
             consumer = world.unissued.pop(event.conversation)
-            world.meta[event.conversation] = ConversationMeta(
-                consumer=consumer, live_at_issue=tuple(sorted(world.registry))
-            )
+            meta = ConversationMeta(consumer=consumer, live_at_issue=world.sorted_registry())
+            world.meta[event.conversation] = meta
             world.record(event)
             for msg in consumer_start(consumer):
                 world.send(msg, now)
@@ -548,7 +602,7 @@ def run(scenario: Scenario) -> RunResult:
                     )
 
     return RunResult(
-        trace=Trace(world.chunks),
+        trace=world.trace,
         message_counts=world.delivered,
         consumers=world.consumers,
         brokers=world.brokers,

@@ -36,10 +36,15 @@ def trace_text(records) -> str:
 
 
 def trace_of(records) -> Trace:
-    """A `Trace` of `records`, chunked as a run chunks its trace."""
-    lines = [record.line() + "\n" for record in records]
-    size = engine._CHUNK_LINES
-    return Trace(["".join(lines[i : i + size]) for i in range(0, len(lines), size)])
+    """A `Trace` of `records`, written in chunks by the kernel's writer, as a run writes its trace."""
+    world = engine._World(settings())
+    for record in records:
+        world.lines.append(record.line())
+        if len(world.lines) == engine._CHUNK_LINES:
+            world.end_chunk()
+    if world.lines:
+        world.end_chunk()
+    return world.trace
 
 
 def cycles_collected() -> int:

@@ -6,7 +6,9 @@ from click.testing import CliRunner
 
 import fedsim.cli
 from fedsim.cli import main
-from fedsim.engine import Trace, run
+from fedsim.engine import run
+
+from helpers import trace_of
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -152,8 +154,8 @@ def test_sweep_reports_a_trace_that_differs_in_one_record(monkeypatch):
     def run_with_one_record_changed_the_second_time(scn):
         result = run(scn)
         if results:
-            *chunks, last = result.trace.chunks
-            result.trace = Trace([*chunks, last.removesuffix("\n") + ",changed\n"])
+            *records, last = result.trace
+            result.trace = trace_of([*records, last._replace(payload=last.payload + ",changed")])
         results.append(result)
         return result
 

@@ -1,5 +1,5 @@
 import gc
-import heapq
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -238,20 +238,21 @@ def test_write_trace_streams_lines_without_holding_the_whole_text(tmp_path):
     ids=["churn.json", "tier-S"],
 )
 def test_a_run_trace_holds_little_beyond_its_text(scenario):
-    # what dropping the trace frees: its text, a string header per chunk and the Trace itself
+    # the text lives in the trace's file; dropping the trace frees only a length
+    # per chunk, the Trace and the finalizer that closes its file
     scn = scenario()
     tracemalloc.start()
     try:
         result = run(scn)
         held = tracemalloc.get_traced_memory()[0]
-        text = sum(len(chunk) for chunk in result.trace.chunks)
-        chunks = len(result.trace.chunks)
+        in_file = os.fstat(result.trace._fd).st_size
+        chunks = len(result.trace._sizes)
         result.trace = None
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert text == len(trace_text(run(scn).trace))
-    assert text <= freed <= text + 64 * chunks + 256, (freed, text, chunks)
+    assert in_file == len(trace_text(run(scn).trace)) > 0
+    assert 0 < freed <= 64 * chunks + 256, (freed, chunks)
 
 
 def test_each_line_parses_to_the_record_that_formats_it(fuzz_batch, monkeypatch):
@@ -261,10 +262,11 @@ def test_each_line_parses_to_the_record_that_formats_it(fuzz_batch, monkeypatch)
     workloads = [run(parse_scenario(generate(name, 1))) for name in ("tier-m", "scarce-hops", "long-leases")]
     lines = 0
     for result in [result for result, _, _ in fuzz_batch.runs] + workloads:
-        sizes = [chunk.count("\n") for chunk in result.trace.chunks]
+        chunks = [chunk.decode("ascii") for chunk in result.trace._chunks()]
+        sizes = [chunk.count("\n") for chunk in chunks]
         assert all(size == engine._CHUNK_LINES for size in sizes[:-1])
         assert len(result.trace) == sum(sizes) == result.events_processed
-        for chunk in result.trace.chunks:
+        for chunk in chunks:
             for line in chunk.splitlines(keepends=True):
                 assert EventRecord.parse(line).line() + "\n" == line
                 lines += 1
@@ -277,13 +279,58 @@ def test_a_trace_reads_as_a_sequence_of_records():
         for i in range(2 * engine._CHUNK_LINES + 5)
     ]
     trace = trace_of(records)
-    assert len(trace.chunks) == 3 and len(trace) == len(records)
+    assert len(trace._sizes) == 3 and len(trace) == len(records)
     assert list(trace) == records
     assert trace == trace_of(records) and trace != trace_of(records[:-1])
     changed = records[-1]._replace(payload="released=yes")
     assert trace != trace_of(records[:-1] + [changed])
     assert trace != records  # a trace equals only a trace of the same text
     assert len(trace_of([])) == 0 and trace_of([]) == run(empty_scenario()).trace
+
+
+def test_interleaved_readers_of_one_trace_each_read_every_record():
+    records = [
+        EventRecord(i, i + 1, "churn", "-", f"provider:{i}", "provider-join", "-", "-")
+        for i in range(engine._CHUNK_LINES + 3)
+    ]
+    trace = trace_of(records)
+    assert len(trace._sizes) == 2
+    first, second = iter(trace), iter(trace)
+    pairs = []
+    for a in first:
+        pairs.append((a, next(second)))
+        if len(pairs) == engine._CHUNK_LINES - 1:
+            # more readers of the same file, while both iterators are open
+            assert trace == trace and trace == trace_of(records)
+    assert next(second, None) is None
+    assert pairs == list(zip(records, records))
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("fails", [False, True], ids=["dropped", "raises"])
+def test_no_trace_file_stays_open_once_a_result_is_dropped_or_run_raises(monkeypatch, fails):
+    class Probe(_World):
+        def record(self, event, payload_suffix=""):
+            if fails and len(self.trace):  # once one chunk is in the file
+                raise ProtocolError("stub world refuses its event")
+            super().record(event, payload_suffix)
+
+    monkeypatch.setattr(engine, "_World", Probe)
+    scenario = parse_scenario(fuzz_scenario(random.Random(7), 5, 15, 150, 5))  # 4,102 events
+    before = open_fds()
+    try:
+        result = run(scenario)
+    except ProtocolError:
+        assert fails
+    else:
+        assert not fails and len(result.trace) > engine._CHUNK_LINES
+        assert open_fds() == before + 1  # the trace's file
+        del result
+    assert open_fds() == before
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
@@ -357,5 +404,16 @@ def test_events_pop_in_time_then_scheduling_order():
     late = world.schedule(5, kind=EventKind.CONSUMER_START, conversation="consumer:0#0")
     first = world.schedule(2, kind=EventKind.HOLD_EXPIRY, conversation="consumer:0#0", provider=provider(0))
     second = world.schedule(2, kind=EventKind.CHURN)
-    assert [heapq.heappop(world.queue) for _ in range(3)] == [first, second, late]
+    drained, times = [], []
+    for event in world.drain():
+        drained.append(event)
+        times.append(world.now)
+        if event is first:
+            # scheduled at the time being drained: it runs in that time, after `second`
+            meanwhile = world.schedule(2, kind=EventKind.CHURN)
+            with pytest.raises(InvariantError, match="in the past"):
+                world.schedule(1, kind=EventKind.CHURN)
+    assert drained == [first, second, meanwhile, late] and times == [2, 2, 2, 5]
+    assert [event.seq for event in drained] == [2, 3, 4, 1]
+    assert world.times == [] and world.pending == {}
     assert (first.message, first.churn, late.provider) == (None, None, None)

@@ -2,8 +2,9 @@
 
 `CheckedWorld` stands in for the kernel's world during a run. At every
 broker delivery it compares the cached registry view and neighbor snapshot
-with from-scratch oracles, and at every event it samples every broker's
-in-flight count the naive way, for comparison with the incremental
+with from-scratch oracles, at every request's issue it compares the shared
+sorted registry with a fresh sort, and at every event it samples every
+broker's in-flight count the naive way, for comparison with the incremental
 `WorkloadStat`s. It rechecks every migration from world state, not trusting
 the selector: hop bound, preventive constraints, and -1/+1 in flight at the
 sender and the target. It keeps each conversation's path, since the hop is the
@@ -54,6 +55,11 @@ class CheckedWorld(engine._World):
             if self.brokers[bid].in_flight - before + closed != 1:
                 self.incoherent.append(f"{msg.conversation}: no +1 on arrival at {bid}")
         super().sample_workloads(bid)
+
+    def sorted_registry(self):
+        live = super().sorted_registry()
+        assert live == tuple(sorted(self.registry))
+        return live
 
     def send(self, msg, now):
         # a broker's out-messages are sent right after its step

@@ -237,7 +237,7 @@ class SelectionSnapshot(NamedTuple):
     """
 
     contact_list: Mapping[AgentId, ContactEntry]
-    universe: frozenset[AgentId]
+    universe: Mapping[AgentId, ContactEntry]  # its ids are the candidates at open
     excluded: frozenset[AgentId]  # removed for cause: capacity, expired, departed
     cost: Money
 
@@ -250,16 +250,17 @@ class SelectionSnapshot(NamedTuple):
 class BrokerConversation:
     request: Request
     phase: BrokerPhase
-    # ids of the providers still in the running: the contact list at open,
-    # less those removed since; providers joining the federation later are
-    # not candidates here
-    temporary: set[AgentId]
-    universe: frozenset[AgentId] = frozenset()  # the contact list's ids at open
+    # the broker's registry view at open, shared with every conversation it
+    # opens until the next join or leave; its ids are the contact list's, and
+    # providers joining the federation later are not candidates here
+    universe: Mapping[AgentId, ContactEntry]
     # the provider last quoted; from AWAITING_AGREEMENT on, also the one
     # holding the reservation: a conversation has at most one provider
     # request outstanding, the CFP to `best`, so the hold is `best`'s
     best: AgentId | None = None
-    excluded: set[AgentId] = field(default_factory=set)
+    # the candidates removed since open, each True when removed for cause
+    # (capacity, expired, departed); a candidate is in `universe`, not here
+    removed: dict[AgentId, bool] = field(default_factory=dict)
     snapshot: SelectionSnapshot | None = None  # the last selection; its cost is the quote
     # heap of (cost, -grade, id, stamp, entry), one item per covering
     # candidate entry priced for this request; stamp is -1 at open, then the
@@ -294,7 +295,7 @@ class BrokerState:
 
 
 def update_contact_list(
-    current: dict[AgentId, ContactEntry], registry_view: list[ContactEntry]
+    current: dict[AgentId, ContactEntry], registry_view: Mapping[AgentId, ContactEntry]
 ) -> dict[AgentId, ContactEntry]:
     """Sync with the registry: drop departed providers, add newly visible ones.
 
@@ -302,25 +303,16 @@ def update_contact_list(
     in as the registry advertises them (default grade), in the view's order.
     `current` is never edited; it is returned as is when nothing changed.
     """
-    if current.keys() == {entry.provider for entry in registry_view}:
+    if current.keys() == registry_view.keys():
         return current
-    return {e.provider: current.get(e.provider, e) for e in registry_view}
+    return {pid: current.get(pid, e) for pid, e in registry_view.items()}
 
 
-def _changed(state: BrokerState, pid: AgentId) -> None:
-    """Stamp `pid`'s entry as changed, for each open conversation to rank it again."""
-    state.version += 1
-    state.changed.pop(pid, None)  # re-inserted last, so the dict stays in version order
-    state.changed[pid] = state.version
-
-
-def _open_conversation(state: BrokerState, conversation: str, request: Request) -> BrokerConversation:
-    """Open a conversation over the current contact list, its covering candidates ranked."""
+def _open_conversation(
+    state: BrokerState, conversation: str, request: Request, universe: Mapping[AgentId, ContactEntry]
+) -> BrokerConversation:
+    """Open a conversation over the contact list, which has `universe`'s ids; rank its covering candidates."""
     known = state.contact_list
-    # the newest open conversation's universe, when the ids have not changed since:
-    # a request's final snapshot keeps it for the whole run
-    last = next(reversed(state.conversations.values()), None)
-    universe = last.universe if last is not None and last.universe == known.keys() else frozenset(known)
     bundle, factor = request.bundle, lease_factor(request)
     ranking = [
         (total_cost(bundle, e.prices, factor), -e.grade, pid, -1, e)
@@ -331,7 +323,6 @@ def _open_conversation(state: BrokerState, conversation: str, request: Request) 
     state.conversations[conversation] = BrokerConversation(
         request=request,
         phase=QUOTING,
-        temporary=set(known),
         universe=universe,
         ranking=ranking,
         read=state.version,
@@ -345,37 +336,43 @@ def select_best_provider(state: BrokerState, conversation: str) -> AgentId | Non
     Only the candidates whose entry changed since the conversation last read
     the broker's version stamps are priced again. A candidate a refresh
     dropped from the contact list is priced from its last entry; a purged one
-    has no entry left and drops out. The choice stays on top of `conv.ranking`.
+    has no entry left and drops out. A provider that joined after the opening
+    may be pushed, and is popped as outside the universe. The choice stays on
+    top of `conv.ranking`.
     """
     conv = state.conversations[conversation]
     known, dropped = state.contact_list, state.dropped
-    temporary, ranking = conv.temporary, conv.ranking
+    universe, removed, ranking = conv.universe, conv.removed, conv.ranking
     if conv.read < state.version:
         bundle, factor = conv.request.bundle, lease_factor(conv.request)
         for pid, stamp in reversed(state.changed.items()):  # newest first
             if stamp <= conv.read:
                 break
-            if pid in temporary and (e := known.get(pid) or dropped.get(pid)) and e.covers(bundle):
+            if pid not in removed and (e := known.get(pid) or dropped.get(pid)) and e.covers(bundle):
                 heappush(ranking, (total_cost(bundle, e.prices, factor), -e.grade, pid, stamp, e))
         conv.read = state.version
     while ranking:
         _, _, pid, _, e = ranking[0]
-        if pid in temporary and e is (known.get(pid) or dropped.get(pid)):
+        if pid in universe and pid not in removed and e is (known.get(pid) or dropped.get(pid)):
             return pid
         heappop(ranking)
     return None
 
 
 def _replace_entry(state: BrokerState, new: ContactEntry) -> None:
-    state.contact_list = {**state.contact_list, new.provider: new}
-    _changed(state, new.provider)
+    """Install `new` and stamp its change, for each open conversation to rank it again."""
+    pid = new.provider
+    state.contact_list = {**state.contact_list, pid: new}
+    state.version += 1
+    state.changed.pop(pid, None)  # re-inserted last, so the dict stays in version order
+    state.changed[pid] = state.version
 
 
 def _purge(state: BrokerState, pid: AgentId) -> None:
-    # a departed provider: no open conversation can price it from here on
+    # a departed provider: no open conversation can price it from here on, and
+    # with no entry left, a stamp would be skipped by every catch-up
     state.contact_list = {p: e for p, e in state.contact_list.items() if p != pid}
     state.dropped.pop(pid, None)
-    _changed(state, pid)
 
 
 def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
@@ -388,12 +385,6 @@ def _apply_price_update(state: BrokerState, pid: AgentId, ratios) -> None:
             prices[rtype], ratio, 1.0, state.scenario.pricing.demand_sensitivity
         )
     _replace_entry(state, entry._replace(prices=prices))
-
-
-def _remove_from_temporary(conv: BrokerConversation, pid: AgentId, for_cause: bool) -> None:
-    conv.temporary.discard(pid)
-    if for_cause:
-        conv.excluded.add(pid)
 
 
 def _grade(state: BrokerState, pid: AgentId, feedback: float) -> None:
@@ -417,17 +408,18 @@ def _advance(state: BrokerState, conversation: str, conv: BrokerConversation, wo
         )
         if result.target is None:
             # the request failed: each provider it was quoted from is graded down once;
-            # only a quoted provider leaves `temporary`
-            for pid in sorted(conv.universe - conv.temporary):
+            # only a quoted provider is removed
+            for pid in sorted(conv.removed):
                 _grade(state, pid, 0.0)
         del state.conversations[conversation]  # the request left this broker either way
         return list(result.messages)
 
     conv.best = best
+    excluded = frozenset(pid for pid, cause in conv.removed.items() if cause) if conv.removed else None
     conv.snapshot = SelectionSnapshot(
         contact_list=state.contact_list,
         universe=conv.universe,
-        excluded=frozenset(conv.excluded) if conv.excluded else _NONE_EXCLUDED,
+        excluded=excluded or _NONE_EXCLUDED,
         cost=conv.ranking[0][0],
     )
     conv.phase = QUOTING
@@ -459,8 +451,8 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
         if conv is not None:
             raise ProtocolError(f"{state.id} got a second CFP for {msg.conversation}")
         payload: CallPayload = msg.payload
-        old = state.contact_list
-        refreshed = update_contact_list(old, world.registry_view(state.id))
+        old, view = state.contact_list, world.registry_view(state.id)
+        refreshed = update_contact_list(old, view)
         if refreshed is not old:
             # a provider that leaves never returns, so an id the old list
             # lacked is new to the broker and no open conversation holds it
@@ -468,7 +460,7 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
                 if pid not in refreshed:
                     state.dropped[pid] = entry
             state.contact_list = refreshed
-        conv = _open_conversation(state, msg.conversation, payload.request)
+        conv = _open_conversation(state, msg.conversation, payload.request, view)
         return state, _advance(state, msg.conversation, conv, world)
 
     if conv is None:
@@ -489,7 +481,7 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
         if perf in (REJECT_PROPOSAL, REFUSE) and conv.phase is QUOTING:
             # a rejected quote, or a consumer that spent its rejection budget
             # and declines to continue here
-            _remove_from_temporary(conv, conv.best, for_cause=False)
+            conv.removed[conv.best] = False
             return state, _advance(state, msg.conversation, conv, world)
         if perf is AGREE and conv.phase is BROKER_AWAITING_AGREEMENT:
             conv.phase = AWAITING_FEEDBACK
@@ -531,12 +523,12 @@ def broker_step(state: BrokerState, msg: Message, world) -> tuple[BrokerState, l
             payload: RefusePayload = msg.payload
             if payload.reason is DEPARTED:
                 _purge(state, msg.sender)
-                _remove_from_temporary(conv, msg.sender, for_cause=True)
+                conv.removed[msg.sender] = True
             else:
                 _apply_price_update(state, msg.sender, payload.ratios)
                 # an expected-cost refusal only refreshes prices: the provider stays eligible
                 if payload.reason is not EXPECTED_COST:
-                    _remove_from_temporary(conv, msg.sender, for_cause=True)
+                    conv.removed[msg.sender] = True
             return state, _advance(state, msg.conversation, conv, world)
         raise _violation(state.id, conv.phase, msg)
 

@@ -113,7 +113,7 @@ def sweep(scenario_path):
         scn = load_scenario(scenario_path)
         first, second = run_engine(scn), run_engine(scn)
         report = compute_metrics(first)
-    except SimulatorError as exc:
+    except (SimulatorError, OSError) as exc:  # OSError: a trace cannot be spilled
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 

@@ -195,7 +195,7 @@ class ConversationMeta:
     """
 
     consumer: ConsumerState
-    live_at_issue: tuple[AgentId, ...]  # the registry when the request was issued
+    live_at_issue: frozenset[AgentId]  # the registry when the request was issued
     migrations: int = 0
     snapshot: object = None  # SelectionSnapshot of the final selection
     on_time: bool | None = None
@@ -225,12 +225,14 @@ class RunResult:
 class _World:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.registry: set[AgentId] = set()
+        # the live providers: replaced, never edited, on each join and leave,
+        # so every request issued in between shares it
+        self.registry: frozenset[AgentId] = frozenset(spec.id for spec in scenario.providers)
         self.providers: dict[AgentId, ProviderState] = {}
         self.visibility: dict[AgentId, set[AgentId]] = {}
-        # per broker: the registry view of its visible live providers, sorted
-        # by id, and the resource types they price; cleared on every join and leave
-        self._views: dict[AgentId, tuple[list[ContactEntry], frozenset[str]]] = {}
+        # per broker: the registry view of its visible live providers, in id
+        # order, and the resource types they price; cleared on every join and leave
+        self._views: dict[AgentId, tuple[dict[AgentId, ContactEntry], frozenset[str]]] = {}
 
         self.brokers: dict[AgentId, BrokerState] = {}
         for spec in scenario.brokers:
@@ -293,20 +295,9 @@ class _World:
             base_prices=dict(spec.base_prices),
             scenario=self.scenario,
         )
-        self.registry.add(pid)
         for bid in spec.visible_to:
             self.visibility[bid].add(pid)
         self._views.clear()
-
-    def sorted_registry(self) -> tuple[AgentId, ...]:
-        """The live providers sorted by id: the last issued request's tuple while the registry is the same."""
-        registry = self.registry
-        last = next(reversed(self.meta.values()), None)
-        if last is not None:
-            held = last.live_at_issue
-            if len(held) == len(registry) and registry.issuperset(held):
-                return held
-        return tuple(sorted(registry))
 
     def schedule(
         self,
@@ -344,18 +335,18 @@ class _World:
     def send(self, msg: Message, now: int) -> None:
         self.schedule(now + self.scenario.delay(msg.sender, msg.receiver), DELIVER, msg)
 
-    def _visible_live(self, bid: AgentId) -> tuple[list[ContactEntry], frozenset[str]]:
-        """Entries for the live providers `bid` sees, sorted by id, and the types they price."""
+    def _visible_live(self, bid: AgentId) -> tuple[dict[AgentId, ContactEntry], frozenset[str]]:
+        """Entries for the live providers `bid` sees, by id in id order, and the types they price."""
         view = self._views.get(bid)
         if view is None:
             ids = sorted(self.visibility[bid] & self.registry)
-            entries = [ContactEntry(pid, self.providers[pid].base_prices) for pid in ids]
-            types = frozenset().union(*(entry.prices for entry in entries))
+            entries = {pid: ContactEntry(pid, self.providers[pid].base_prices) for pid in ids}
+            types = frozenset().union(*(entry.prices for entry in entries.values()))
             view = self._views[bid] = (entries, types)
         return view
 
-    def registry_view(self, bid: AgentId) -> list[ContactEntry]:
-        """Entries for `bid`'s visible live providers, shared until a join or leave; do not edit.
+    def registry_view(self, bid: AgentId) -> dict[AgentId, ContactEntry]:
+        """Entries for `bid`'s visible live providers by id, shared until a join or leave; do not edit.
 
         Entries are immutable and price from their provider's own base-price
         dict, which never changes after the provider joins.
@@ -441,7 +432,7 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
     """Apply one membership change to the registry and affected reservations."""
     pid = change.provider  # the parser's rules hold: a leave names a live provider, a join a new id
     if change.action is LEAVE:
-        world.registry.discard(pid)
+        world.registry = world.registry - {pid}
         world._views.clear()
         provider = world.providers[pid]
         # held reservations die with the membership; release_hold sends nothing,
@@ -450,6 +441,7 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
             release_hold(provider, conversation)
     else:
         world._add_provider(change.join)
+        world.registry = world.registry | {pid}
 
 
 def _run_once(world: _World, event_budget: int) -> bool:
@@ -525,7 +517,7 @@ def _run_once(world: _World, event_budget: int) -> bool:
 
         elif event.kind is CONSUMER_START:
             consumer = world.unissued.pop(event.conversation)
-            meta = ConversationMeta(consumer=consumer, live_at_issue=world.sorted_registry())
+            meta = ConversationMeta(consumer=consumer, live_at_issue=world.registry)
             world.meta[event.conversation] = meta
             world.record(event)
             for msg in consumer_start(consumer):
@@ -607,7 +599,7 @@ def run(scenario: Scenario) -> RunResult:
         consumers=world.consumers,
         brokers=world.brokers,
         providers=world.providers,
-        registry=frozenset(world.registry),
+        registry=world.registry,
         conversations=world.meta,
         workloads=world.workloads,
         quiescent=quiescent,

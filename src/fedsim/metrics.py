@@ -55,7 +55,8 @@ def cheapest_base_cost(result: RunResult, bundle, live_at_issue) -> Money | None
     fits the provider's raw capacity. Base prices are used, so this times a
     request's lease factor is the frictionless lower bound the gap is
     measured against: every cost is an integer sum times the factor, which
-    is at least 1, so the cheapest sum gives the cheapest cost.
+    is at least 1, so the cheapest sum gives the cheapest cost. Only the
+    cost is returned, so the order `live_at_issue` is read in cannot change it.
     """
     best: Money | None = None
     for pid in live_at_issue:

@@ -152,17 +152,17 @@ def oracle_select(vectors: dict, admissible: dict):
     return None, rounds
 
 
-def oracle_registry_view(world, bid) -> list[ContactEntry]:
-    """A broker's registry view from scratch: its visible providers still registered, by id."""
-    return [
-        ContactEntry(
+def oracle_registry_view(world, bid) -> dict[AgentId, ContactEntry]:
+    """A broker's registry view from scratch: its visible providers still registered, by id in id order."""
+    return {
+        pid: ContactEntry(
             provider=pid,
             prices=dict(world.providers[pid].base_prices),
             grade=0.5,
         )
         for pid in sorted(world.visibility[bid])
         if pid in world.registry
-    ]
+    }
 
 
 def oracle_neighbor_snapshot(world, of) -> list[NeighborInfo]:

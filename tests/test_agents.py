@@ -208,13 +208,13 @@ def contacts(*entries):
 
 def test_departed_provider_dropped_from_contacts():
     current = contacts(entry(0, cpu="2.00"), entry(1, cpu="3.00"))
-    view = [entry(1, cpu="3.00")]
+    view = contacts(entry(1, cpu="3.00"))
     assert list(update_contact_list(current, view)) == [provider(1)]
 
 
 def test_new_provider_joins_with_default_grade():
     current = contacts(entry(0, cpu="2.00"))
-    view = [entry(0, cpu="2.00"), entry(9, cpu="1.00")]
+    view = contacts(entry(0, cpu="2.00"), entry(9, cpu="1.00"))
     got = update_contact_list(current, view)
     assert list(got) == [provider(0), provider(9)]
     assert got[provider(9)].grade == 0.5
@@ -223,16 +223,17 @@ def test_new_provider_joins_with_default_grade():
 def test_unchanged_registry_keeps_list_identical():
     learned = entry(0, grade=0.9, cpu="9.99")
     current = contacts(learned, entry(1, cpu="3.00"))
-    view = [entry(0, cpu="2.00"), entry(1, cpu="3.00")]
+    view = contacts(entry(0, cpu="2.00"), entry(1, cpu="3.00"))
     got = update_contact_list(current, view)
-    assert got == current
+    assert got is current
     assert got[provider(0)] is learned  # learned prices and grade survive refresh
 
 
 def opened(entries, b, factor):
     """A broker holding `entries`, with one conversation open for `b` over `factor` ticks."""
-    state = BrokerState(broker(0), contacts(*entries), (), settings())
-    _open_conversation(state, "consumer:0#0", request(start=0, end=factor, **dict(b.items)))
+    view = contacts(*entries)  # the registry view the refresh installed as it is
+    state = BrokerState(broker(0), view, (), settings())
+    _open_conversation(state, "consumer:0#0", request(start=0, end=factor, **dict(b.items)), view)
     return state, "consumer:0#0"
 
 
@@ -443,8 +444,8 @@ class StubWorld:
     With no `neighbors` given, a step that self-organizes fails the test.
     """
 
-    def __init__(self, view=(), neighbors=None):
-        self.view, self.neighbors = list(view), neighbors
+    def __init__(self, view, neighbors=None):
+        self.view, self.neighbors = view, neighbors
         self.reads = Counter()
 
     def registry_view(self, bid):
@@ -471,7 +472,7 @@ def consumer_cfp(state_broker, cid=0, req=None):
 
 def test_broker_quotes_best_provider_on_cfp():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="1.50")])
-    view = [entry(0, cpu="2.00"), entry(1, cpu="1.50")]
+    view = contacts(entry(0, cpu="2.00"), entry(1, cpu="1.50"))
     _, out = broker_step(state, consumer_cfp(state), StubWorld(view))
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
@@ -483,7 +484,7 @@ def test_broker_quotes_best_provider_on_cfp():
 
 def test_broker_with_empty_list_self_organizes_no_quote():
     state = make_broker(entries=[], neighbors=(1,))
-    world = StubWorld([], neighbors=[neighbor(1, types=("cpu",))])
+    world = StubWorld(contacts(), neighbors=[neighbor(1, types=("cpu",))])
     _, out = broker_step(state, consumer_cfp(state), world)
     (msg,) = out
     assert msg.performative is Performative.CFP
@@ -493,7 +494,9 @@ def test_broker_with_empty_list_self_organizes_no_quote():
 
 def test_broker_reads_each_view_only_in_the_step_that_uses_it():
     state = make_broker(neighbors=(1,))
-    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="5.00")], neighbors=[neighbor(1, types=("cpu",))])
+    world = StubWorld(
+        contacts(entry(0, cpu="2.00"), entry(1, cpu="5.00")), neighbors=[neighbor(1, types=("cpu",))]
+    )
     conv_id = "consumer:0#0"
 
     def reads(msg):
@@ -529,7 +532,7 @@ def reject_from(state, cid):
 
 def test_feedback_lifts_a_candidate_below_the_top_of_another_conversation():
     # provider 0 alone prices gpu; on cpu all three cost the same and grade decides
-    registry = [entry(0, cpu="5.00", gpu="5.00"), entry(1, cpu="5.00"), entry(2, cpu="5.00")]
+    registry = contacts(entry(0, cpu="5.00", gpu="5.00"), entry(1, cpu="5.00"), entry(2, cpu="5.00"))
     state = make_broker(
         entries=[entry(0, 0.5, cpu="5.00", gpu="5.00"), entry(1, 0.6, cpu="5.00"), entry(2, 0.55, cpu="5.00")]
     )
@@ -555,7 +558,7 @@ def test_feedback_lifts_a_candidate_below_the_top_of_another_conversation():
 
 def test_a_long_open_conversation_does_not_pin_the_change_stamps():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="3.00")])
-    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="3.00")])
+    world = StubWorld(contacts(entry(0, cpu="2.00"), entry(1, cpu="3.00")))
     held = "consumer:0#0"
 
     def say(cid, performative, payload=None, sender=None):
@@ -590,7 +593,7 @@ def test_a_long_open_conversation_does_not_pin_the_change_stamps():
     expected = min(
         (straight_loop_cost(conv.request.bundle, e.prices, factor), -e.grade, pid)
         for pid, e in state.contact_list.items()
-        if pid in conv.temporary
+        if pid in conv.universe and pid not in conv.removed
     )
     assert (msg.payload.cost, conv.best) == (expected[0], expected[2])
 
@@ -598,7 +601,7 @@ def test_a_long_open_conversation_does_not_pin_the_change_stamps():
 def test_broker_refuse_ratio_updates_price_and_requotes():
     # recorded 2.00, ratio 0.5, sensitivity 1 -> 3.00, then a fresh quote
     state = make_broker(entries=[entry(0, cpu="2.00")])
-    world = StubWorld([entry(0, cpu="2.00")])
+    world = StubWorld(contacts(entry(0, cpu="2.00")))
     broker_step(state, consumer_cfp(state), world)
     broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
@@ -617,7 +620,7 @@ def test_broker_refuse_ratio_updates_price_and_requotes():
 
 def test_broker_capacity_refusal_drops_provider_from_temporary():
     state = make_broker(entries=[entry(0, cpu="1.00"), entry(1, cpu="5.00")])
-    world = StubWorld([entry(0, cpu="1.00"), entry(1, cpu="5.00")])
+    world = StubWorld(contacts(entry(0, cpu="1.00"), entry(1, cpu="5.00")))
     broker_step(state, consumer_cfp(state), world)
     broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
@@ -629,8 +632,7 @@ def test_broker_capacity_refusal_drops_provider_from_temporary():
     )
     _, out = broker_step(state, refuse, world)
     conv = state.conversations["consumer:0#0"]
-    assert provider(0) not in conv.temporary
-    assert provider(0) in conv.excluded
+    assert conv.removed == {provider(0): True}
     assert out[0].payload.cost == money("5.00")  # requoted from the survivor
 
 
@@ -647,7 +649,7 @@ def test_broker_grades_attempted_providers_down_only_when_the_request_fails(
     max_migrations, neighbors, reason, grade
 ):
     state = make_broker(entries=[entry(0, cpu="2.00")], neighbors=(1,), max_migrations=max_migrations)
-    world = StubWorld([entry(0, cpu="2.00")], neighbors)
+    world = StubWorld(contacts(entry(0, cpu="2.00")), neighbors)
     broker_step(state, consumer_cfp(state), world)
     broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
@@ -669,7 +671,7 @@ def test_broker_grades_attempted_providers_down_only_when_the_request_fails(
 
 def test_broker_reject_loop_drains_temporary_then_fails():
     state = make_broker(entries=[entry(0, cpu="4.00"), entry(1, cpu="6.00")], neighbors=())
-    world = StubWorld([entry(0, cpu="4.00"), entry(1, cpu="6.00")], neighbors=[])
+    world = StubWorld(contacts(entry(0, cpu="4.00"), entry(1, cpu="6.00")), neighbors=[])
     broker_step(state, consumer_cfp(state), world)
     reject = Message(
         Performative.REJECT_PROPOSAL,
@@ -680,6 +682,7 @@ def test_broker_reject_loop_drains_temporary_then_fails():
     )
     _, out = broker_step(state, reject, world)
     assert out[0].payload.cost == money("6.00")
+    assert state.conversations["consumer:0#0"].removed == {provider(0): False}  # not for cause
     _, out = broker_step(state, reject, world)
     (msg,) = out
     assert msg.performative is Performative.FAILURE
@@ -688,7 +691,7 @@ def test_broker_reject_loop_drains_temporary_then_fails():
 
 def test_broker_full_happy_path_and_grade_update():
     state = make_broker(entries=[entry(0, grade=0.5, cpu="2.00")])
-    world = StubWorld([entry(0, cpu="2.00")])
+    world = StubWorld(contacts(entry(0, cpu="2.00")))
     conv_id = "consumer:0#0"
     broker_step(state, consumer_cfp(state), world)
     broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), world)
@@ -718,7 +721,7 @@ def test_broker_full_happy_path_and_grade_update():
 
 def test_broker_departed_refusal_purges_provider_everywhere():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
-    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="9.00")])
+    world = StubWorld(contacts(entry(0, cpu="2.00"), entry(1, cpu="9.00")))
     broker_step(state, consumer_cfp(state), world)
     broker_step(state, Message(Performative.ACCEPT_PROPOSAL, "consumer:0#0", consumer(0), state.id), world)
     refuse = Message(
@@ -735,7 +738,7 @@ def test_broker_departed_refusal_purges_provider_everywhere():
 
 def test_broker_expired_refusal_drops_provider_and_requotes():
     state = make_broker(entries=[entry(0, cpu="2.00"), entry(1, cpu="9.00")])
-    world = StubWorld([entry(0, cpu="2.00"), entry(1, cpu="9.00")])
+    world = StubWorld(contacts(entry(0, cpu="2.00"), entry(1, cpu="9.00")))
     conv_id = "consumer:0#0"
     broker_step(state, consumer_cfp(state), world)
     broker_step(state, Message(Performative.ACCEPT_PROPOSAL, conv_id, consumer(0), state.id), world)
@@ -752,8 +755,7 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
     )
     _, out = broker_step(state, refuse, world)
     conv = state.conversations[conv_id]
-    assert provider(0) not in conv.temporary
-    assert provider(0) in conv.excluded
+    assert conv.removed == {provider(0): True}
     (msg,) = out
     assert msg.performative is Performative.PROPOSE
     assert msg.payload.cost == money("9.00")  # requoted from the survivor
@@ -761,7 +763,7 @@ def test_broker_expired_refusal_drops_provider_and_requotes():
 
 def test_broker_out_of_phase_message_raises():
     state = make_broker(entries=[entry(0, cpu="2.00")])
-    world = StubWorld([entry(0, cpu="2.00")])
+    world = StubWorld(contacts(entry(0, cpu="2.00")))
     broker_step(state, consumer_cfp(state), world)
     with pytest.raises(ProtocolError):
         broker_step(state, Message(Performative.AGREE, "consumer:0#0", consumer(0), state.id), world)

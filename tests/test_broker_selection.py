@@ -1,8 +1,11 @@
 """Broker provider selection against a from-scratch ranking, over the shared fuzz batch.
 
 At every `_advance` the broker's choice and quoted cost must equal the
-minimum of (cost, -grade, id) over the conversation's candidates, each
-priced by the straight-loop oracle from its current entry. A provider that
+minimum of (cost, -grade, id) over the conversation's candidates, its
+universe less the ids it removed, each priced by the straight-loop oracle
+from its current entry. A conversation's universe is the broker's registry
+view at open, with the contact list's ids; every conversation a broker
+opens between two churn events shares that one view. A provider that
 a refresh dropped from the contact list keeps the last entry the broker
 held for it until it is purged as departed. Every selection snapshot must
 read back the contact list as it stood at that selection, whatever the
@@ -15,12 +18,12 @@ never rejoins, so a kernel run never reinstalls a dropped provider. The
 CFP refresh rests on that: it stamps none of the ids it adds.
 
 When a broker runs out of candidates for a request, whether it then
-migrates or fails, the request's universe less its temporary set holds every
-provider the broker quoted it, which a failure grades down: only a quoted
-provider leaves `temporary`. A quoted provider may stay in `temporary` after
-an expected-cost refusal and then be purged as departed by another
-conversation; it has no entry left to grade. Every INFORM a broker receives is a
-task's completion report and carries the consumer's feedback.
+migrates or fails, the ids the conversation removed are providers the broker
+quoted it, which a failure grades down: only a quoted provider is removed.
+A quoted provider may stay a candidate after an expected-cost refusal and
+then be purged as departed by another conversation; it has no entry left to
+grade. Every INFORM a broker receives is a task's completion report and
+carries the consumer's feedback.
 """
 
 from fedsim.model import Performative, RefuseReason
@@ -34,13 +37,15 @@ class SelectionOracle:
         self.last_seen = {}  # broker -> provider -> last entry in its contact list
         self.purged = {}     # broker -> providers it learned had departed
         self.universes = {}  # (broker, conversation) -> contact list ids at open
+        self.views = {}  # (broker, churn events so far) -> the universe its openings share
+        self.shared_opens = 0  # openings that found their universe already held by another
         self.snapshots = []  # (snapshot, contact list entries of its universe at selection)
         self.selections = self.failures = self.stale = 0
         self.unread = 0  # broker steps that left stamps some open conversation has not read
         self.steps = self.with_dropped = 0  # broker steps, and those with dropped providers
         self.quoted = {}  # (broker, conversation) -> providers quoted since the CFP that opened it
         self.informs = 0  # INFORMs delivered to a broker, each with its feedback
-        self.purged_quoted = 0  # quoted providers still in `temporary` when candidates ran out
+        self.purged_quoted = 0  # quoted providers still candidates when candidates ran out
 
     def check_log(self, state):
         reads = [conv.read for conv in state.conversations.values()]
@@ -81,17 +86,24 @@ class SelectionOracle:
     def advance(self, original):
         def advance(state, conversation, conv, world):
             self.remember(state)
-            # the first _advance of a conversation runs right after it opens
-            universe = self.universes.setdefault(
-                (state.id, conversation), frozenset(state.contact_list)
-            )
+            key = (state.id, conversation)
+            if key not in self.universes:  # the first _advance of a conversation runs right after it opens
+                assert conv.universe.keys() == state.contact_list.keys()
+                self.universes[key] = frozenset(state.contact_list)
+                epoch = (state.id, world.churns)
+                if epoch in self.views:
+                    assert conv.universe is self.views[epoch]
+                    self.shared_opens += 1
+                else:
+                    self.views[epoch] = conv.universe
+            universe = self.universes[key]
             seen = self.last_seen[state.id]
             purged = self.purged.get(state.id, set())
             bundle = conv.request.bundle
             factor = lease_factor(conv.request)
             ranked = []
-            for pid in conv.temporary:
-                if pid in purged:
+            for pid in conv.universe:
+                if pid in conv.removed or pid in purged:
                     continue
                 entry = seen[pid]
                 self.stale += pid not in state.contact_list
@@ -105,7 +117,7 @@ class SelectionOracle:
             quoted = self.quoted[(state.id, conversation)]
             if expected is None:
                 assert conversation not in state.conversations  # self-organized
-                left = conv.universe - conv.temporary
+                left = conv.removed.keys()
                 assert left <= quoted
                 for pid in quoted - left:
                     assert pid in purged and pid not in state.contact_list and pid not in state.dropped
@@ -149,9 +161,15 @@ def test_a_failure_grades_the_quoted_providers_and_every_inform_carries_feedback
     failures = sum(oracle.failures for _, _, oracle in fuzz_batch.runs)
     informs = sum(oracle.informs for _, _, oracle in fuzz_batch.runs)
     purged_quoted = sum(oracle.purged_quoted for _, _, oracle in fuzz_batch.runs)
-    assert failures > 2_000  # each held its quoted providers outside `temporary`
+    assert failures > 2_000  # each removed only providers it was quoted
     assert purged_quoted > 0  # each had no entry left to grade
     assert informs > 1_900  # each carried its feedback
+
+
+def test_the_conversations_a_broker_opens_between_churn_events_share_one_universe(fuzz_batch):
+    shared = sum(oracle.shared_opens for _, _, oracle in fuzz_batch.runs)
+    epochs = sum(len(oracle.views) for _, _, oracle in fuzz_batch.runs)
+    assert shared > 4_000 and epochs > 1_000  # each opening checked against the first of its epoch
 
 
 def test_kernel_runs_never_reinstall_a_dropped_provider(fuzz_batch):

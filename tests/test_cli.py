@@ -1,10 +1,13 @@
+import errno
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 import fedsim.cli
+import fedsim.engine
 from fedsim.cli import main
 from fedsim.engine import run
 
@@ -139,6 +142,18 @@ def test_run_reports_an_unwritable_output_path_with_exit_code_2(tmp_path, option
     )
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ") and str(missing) in result.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_trace_that_cannot_be_spilled_is_reported_with_exit_code_2(monkeypatch, command):
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # only the kernel's reference: the trace file is where a full TMPDIR shows first
+    monkeypatch.setattr(fedsim.engine, "tempfile", SimpleNamespace(TemporaryFile=full))
+    result = CliRunner().invoke(main, [command, "--scenario", str(SCENARIOS / "churn.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: [Errno 28] No space left on device\n"
 
 
 def test_sweep_checks_determinism():

@@ -1,17 +1,16 @@
 """The kernel's cached world views, incremental workload sampling and migrations against oracles.
 
-`CheckedWorld` stands in for the kernel's world during a run. At every
-broker delivery it compares the cached registry view and neighbor snapshot
-with from-scratch oracles, at every request's issue it compares the shared
-sorted registry with a fresh sort, and at every event it samples every
-broker's in-flight count the naive way, for comparison with the incremental
-`WorkloadStat`s. It rechecks every migration from world state, not trusting
-the selector: hop bound, preventive constraints, and -1/+1 in flight at the
-sender and the target. It keeps each conversation's path, since the hop is the
-one owner of the request's path: `visited` must equal the brokers the
-conversation has left (its `migrations` counts them). The full runs are the
-session's shared fuzz batch (`conftest.py`), whose churn joins and leaves
-invalidate the caches.
+`CheckedWorld` stands in for the kernel's world during a run. At every broker
+delivery it compares the cached registry view and neighbor snapshot with
+from-scratch oracles, it counts the churn events applied so far, and at every
+event it samples every broker's in-flight count the naive way, for comparison
+with the incremental `WorkloadStat`s. It rechecks every migration from world
+state, not trusting the selector: hop bound, preventive constraints, and -1/+1
+in flight at the sender and the target. It keeps each conversation's path,
+since the hop is the one owner of the request's path: `visited` must equal the
+brokers the conversation has left (its `migrations` counts them). The full
+runs are the session's shared fuzz batch (`conftest.py`), whose churn joins
+and leaves invalidate the caches.
 """
 
 from collections import Counter
@@ -22,7 +21,7 @@ import fedsim.agents as agents
 import fedsim.engine as engine
 from fedsim.engine import WorkloadStat, run
 from fedsim.model import AgentKind, Performative, broker
-from fedsim.scenario import load_scenario
+from fedsim.scenario import LEAVE, load_scenario
 
 from helpers import oracle_neighbor_snapshot, oracle_registry_view
 
@@ -36,6 +35,7 @@ class CheckedWorld(engine._World):
         super().__init__(scenario)
         self.check_views = check_views
         self.views_checked = self.migrations = self.arrivals = 0
+        self.churns = 0  # churn events applied: each replaces the registry
         self.naive = {bid: WorkloadStat() for bid in self.brokers}
         self.incoherent = []  # one line per failed migration check
         self.delivery = None  # (message, receiver's in-flight count) of the last broker delivery
@@ -44,7 +44,7 @@ class CheckedWorld(engine._World):
     def sample_workloads(self, bid):
         # called once per broker delivery, after the broker's step
         if self.check_views:
-            assert self.registry_view(bid) == oracle_registry_view(self, bid)
+            assert list(self.registry_view(bid).items()) == list(oracle_registry_view(self, bid).items())
             assert self.neighbor_snapshot(bid) == oracle_neighbor_snapshot(self, bid)
             self.views_checked += 1
         msg, before = self.delivery
@@ -55,11 +55,6 @@ class CheckedWorld(engine._World):
             if self.brokers[bid].in_flight - before + closed != 1:
                 self.incoherent.append(f"{msg.conversation}: no +1 on arrival at {bid}")
         super().sample_workloads(bid)
-
-    def sorted_registry(self):
-        live = super().sorted_registry()
-        assert live == tuple(sorted(self.registry))
-        return live
 
     def send(self, msg, now):
         # a broker's out-messages are sent right after its step
@@ -91,6 +86,7 @@ class CheckedWorld(engine._World):
         # here are those after the previous event
         if self.events > 1:
             self.sample_naively()
+        self.churns += event.kind is engine.CHURN  # recorded just before it is applied
         msg = event.message
         if msg is not None and msg.receiver.kind is AgentKind.BROKER:
             self.delivery = (msg, self.brokers[msg.receiver].in_flight)
@@ -172,4 +168,25 @@ def test_registry_view_is_shared_until_a_join_or_leave():
         fresh = world.registry_view(broker(0))
         assert fresh is not view and fresh == oracle_registry_view(world, broker(0))
         view = fresh
-    assert [entry.provider.index for entry in view] == [2]
+    assert [pid.index for pid in view] == [2]
+
+
+def test_requests_issued_between_churn_events_share_one_registry(fuzz_batch):
+    shared = 0
+    for result, world, _ in fuzz_batch.runs:
+        scenario = world.scenario
+        churn = scenario.churn  # by time, then as listed: the kernel's order
+        replayed = [frozenset(spec.id for spec in scenario.providers)]
+        for change in churn:
+            live = replayed[-1]
+            replayed.append(live - {change.provider} if change.action is LEAVE else live | {change.provider})
+        issued = {spec.request.consumer: spec.issue_time for spec in scenario.consumers}
+        held = {}  # churn events before the issue -> the registry those requests share
+        for meta in result.conversations.values():
+            # starts are scheduled before churn, so a request issued at a churn tick comes first
+            before = sum(change.time < issued[meta.consumer.id] for change in churn)
+            live = held.setdefault(before, meta.live_at_issue)
+            assert meta.live_at_issue is live and live == replayed[before]
+        shared += len(result.conversations) - len(held)  # requests that found theirs held
+        assert len({id(meta.live_at_issue) for meta in result.conversations.values()}) <= len(churn) + 1
+    assert shared > 2_500

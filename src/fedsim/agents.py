@@ -251,8 +251,8 @@ class BrokerConversation:
     request: Request
     phase: BrokerPhase
     # the broker's registry view at open, shared with every conversation it
-    # opens until the next join or leave; its ids are the contact list's, and
-    # providers joining the federation later are not candidates here
+    # opens until a provider it sees joins or leaves; its ids are the contact
+    # list's, and providers joining the federation later are not candidates here
     universe: Mapping[AgentId, ContactEntry]
     # the provider last quoted; from AWAITING_AGREEMENT on, also the one
     # holding the reservation: a conversation has at most one provider

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from itertools import chain
 
 import click
 
@@ -26,9 +25,9 @@ def _hold_to_confirm(scn: Scenario) -> int | None:
     migrate to any broker.
     """
     seen = {spec.id: set(spec.visible_providers) for spec in scn.brokers}
-    for spec in chain(scn.providers, (change.join for change in scn.churn if change.join)):
-        for bid in spec.visible_to:
-            seen[bid].add(spec.id)
+    for change in scn.churn:
+        for bid in change.join.visible_to if change.join else ():  # the declared ones are in `seen`
+            seen[bid].add(change.provider)
     consumers = [spec.request.consumer for spec in scn.consumers]
     delay = scn.delay
     return max(

@@ -214,7 +214,6 @@ class RunResult:
     consumers: dict[AgentId, ConsumerState]
     brokers: dict[AgentId, BrokerState]
     providers: dict[AgentId, ProviderState]
-    registry: frozenset[AgentId]
     conversations: dict[str, ConversationMeta]
     workloads: dict[AgentId, WorkloadStat]
     quiescent: bool
@@ -229,12 +228,13 @@ class _World:
         # so every request issued in between shares it
         self.registry: frozenset[AgentId] = frozenset(spec.id for spec in scenario.providers)
         self.providers: dict[AgentId, ProviderState] = {}
-        self.visibility: dict[AgentId, set[AgentId]] = {}
-        # per broker: the registry view of its visible live providers, in id
-        # order, and the resource types they price; cleared on every join and leave
-        self._views: dict[AgentId, tuple[dict[AgentId, ContactEntry], frozenset[str]]] = {}
+        for spec in scenario.providers:
+            self._add_provider(spec)
 
         self.brokers: dict[AgentId, BrokerState] = {}
+        # per broker: the registry view of its visible live providers, in id order, and
+        # the types they price; replaced only when a provider it sees joins or leaves
+        self.views: dict[AgentId, tuple[dict[AgentId, ContactEntry], frozenset[str]]] = {}
         for spec in scenario.brokers:
             self.brokers[spec.id] = BrokerState(
                 id=spec.id,
@@ -242,12 +242,7 @@ class _World:
                 neighbors=spec.neighbors,
                 scenario=scenario,
             )
-            self.visibility[spec.id] = set()
-
-        for spec in scenario.providers:
-            self._add_provider(spec)
-        for spec in scenario.brokers:
-            self.visibility[spec.id].update(spec.visible_providers)
+            self.views[spec.id] = self._view(spec.visible_providers)
 
         self.consumers: dict[AgentId, ConsumerState] = {}
         self.unissued: dict[str, ConsumerState] = {}  # by conversation, until its start event
@@ -295,9 +290,11 @@ class _World:
             base_prices=dict(spec.base_prices),
             scenario=self.scenario,
         )
-        for bid in spec.visible_to:
-            self.visibility[bid].add(pid)
-        self._views.clear()
+
+    def _view(self, ids) -> tuple[dict[AgentId, ContactEntry], frozenset[str]]:
+        """Entries for the providers `ids`, by id in their order, and the types they price."""
+        entries = {pid: ContactEntry(pid, self.providers[pid].base_prices) for pid in ids}
+        return entries, frozenset().union(*(entry.prices for entry in entries.values()))
 
     def schedule(
         self,
@@ -335,35 +332,25 @@ class _World:
     def send(self, msg: Message, now: int) -> None:
         self.schedule(now + self.scenario.delay(msg.sender, msg.receiver), DELIVER, msg)
 
-    def _visible_live(self, bid: AgentId) -> tuple[dict[AgentId, ContactEntry], frozenset[str]]:
-        """Entries for the live providers `bid` sees, by id in id order, and the types they price."""
-        view = self._views.get(bid)
-        if view is None:
-            ids = sorted(self.visibility[bid] & self.registry)
-            entries = {pid: ContactEntry(pid, self.providers[pid].base_prices) for pid in ids}
-            types = frozenset().union(*(entry.prices for entry in entries.values()))
-            view = self._views[bid] = (entries, types)
-        return view
-
     def registry_view(self, bid: AgentId) -> dict[AgentId, ContactEntry]:
-        """Entries for `bid`'s visible live providers by id, shared until a join or leave; do not edit.
+        """Entries for `bid`'s visible live providers by id, shared until one joins or leaves; do not edit.
 
         Entries are immutable and price from their provider's own base-price
         dict, which never changes after the provider joins.
         """
-        return self._visible_live(bid)[0]
+        return self.views[bid][0]
 
     def neighbor_snapshot(self, of: AgentId) -> list[NeighborInfo]:
         """Fresh info on each neighbor broker of `of`, as its next refresh would see it.
 
         A refresh leaves a contact list holding exactly the visible live
         providers, and learning never adds or drops a price key, so the
-        cached view is what the refresh would give.
+        broker's view is what the refresh would give.
         """
         brokers, delay = self.brokers, self.scenario.delay
         out = []
         for nid in brokers[of].neighbors:
-            entries, types = self._visible_live(nid)
+            entries, types = self.views[nid]
             fields = (nid, brokers[nid].in_flight, delay(of, nid), types, len(entries))
             out.append(_new(NeighborInfo, fields))
         return out
@@ -429,11 +416,14 @@ class _World:
 
 
 def apply_churn(world: _World, change: ChurnSpec) -> None:
-    """Apply one membership change to the registry and affected reservations."""
+    """Apply one membership change to the registry, the views that see it and affected reservations."""
     pid = change.provider  # the parser's rules hold: a leave names a live provider, a join a new id
+    views = world.views
     if change.action is LEAVE:
         world.registry = world.registry - {pid}
-        world._views.clear()
+        for bid, (entries, _) in views.items():
+            if pid in entries:
+                views[bid] = world._view([other for other in entries if other != pid])
         provider = world.providers[pid]
         # held reservations die with the membership; release_hold sends nothing,
         # so the ledger's order serves
@@ -442,6 +432,8 @@ def apply_churn(world: _World, change: ChurnSpec) -> None:
     else:
         world._add_provider(change.join)
         world.registry = world.registry | {pid}
+        for bid in change.join.visible_to:
+            views[bid] = world._view(sorted([*views[bid][0], pid]))
 
 
 def _run_once(world: _World, event_budget: int) -> bool:
@@ -599,7 +591,6 @@ def run(scenario: Scenario) -> RunResult:
         consumers=world.consumers,
         brokers=world.brokers,
         providers=world.providers,
-        registry=world.registry,
         conversations=world.meta,
         workloads=world.workloads,
         quiescent=quiescent,

@@ -45,14 +45,14 @@ class ProviderSpec:
     id: AgentId
     capacity: tuple[tuple[str, int], ...]
     base_prices: tuple[tuple[str, Money], ...]
-    visible_to: tuple[AgentId, ...] = ()  # brokers that see the provider when it joins
+    visible_to: tuple[AgentId, ...] = ()  # brokers that see it; read past the parser only at a join
 
 
 @dataclass(frozen=True)
 class BrokerSpec:
     id: AgentId
     neighbors: tuple[AgentId, ...]
-    visible_providers: tuple[AgentId, ...]
+    visible_providers: tuple[AgentId, ...]  # every declared provider it sees, from either list, in id order
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,7 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}.providers: expected a list")
     providers: list[ProviderSpec] = []
     provider_ids: set[int] = set()
+    shown: dict[AgentId, list[AgentId]] = {}  # broker -> declared providers whose visible_to names it
     for i, raw in enumerate(raw_providers):
         spec = _provider_spec(raw, f"{where}.providers[{i}]", type_set, broker_ids)
         pid = spec.id.index
@@ -261,6 +262,8 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
             raise ScenarioError(f"{where}.providers[{i}]: duplicate provider id {pid}")
         provider_ids.add(pid)
         providers.append(spec)
+        for bid in spec.visible_to:
+            shown.setdefault(bid, []).append(spec.id)
 
     brokers: dict[AgentId, BrokerSpec] = {}
     for i, raw in enumerate(raw_brokers):
@@ -270,6 +273,8 @@ def parse_scenario(data: dict, where: str = "scenario") -> Scenario:
         if bid in neighbors:
             raise ScenarioError(f"{loc}.neighbors: broker {bid.index} cannot neighbor itself")
         visible = _id_list(raw, "visible_providers", loc, provider_ids, AgentKind.PROVIDER)
+        if bid in shown:  # every declared provider the broker sees, from either side, in id order
+            visible = tuple(sorted({*visible, *shown[bid]}))
         brokers[bid] = BrokerSpec(id=bid, neighbors=neighbors, visible_providers=visible)
     for spec in brokers.values():
         for nid in spec.neighbors:

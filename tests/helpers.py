@@ -152,6 +152,22 @@ def oracle_select(vectors: dict, admissible: dict):
     return None, rounds
 
 
+def oracle_visible(scenario, bid) -> set[AgentId]:
+    """Every provider a broker ever sees, from the specs: its own list, and each
+    declared or joining provider whose `visible_to` names it."""
+    seen = set()
+    for spec in scenario.brokers:
+        if spec.id == bid:
+            seen.update(spec.visible_providers)
+    for spec in scenario.providers:
+        if bid in spec.visible_to:
+            seen.add(spec.id)
+    for change in scenario.churn:
+        if change.join is not None and bid in change.join.visible_to:
+            seen.add(change.provider)
+    return seen
+
+
 def oracle_registry_view(world, bid) -> dict[AgentId, ContactEntry]:
     """A broker's registry view from scratch: its visible providers still registered, by id in id order."""
     return {
@@ -160,7 +176,7 @@ def oracle_registry_view(world, bid) -> dict[AgentId, ContactEntry]:
             prices=dict(world.providers[pid].base_prices),
             grade=0.5,
         )
-        for pid in sorted(world.visibility[bid])
+        for pid in sorted(oracle_visible(world.scenario, bid))
         if pid in world.registry
     }
 

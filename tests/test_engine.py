@@ -131,11 +131,14 @@ def test_leave_during_negotiation_bounces_and_recovers():
     meta = result.conversations["consumer:0#0"]
     assert meta.consumer.phase is ConsumerPhase.DONE
     assert result.providers[provider(1)].ledger["consumer:0#0"].status is ReservationStatus.CONFIRMED
-    assert provider(0) not in result.registry
-    assert provider(2) in result.registry  # joined later
     # the departed provider keeps no live holds
     for res in result.providers[provider(0)].ledger.values():
         assert res.status is not ReservationStatus.HELD
+    world = _World(load_scenario(SCENARIOS / "churn.json"))
+    for change in world.scenario.churn:  # provider 0 leaves, then provider 2 joins
+        engine.apply_churn(world, change)
+    assert provider(0) not in world.registry
+    assert provider(2) in world.registry
 
 
 def test_no_message_is_ever_handled_by_departed_provider():

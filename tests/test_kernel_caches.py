@@ -1,7 +1,7 @@
-"""The kernel's cached world views, incremental workload sampling and migrations against oracles.
+"""The kernel's world views, incremental workload sampling and migrations against oracles.
 
 `CheckedWorld` stands in for the kernel's world during a run. At every broker
-delivery it compares the cached registry view and neighbor snapshot with
+delivery it compares the registry view and neighbor snapshot with
 from-scratch oracles, it counts the churn events applied so far, and at every
 event it samples every broker's in-flight count the naive way, for comparison
 with the incremental `WorkloadStat`s. It rechecks every migration from world
@@ -10,7 +10,7 @@ in flight at the sender and the target. It keeps each conversation's path,
 since the hop is the one owner of the request's path: `visited` must equal the
 brokers the conversation has left (its `migrations` counts them). The full
 runs are the session's shared fuzz batch (`conftest.py`), whose churn joins
-and leaves invalidate the caches.
+and leaves replace the views of the brokers that see them.
 """
 
 from collections import Counter
@@ -35,7 +35,7 @@ class CheckedWorld(engine._World):
         super().__init__(scenario)
         self.check_views = check_views
         self.views_checked = self.migrations = self.arrivals = 0
-        self.churns = 0  # churn events applied: each replaces the registry
+        self.churns = 0  # churn events applied: each replaces the registry and the views that see it
         self.naive = {bid: WorkloadStat() for bid in self.brokers}
         self.incoherent = []  # one line per failed migration check
         self.delivery = None  # (message, receiver's in-flight count) of the last broker delivery
@@ -161,14 +161,16 @@ def test_path_check_catches_a_hop_that_does_not_stamp_the_request(monkeypatch):
 
 def test_registry_view_is_shared_until_a_join_or_leave():
     world = engine._World(load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "churn.json"))
-    view = world.registry_view(broker(0))
+    view, other = world.registry_view(broker(0)), world.registry_view(broker(1))
     assert world.registry_view(broker(0)) is view
     for change in world.scenario.churn:  # provider 0 leaves, provider 2 joins; broker 0 sees both
         engine.apply_churn(world, change)
         fresh = world.registry_view(broker(0))
         assert fresh is not view and fresh == oracle_registry_view(world, broker(0))
         view = fresh
-    assert [pid.index for pid in view] == [2]
+        # broker 1 sees only provider 1, which neither event touches
+        assert world.registry_view(broker(1)) is other
+    assert [pid.index for pid in view] == [2] and [pid.index for pid in other] == [1]
 
 
 def test_requests_issued_between_churn_events_share_one_registry(fuzz_batch):

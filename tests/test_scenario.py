@@ -7,8 +7,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from fedsim.cli import main
 from fedsim.engine import _World
 from fedsim.model import ScenarioError, broker, consumer, money, provider
 from fedsim.scenario import (
@@ -112,6 +114,26 @@ def test_dangling_visibility_reference():
     data["brokers"][0]["visible_providers"] = [9]
     with pytest.raises(ScenarioError, match="provider 9 is not declared"):
         parse_scenario(data)
+
+
+def test_a_declared_providers_visible_to_joins_the_brokers_list(tmp_path):
+    data = minimal_dict()
+    # provider 1 names broker 0, which does not list it, over a slow link
+    data["providers"].append(
+        {"id": 1, "capacity": {"cpu": 4}, "base_prices": {"cpu": "1.00"}, "visible_to": [0]}
+    )
+    data["delays"] = [{"a": "broker:0", "b": "provider:1", "delay": 5}]
+    data["hold_timeout"] = 12  # the CONFIRM reaches a hold at provider 1 12 ticks after it
+    scn = parse_scenario(data)
+    assert scn.brokers[0].visible_providers == (provider(0), provider(1))
+    assert list(_World(scn).registry_view(broker(0))) == [provider(0), provider(1)]
+    for visible_to, warns in (([0], True), ([], False)):
+        data["providers"][1]["visible_to"] = visible_to
+        path = tmp_path / f"seen-{len(visible_to)}.json"
+        path.write_text(json.dumps(data))
+        result = CliRunner().invoke(main, ["validate", "--scenario", str(path)])
+        assert result.exit_code == 0, result.output
+        assert ("warning: hold_timeout" in result.stderr) is warns
 
 
 def test_asymmetric_neighbor_edge_rejected():
